@@ -48,8 +48,11 @@ class RewardSpec:
     redundant: float = 0.5
 
     def __post_init__(self):
-        if self.informative <= 0.0 or self.redundant <= 0.0:
-            raise ValueError("reward levels must be positive")
+        # update_weights accepts rewards in [0, 1]; zero is the pass reward
+        for name, level in (("informative", self.informative),
+                            ("redundant", self.redundant)):
+            if not 0.0 < level <= 1.0:
+                raise ValueError(f"{name} reward must lie in (0, 1], got {level}")
         if self.redundant >= self.informative:
             raise ValueError("redundant reward must stay below informative")
 

@@ -39,7 +39,7 @@ from .datagen import (
     scenario_split,
 )
 from .ensemble import RewardSpec, SolverConfig, WeightedEnsemble, step_reward
-from .learner import LearnerConfig, fit_logistic
+from .learner import LearnerConfig, fit_logistic, predicted_class
 
 __all__ = [
     "STRATEGIES",
@@ -238,7 +238,7 @@ class StreamRunner:
             )
 
         proba = self.model.predict_proba(features)
-        predicted = self.model.predict(features)
+        predicted = int(predicted_class(proba))
         ctx = AcquisitionContext(
             features=np.asarray(features, dtype=float),
             predicted=predicted,

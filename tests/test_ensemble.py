@@ -49,6 +49,9 @@ class TestRewardSpec:
             RewardSpec(informative=0.0)
         with pytest.raises(ValueError):
             RewardSpec(informative=0.5, redundant=0.5)
+        with pytest.raises(ValueError):
+            RewardSpec(informative=1.5)
+        RewardSpec(informative=1.0, redundant=0.999)
 
     def test_step_reward_cases(self):
         assert step_reward(True, predicted=0, label=1) == 1.0

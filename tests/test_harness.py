@@ -71,7 +71,7 @@ class TestConfigParsing:
             "p = 8",
             "flip_share = 0.03",
             "",
-            "informative_reward = 2.0",
+            "informative_reward = 0.8",
             "redundant_reward = 0.25",
             "penalty = l2",
             "penalty_strength = 0.5",
@@ -85,7 +85,7 @@ class TestConfigParsing:
         assert cfg.generator.n == 500
         assert cfg.generator.p == 8
         assert cfg.generator.flip_share == 0.03
-        assert cfg.rewards.informative == 2.0
+        assert cfg.rewards.informative == 0.8
         assert cfg.rewards.redundant == 0.25
         assert cfg.learner.penalty == "l2"
         assert cfg.learner.strength == 0.5
@@ -93,6 +93,16 @@ class TestConfigParsing:
         assert cfg.p_min == 0.05
         assert cfg.monitor is False
         assert cfg.ld1_window == 40
+
+    @pytest.mark.parametrize("line", [
+        "informative_reward = 2.0",
+        "redundant_reward = 1.5",
+        "redundant_reward = 0",
+    ])
+    def test_reward_outside_the_solver_range_rejected(self, line):
+        """A reward the solver would refuse mid-run is refused at parse time."""
+        with pytest.raises(ValueError, match="reward must lie in"):
+            parse_config_text(line)
 
     def test_p_min_auto_maps_to_none(self):
         assert parse_config_text("p_min = auto").p_min is None

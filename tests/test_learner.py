@@ -4,13 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from streamacq.learner import (
+    L1_SOFT_THRESHOLD,
     LearnerConfig,
     LogisticModel,
     fit_logistic,
     loss_gradient,
     loss_value,
+    predicted_class,
 )
 
 
@@ -73,6 +78,12 @@ class TestPrediction:
         model = LogisticModel(weights=np.zeros(1), bias=0.0)
         assert model.predict([5.0]) == 0
 
+    def test_predicted_class_ties_go_to_class_zero(self):
+        assert predicted_class(np.array([0.5, 0.5])) == 0
+        assert predicted_class(np.array([0.25, 0.75])) == 1
+        np.testing.assert_array_equal(
+            predicted_class(np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])), [0, 1, 0])
+
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(3)
         model = LogisticModel(weights=rng.normal(size=4), bias=0.3)
@@ -113,6 +124,21 @@ class TestFit:
     def test_label_validation(self):
         with pytest.raises(ValueError):
             fit_logistic(np.zeros((2, 1)), np.array([0, 2]))
+
+    @pytest.mark.parametrize("X, y", [
+        (np.array([[0.0], [np.nan]]), np.array([0, 1])),
+        (np.array([[np.inf], [1.0]]), np.array([0, 1])),
+        (np.array([[-np.inf], [1.0]]), np.array([0, 1])),
+        (np.zeros((3, 2)), np.array([0, 1])),
+        (np.zeros((2, 2)), np.array([[0], [1]])),
+        (np.array([0.0, 1.0]), np.array([0, 1])),
+        (np.zeros((2, 1)), np.array([0.0, 0.5])),
+        (np.zeros((2, 1)), np.array([-1, 1])),
+    ], ids=["nan", "inf", "-inf", "short-labels", "2d-labels", "1d-design",
+            "fractional-label", "negative-label"])
+    def test_inputs_checked_at_the_boundary(self, X, y):
+        with pytest.raises(ValueError):
+            fit_logistic(X, y)
 
     def test_fit_is_deterministic(self):
         rng = np.random.default_rng(9)
@@ -176,3 +202,63 @@ class TestGradient:
         plain = loss_gradient(w, 2.0, X, y, LearnerConfig())[1]
         ridge = loss_gradient(w, 2.0, X, y, LearnerConfig(penalty="l2", strength=5.0))[1]
         assert plain == pytest.approx(ridge)
+
+
+def reference_fit(X, y, config, loss_trace):
+    """The descent of :func:`fit_logistic` through the public, validating calls."""
+    X = np.asarray(X, dtype=float)
+    n, p = X.shape
+    w = np.zeros(p)
+    b = 0.0
+    lipschitz = (float((X * X).sum()) + n) / (4.0 * n)
+    if config.penalty == "l2":
+        lipschitz += config.strength
+    step = 0.1 / (1.0 + lipschitz)
+    for _ in range(config.max_iter):
+        loss_trace.append(loss_value(w, b, X, y, config))
+        gw, gb = loss_gradient(w, b, X, y, config)
+        if float(np.sqrt(gw @ gw + gb * gb)) < config.grad_tol:
+            break
+        w = w - step * gw
+        b = b - step * gb
+        if config.penalty == "l1":
+            w = np.sign(w) * np.maximum(np.abs(w) - L1_SOFT_THRESHOLD, 0.0)
+    loss_trace.append(loss_value(w, b, X, y, config))
+    return w, b
+
+
+@st.composite
+def pools(draw):
+    n = draw(st.integers(1, 150))
+    p = draw(st.integers(1, 16))
+    X = draw(hnp.arrays(np.float64, (n, p),
+                        elements=st.floats(-50.0, 50.0, allow_nan=False)))
+    one_class = draw(st.booleans())
+    y = (np.full(n, draw(st.integers(0, 1))) if one_class
+         else draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1))))
+    penalty = draw(st.sampled_from(("none", "l1", "l2")))
+    strength = 0.0 if penalty == "none" else draw(st.floats(0.0, 2.0))
+    return X, y, LearnerConfig(penalty=penalty, strength=strength)
+
+
+class TestFitMatchesValidatingReference:
+    @settings(max_examples=60, deadline=None)
+    @given(pools())
+    def test_bit_identical_to_a_loop_over_public_calls(self, pool):
+        X, y, config = pool
+        trace = []
+        model = fit_logistic(X, y, config, loss_trace=trace)
+        if np.unique(y).size == 1:
+            assert model.degenerate_class == int(y[0])
+            assert model.grad_norm is None
+            assert trace == []
+            return
+        expected_trace = []
+        w, b = reference_fit(X, y, config, expected_trace)
+        assert np.array_equal(model.weights, w)
+        assert model.bias == b
+        assert trace == expected_trace
+        gw, gb = loss_gradient(w, b, X, y, config)
+        assert model.grad_norm == float(np.sqrt(gw @ gw + gb * gb))
+        if config.penalty != "l1":
+            assert np.all(np.diff(np.asarray(trace)) <= 1e-12)

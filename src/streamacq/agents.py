@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SlidingWindow, as_feature_vector
+from .core import SlidingWindow
 
 __all__ = [
     "AcquisitionContext",
@@ -55,12 +55,7 @@ def local_sparsity(window: SlidingWindow, x) -> int:
     """
     if len(window) == 0:
         raise ValueError("local sparsity needs a nonempty window")
-    v = as_feature_vector(x)
-    pts = window.points_matrix()
-    if v.size != pts.shape[1]:
-        raise ValueError(f"dimension mismatch: {v.size} vs window {pts.shape[1]}")
-    diff = pts - v
-    to_x = np.sqrt((diff * diff).sum(axis=1))
+    to_x = window.distances_to(x)
     far = window.farthest_distances()
     far = np.where(np.isnan(far), 0.0, far)  # singleton window: no co-members
     return int(np.count_nonzero(far < to_x))
@@ -155,9 +150,7 @@ class SpaceFillingAgent(Agent):
     def propose(self, ctx: AcquisitionContext) -> float:
         if len(self.window) < 2:
             return 1.0  # spread undefined below two members
-        pts = self.window.points_matrix()
-        diff = pts - ctx.features
-        gap = float(np.sqrt((diff * diff).sum(axis=1)).min())
+        gap = float(self.window.distances_to(ctx.features).min())
         spread = float(self.window.nearest_distances().max())
         if spread == 0.0:  # window collapsed onto one location
             return 1.0 if gap > 0.0 else 0.0

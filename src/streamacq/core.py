@@ -2,13 +2,16 @@
 
 The sliding window keeps, for every member, its Euclidean distance to the
 farthest and to the nearest other member.  Both exploration agents read these
-caches on every step, so they are maintained exactly: evicting a point
-recomputes any aggregate that referenced it.
+caches on every step, so they are maintained exactly.  Members live in a
+preallocated ring of ``capacity`` slots together with the pairwise distance
+matrix of those slots.  A push computes one distance row, writes it into the
+new slot's row and column, and folds it into every cached extreme; evicting
+the oldest slot recomputes, as a masked row max/min over the matrix, only the
+extremes that were the distance to the evicted point.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -108,21 +111,28 @@ class SlidingWindow:
 
     ``farthest_distances()[j]`` is the Euclidean distance from member ``j`` to
     the member farthest from it; ``nearest_distances()[j]`` the distance to the
-    closest one.  Both are NaN while the window holds a single point.
+    closest one.  Both are NaN while the window holds a single point.  Every
+    per-member array is returned oldest first.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("window capacity must be >= 1")
         self.capacity = int(capacity)
-        self._points: list[np.ndarray] = []
-        self._ids: list[int] = []
-        self._far: list[float] = []
-        self._far_id: list[int] = []
-        self._near: list[float] = []
-        self._near_id: list[int] = []
-        self._fresh_id = itertools.count()
-        self._dim: Optional[int] = None
+        self._size = 0
+        self._head = 0  # slot of the oldest member once the ring is full
+        # allocated by _allocate once the first point fixes the dimension
+        self._points: Optional[np.ndarray] = None  # (capacity, dim) slots
+        self._dist: Optional[np.ndarray] = None  # (capacity, capacity) pairwise
+        self._far: Optional[np.ndarray] = None  # -inf without a co-member
+        self._near: Optional[np.ndarray] = None  # +inf without a co-member
+
+    def _allocate(self, dim: int) -> None:
+        cap = self.capacity
+        self._points = np.zeros((cap, dim))
+        self._dist = np.zeros((cap, cap))
+        self._far = np.full(cap, -np.inf)
+        self._near = np.full(cap, np.inf)
 
     @classmethod
     def from_points(cls, points, capacity: Optional[int] = None) -> "SlidingWindow":
@@ -138,112 +148,106 @@ class SlidingWindow:
             raise ValueError(f"{m} points exceed capacity {win.capacity}")
         if m == 0:
             return win
-        win._dim = pts.shape[1]
-        win._points = [pts[i].copy() for i in range(m)]
-        win._ids = list(range(m))
-        win._fresh_id = itertools.count(m)
-        if m == 1:
-            win._far, win._far_id = [math.nan], [-1]
-            win._near, win._near_id = [math.nan], [-1]
-            return win
+        win._allocate(pts.shape[1])
+        win._points[:m] = pts
+        win._size = m
         sq = (pts * pts).sum(axis=1)
         d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
         dist = np.sqrt(np.clip(d2, 0.0, None))
+        win._dist[:m, :m] = dist
         np.fill_diagonal(dist, -np.inf)
-        far_at = dist.argmax(axis=1)
-        win._far = [float(dist[j, k]) for j, k in enumerate(far_at)]
-        win._far_id = [int(k) for k in far_at]
+        win._far[:m] = dist.max(axis=1)
         np.fill_diagonal(dist, np.inf)
-        near_at = dist.argmin(axis=1)
-        win._near = [float(dist[j, k]) for j, k in enumerate(near_at)]
-        win._near_id = [int(k) for k in near_at]
+        win._near[:m] = dist.min(axis=1)
         return win
 
     def __len__(self) -> int:
-        return len(self._points)
+        return self._size
 
     @property
     def dim(self) -> Optional[int]:
-        return self._dim
+        return None if self._points is None else self._points.shape[1]
+
+    def _age_order(self) -> np.ndarray:
+        """Slot indices of the members, oldest first."""
+        return np.arange(self._head, self._head + self._size) % self.capacity
+
+    def _extremes(self, cache: np.ndarray) -> np.ndarray:
+        if self._size < 2:
+            return np.full(self._size, math.nan)
+        return cache[self._age_order()]
 
     def points_matrix(self) -> np.ndarray:
         """Members as an (m, dim) array, oldest first."""
-        return np.array(self._points, dtype=float)
+        if self._points is None:
+            return np.empty(0)
+        return self._points[self._age_order()]
 
     def farthest_distances(self) -> np.ndarray:
-        return np.array(self._far, dtype=float)
+        return self._extremes(self._far)
 
     def nearest_distances(self) -> np.ndarray:
-        return np.array(self._near, dtype=float)
+        return self._extremes(self._near)
 
-    def push(self, x) -> None:
-        """Append ``x``, evicting the oldest member when at capacity."""
-        v = as_feature_vector(x)
-        if self._dim is None:
-            self._dim = v.size
-        elif v.size != self._dim:
-            raise ValueError(
-                f"dimension mismatch: window holds {self._dim}-d points, got {v.size}"
-            )
-        if len(self._points) == self.capacity:
-            self._evict_oldest()
-        dists = self._distances_to(v)
-        new_id = next(self._fresh_id)
-        for j in range(len(self._points)):
-            d = float(dists[j])
-            if math.isnan(self._far[j]) or d > self._far[j]:
-                self._far[j], self._far_id[j] = d, new_id
-            if math.isnan(self._near[j]) or d < self._near[j]:
-                self._near[j], self._near_id[j] = d, new_id
-        if dists.size:
-            far_j = int(np.argmax(dists))
-            near_j = int(np.argmin(dists))
-            self._far.append(float(dists[far_j]))
-            self._far_id.append(self._ids[far_j])
-            self._near.append(float(dists[near_j]))
-            self._near_id.append(self._ids[near_j])
-        else:
-            self._far.append(math.nan)
-            self._far_id.append(-1)
-            self._near.append(math.nan)
-            self._near_id.append(-1)
-        self._points.append(v)
-        self._ids.append(new_id)
-
-    def _distances_to(self, v: np.ndarray) -> np.ndarray:
-        if not self._points:
-            return np.empty(0)
-        diff = np.array(self._points) - v
+    def _row(self, v: np.ndarray) -> np.ndarray:
+        """Distances from ``v`` to every occupied slot, in slot order."""
+        diff = self._points[:self._size] - v
         return np.sqrt((diff * diff).sum(axis=1))
 
-    def _evict_oldest(self) -> None:
-        gone = self._ids[0]
-        for lst in (self._points, self._ids, self._far, self._far_id,
-                    self._near, self._near_id):
-            del lst[0]
-        if not self._points:
-            return
-        if len(self._points) == 1:
-            self._far[0] = self._near[0] = math.nan
-            self._far_id[0] = self._near_id[0] = -1
-            return
-        for j in range(len(self._points)):
-            # only members whose cached extreme pointed at the evicted point
-            # need an exact rebuild
-            if self._far_id[j] == gone or self._near_id[j] == gone:
-                self._rebuild_member(j)
+    def _vector(self, x) -> np.ndarray:
+        """Validate ``x`` as a point of this window's dimension."""
+        v = as_feature_vector(x)
+        if self._points is not None and v.size != self.dim:
+            raise ValueError(
+                f"dimension mismatch: window holds {self.dim}-d points, got {v.size}"
+            )
+        return v
 
-    def _rebuild_member(self, j: int) -> None:
-        v = self._points[j]
-        far, far_id = -1.0, -1
-        near, near_id = math.inf, -1
-        for k in range(len(self._points)):
-            if k == j:
-                continue
-            d = euclidean(self._points[k], v)
-            if d > far:
-                far, far_id = d, self._ids[k]
-            if d < near:
-                near, near_id = d, self._ids[k]
-        self._far[j], self._far_id[j] = far, far_id
-        self._near[j], self._near_id[j] = near, near_id
+    def distances_to(self, x) -> np.ndarray:
+        """Euclidean distance from ``x`` to every member, oldest first."""
+        v = self._vector(x)
+        if self._points is None:
+            return np.empty(0)
+        return self._row(v)[self._age_order()]
+
+    def push(self, x) -> None:
+        """Append ``x``, evicting the oldest member when at capacity.
+
+        The new point's distance row fills its slot's row and column of the
+        pairwise matrix.  A member keeps its cached extreme unless that
+        extreme was its distance to the evicted point, in which case it is
+        recomputed as a masked row max/min over the matrix.
+        """
+        v = self._vector(x)
+        if self._points is None:
+            self._allocate(v.size)
+        far, near, dist = self._far, self._near, self._dist
+        if self._size < self.capacity:
+            slot = self._size
+            self._size += 1
+            stale = np.empty(0, dtype=np.intp)
+        else:
+            slot = self._head
+            self._head = (slot + 1) % self.capacity
+            gone = dist[:, slot]  # row j's distance to the evicted point
+            hit = (far == gone) | (near == gone)
+            hit[slot] = False
+            stale = np.flatnonzero(hit)
+        n = self._size
+        self._points[slot] = v
+        d = self._row(v)  # d[slot] is the new point's distance to itself
+        dist[slot, :n] = d
+        dist[:n, slot] = d
+        np.maximum(far[:n], d, out=far[:n])
+        np.minimum(near[:n], d, out=near[:n])
+        if stale.size:
+            rows = dist[stale, :n]
+            diagonal = (np.arange(stale.size), stale)
+            rows[diagonal] = -np.inf
+            far[stale] = rows.max(axis=1)
+            rows[diagonal] = np.inf
+            near[stale] = rows.min(axis=1)
+        d[slot] = -np.inf
+        far[slot] = d.max()
+        d[slot] = np.inf
+        near[slot] = d.min()

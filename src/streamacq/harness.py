@@ -60,11 +60,15 @@ __all__ = [
     "summary_table",
 ]
 
-STRATEGIES = (
-    "ensemble2", "ensemble4", "ensemble6",
-    "ld1", "ld2", "spf1", "ral1", "ral2", "ral3",
-    "us", "rs",
-)
+# agent names per strategy, in roster order
+_ROSTERS = {
+    "ensemble2": ("ld1", "ral1"),
+    "ensemble4": ("ld1", "ral1", "ld2", "ral2"),
+    "ensemble6": ("ld1", "ral1", "ld2", "ral2", "spf1", "ral3"),
+    **{name: (name,) for name in ("ld1", "ld2", "spf1", "ral1", "ral2", "ral3",
+                                  "us", "rs")},
+}
+STRATEGIES = tuple(_ROSTERS)
 
 CASE_STUDY_POOL_SIZE = 10
 
@@ -118,42 +122,38 @@ class ExperimentConfig:
             raise ValueError("evaluation period must be at least 1")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
+        # Build every configured agent once, whatever the strategy: `bench`
+        # swaps the strategy after parsing, so a bad agent setting must fail
+        # here rather than when its roster first runs.
+        for name, make in self._agent_factories().items():
+            try:
+                make()
+            except ValueError as exc:
+                raise ValueError(f"agent {name}: {exc}") from None
+
+    def _agent_factories(self) -> dict:
+        """Constructors of every agent whose settings live in this config."""
+        def ral(threshold, rate, name):
+            return EpsilonGreedyAgent(CertaintyThresholdAgent(
+                threshold, rate, penalty=self.rewards.signed_redundant, name=name),
+                self.epsilon)
+
+        return {
+            "ld1": lambda: LowDensityAgent(self.ld1_window, self.ld1_sparsity, name="ld1"),
+            "ld2": lambda: LowDensityAgent(self.ld2_window, self.ld2_sparsity, name="ld2"),
+            "spf1": lambda: SpaceFillingAgent(self.spf1_window, name="spf1"),
+            "ral1": lambda: ral(self.ral1_threshold, self.ral1_rate, "ral1"),
+            "ral2": lambda: ral(self.ral2_threshold, self.ral2_rate, "ral2"),
+            "ral3": lambda: ral(self.ral3_threshold, self.ral3_rate, "ral3"),
+            "us": lambda: UncertaintyBaseline(self.us_threshold, name="us"),
+        }
 
     def build_agents(self, budget: int, stream_len: int) -> list[Agent]:
         """Instantiate the roster for this config's strategy."""
-        def wrap(agent: Agent) -> Agent:
-            return EpsilonGreedyAgent(agent, self.epsilon)
-
-        def ld1():
-            return LowDensityAgent(self.ld1_window, self.ld1_sparsity, name="ld1")
-
-        def ld2():
-            return LowDensityAgent(self.ld2_window, self.ld2_sparsity, name="ld2")
-
-        def spf1():
-            return SpaceFillingAgent(self.spf1_window, name="spf1")
-
-        def ral(threshold, rate, name):
-            return wrap(CertaintyThresholdAgent(
-                threshold, rate, penalty=self.rewards.signed_redundant, name=name))
-
-        rosters = {
-            "ensemble2": lambda: [ld1(), ral(self.ral1_threshold, self.ral1_rate, "ral1")],
-            "ensemble4": lambda: [ld1(), ral(self.ral1_threshold, self.ral1_rate, "ral1"),
-                                  ld2(), ral(self.ral2_threshold, self.ral2_rate, "ral2")],
-            "ensemble6": lambda: [ld1(), ral(self.ral1_threshold, self.ral1_rate, "ral1"),
-                                  ld2(), ral(self.ral2_threshold, self.ral2_rate, "ral2"),
-                                  spf1(), ral(self.ral3_threshold, self.ral3_rate, "ral3")],
-            "ld1": lambda: [ld1()],
-            "ld2": lambda: [ld2()],
-            "spf1": lambda: [spf1()],
-            "ral1": lambda: [ral(self.ral1_threshold, self.ral1_rate, "ral1")],
-            "ral2": lambda: [ral(self.ral2_threshold, self.ral2_rate, "ral2")],
-            "ral3": lambda: [ral(self.ral3_threshold, self.ral3_rate, "ral3")],
-            "us": lambda: [UncertaintyBaseline(self.us_threshold, name="us")],
-            "rs": lambda: [RandomBaseline(random_baseline_rate(budget, stream_len), name="rs")],
-        }
-        return rosters[self.strategy]()
+        factories = self._agent_factories()
+        factories["rs"] = lambda: RandomBaseline(
+            random_baseline_rate(budget, stream_len), name="rs")
+        return [factories[name]() for name in _ROSTERS[self.strategy]]
 
     def solver_config(self, n_experts: int) -> SolverConfig:
         return SolverConfig(

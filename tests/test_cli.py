@@ -116,6 +116,15 @@ class TestBench:
         assert code == 1
         assert "unknown strategy" in capsys.readouterr().err
 
+    def test_bad_agent_setting_fails_before_any_seed_runs(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL_CONFIG + "spf1_window = 1\n")
+        out = tmp_path / "table.csv"
+        code = main(["bench", "--config", config, "--seeds", "0,1",
+                     "--strategies", "rs,ensemble6", "--out", str(out)])
+        assert code == 1
+        assert "agent spf1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_seed_exits_nonzero(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL_CONFIG)
         code = main(["bench", "--config", config, "--seeds", "0",

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from streamacq.core import (
     LabeledPool,
@@ -184,3 +187,112 @@ class TestSlidingWindow:
         assert len(SlidingWindow.from_points(np.zeros((0, 2)), capacity=4)) == 0
         single = SlidingWindow.from_points([[1.0, 2.0]])
         assert math.isnan(single.farthest_distances()[0])
+
+    def test_distances_to_in_age_order(self):
+        win = SlidingWindow(3)
+        for p in ([0.0, 0.0], [3.0, 4.0], [6.0, 8.0], [0.0, 1.0]):
+            win.push(p)
+        np.testing.assert_array_equal(win.distances_to([0.0, 0.0]), [5.0, 10.0, 1.0])
+        with pytest.raises(ValueError):
+            win.distances_to([0.0])
+        assert SlidingWindow(2).distances_to([1.0]).size == 0
+
+
+def row_distances(points, v):
+    """The window's push formula: one distance row from ``v``."""
+    diff = points - v
+    return np.sqrt((diff * diff).sum(axis=1))
+
+
+def gram_distances(points):
+    """The bulk formula of ``SlidingWindow.from_points``."""
+    sq = (points * points).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
+    return np.sqrt(np.clip(d2, 0.0, None))
+
+
+class RingReference:
+    """Brute-force window: the full pairwise matrix in age order, rescanned."""
+
+    def __init__(self, capacity, dim, points=()):
+        self.capacity = capacity
+        self.points = np.array(points, dtype=float).reshape(len(points), dim)
+        self.dist = gram_distances(self.points)
+
+    def push(self, v):
+        if len(self.points) == self.capacity:
+            self.points = self.points[1:]
+            self.dist = self.dist[1:, 1:]
+        row = row_distances(self.points, v)
+        m = len(self.points)
+        dist = np.empty((m + 1, m + 1))
+        dist[:m, :m] = self.dist
+        dist[m, :m] = dist[:m, m] = row
+        dist[m, m] = 0.0
+        self.points = np.vstack([self.points, v])
+        self.dist = dist
+
+    def extremes(self):
+        m = len(self.points)
+        if m < 2:
+            return np.full(m, np.nan), np.full(m, np.nan)
+        off = ~np.eye(m, dtype=bool)
+        far = np.array([self.dist[j][off[j]].max() for j in range(m)])
+        near = np.array([self.dist[j][off[j]].min() for j in range(m)])
+        return far, near
+
+
+@st.composite
+def ring_cases(draw):
+    capacity = draw(st.integers(1, 20))
+    dim = draw(st.integers(1, 16))
+    coords = st.one_of(st.integers(-3, 3).map(float),
+                       st.floats(-100.0, 100.0, allow_nan=False))
+    distinct = draw(st.lists(hnp.arrays(float, dim, elements=coords),
+                             min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=40))
+    n_bulk = draw(st.integers(0, min(capacity, len(picks))))
+    return capacity, [distinct[i] for i in picks], n_bulk
+
+
+def assert_matches_reference(win, ref):
+    far, near = ref.extremes()
+    np.testing.assert_array_equal(win.points_matrix(), ref.points)
+    assert np.array_equal(win.farthest_distances(), far, equal_nan=True)
+    assert np.array_equal(win.nearest_distances(), near, equal_nan=True)
+
+
+class TestRingProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(ring_cases())
+    def test_extremes_equal_brute_force_after_every_push(self, case):
+        """Cached extremes equal a rescan of the same distances, bit for bit."""
+        capacity, points, n_bulk = case
+        ref = RingReference(capacity, points[0].size, points[:n_bulk])
+        if n_bulk:
+            win = SlidingWindow.from_points(points[:n_bulk], capacity=capacity)
+            assert_matches_reference(win, ref)
+        else:
+            win = SlidingWindow(capacity)
+        for v in points[n_bulk:]:
+            if len(win):
+                assert np.array_equal(win.distances_to(v), row_distances(ref.points, v))
+            win.push(v)
+            ref.push(v)
+            assert_matches_reference(win, ref)
+
+    def test_evicting_every_members_farthest_point(self):
+        """Halving gaps make the oldest point every member's farthest, so each
+        eviction leaves every member's cached farthest distance stale."""
+        capacity = 5
+        points = [np.array([-(0.5 ** k)]) for k in range(16)]
+        win = SlidingWindow(capacity)
+        ref = RingReference(capacity, 1)
+        for k, v in enumerate(points):
+            if k >= capacity:
+                oldest = win.points_matrix()[0]
+                np.testing.assert_array_equal(win.farthest_distances()[1:],
+                                              win.distances_to(oldest)[1:])
+            win.push(v)
+            ref.push(v)
+            assert_matches_reference(win, ref)

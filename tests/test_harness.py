@@ -104,6 +104,26 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="reward must lie in"):
             parse_config_text(line)
 
+    @pytest.mark.parametrize("text", [
+        "spf1_window = 1",
+        "ld1_window = 0",
+        "ld2_sparsity = 0",
+        "ld1_sparsity = 2",
+        "ral1_threshold = 0",
+        "ral2_rate = 0",
+        "us_threshold = 0",
+        "strategy = rs\nspf1_window = 1",
+        "strategy = ral1\nld2_window = 0",
+    ])
+    def test_agent_setting_an_agent_would_refuse_rejected(self, text):
+        """A bad agent setting fails at parse time, even outside the roster.
+
+        ``bench`` swaps the strategy of a parsed config, so a setting only
+        another roster reads must not wait for that roster to crash.
+        """
+        with pytest.raises(ValueError, match="agent "):
+            parse_config_text(text)
+
     def test_p_min_auto_maps_to_none(self):
         assert parse_config_text("p_min = auto").p_min is None
 

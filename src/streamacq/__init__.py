@@ -10,12 +10,10 @@ from .agents import (
     AcquisitionContext,
     Agent,
     CertaintyThresholdAgent,
-    EpsilonGreedyAgent,
     LowDensityAgent,
     RandomBaseline,
     SpaceFillingAgent,
     UncertaintyBaseline,
-    epsilon_wrap,
     local_sparsity,
     random_baseline_rate,
     uncertainty_vote,
@@ -71,7 +69,6 @@ __all__ = [
     "Agent",
     "CertaintyThresholdAgent",
     "Dataset",
-    "EpsilonGreedyAgent",
     "ExperimentConfig",
     "GeneratorConfig",
     "JointDecision",
@@ -97,7 +94,6 @@ __all__ = [
     "UncertaintyBaseline",
     "WeightedEnsemble",
     "case_study_split",
-    "epsilon_wrap",
     "euclidean",
     "expected_ld_acquisition",
     "export_results",

@@ -1,5 +1,5 @@
 """Acquisition agents: two exploration criteria, a reinforced certainty
-threshold, an epsilon floor, and the stream baselines.
+threshold with an epsilon floor, and the stream baselines.
 
 Every agent votes with a probability in [0, 1] for acquiring the current
 sample and then observes the sample pass by (window-based agents push it
@@ -21,11 +21,9 @@ __all__ = [
     "LowDensityAgent",
     "SpaceFillingAgent",
     "CertaintyThresholdAgent",
-    "EpsilonGreedyAgent",
     "RandomBaseline",
     "UncertaintyBaseline",
     "local_sparsity",
-    "epsilon_wrap",
     "random_baseline_rate",
     "uncertainty_vote",
 ]
@@ -38,12 +36,7 @@ class AcquisitionContext:
     """Everything an agent may inspect before voting on one stream sample."""
 
     features: np.ndarray
-    predicted: int
-    proba: np.ndarray
     certainty: float
-    time_index: int = -1
-    budget_total: int = 0
-    budget_used: int = 0
 
 
 def local_sparsity(window: SlidingWindow, x) -> int:
@@ -59,15 +52,6 @@ def local_sparsity(window: SlidingWindow, x) -> int:
     far = window.farthest_distances()
     far = np.where(np.isnan(far), 0.0, far)  # singleton window: no co-members
     return int(np.count_nonzero(far < to_x))
-
-
-def epsilon_wrap(p: float, epsilon: float) -> float:
-    """Mix a vote with an epsilon floor of forced acquisition."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"vote must lie in [0, 1], got {p}")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    return epsilon + (1.0 - epsilon) * p
 
 
 def random_baseline_rate(budget: int, stream_len: int) -> float:
@@ -102,7 +86,22 @@ class Agent:
         """Prime internal state with the initial pool's feature vectors."""
 
 
-class LowDensityAgent(Agent):
+class _WindowAgent(Agent):
+    """An agent that votes against a sliding window of every sample seen."""
+
+    def __init__(self, capacity: int, name: str):
+        self.window = SlidingWindow(capacity)
+        self.name = name
+
+    def seed(self, points) -> None:
+        for p in points:
+            self.window.push(p)
+
+    def observe(self, ctx: AcquisitionContext) -> None:
+        self.window.push(ctx.features)
+
+
+class LowDensityAgent(_WindowAgent):
     """Votes for samples that fall where the recent stream is sparse.
 
     The raw vote is ``lsf / (L * sparsity_level)`` clipped to 1, where lsf is
@@ -112,13 +111,8 @@ class LowDensityAgent(Agent):
     def __init__(self, capacity: int, sparsity_level: float, name: str = "ld"):
         if not 0.0 < sparsity_level <= 1.0:
             raise ValueError(f"sparsity level must lie in (0, 1], got {sparsity_level}")
-        self.window = SlidingWindow(capacity)
+        super().__init__(capacity, name)
         self.sparsity_level = float(sparsity_level)
-        self.name = name
-
-    def seed(self, points) -> None:
-        for p in points:
-            self.window.push(p)
 
     def propose(self, ctx: AcquisitionContext) -> float:
         if len(self.window) == 0:
@@ -126,11 +120,8 @@ class LowDensityAgent(Agent):
         score = local_sparsity(self.window, ctx.features)
         return min(1.0, score / (self.window.capacity * self.sparsity_level))
 
-    def observe(self, ctx: AcquisitionContext) -> None:
-        self.window.push(ctx.features)
 
-
-class SpaceFillingAgent(Agent):
+class SpaceFillingAgent(_WindowAgent):
     """Votes for samples that would fill a gap in the window's coverage.
 
     The raw vote is the distance from the sample to its nearest window member,
@@ -140,12 +131,7 @@ class SpaceFillingAgent(Agent):
     def __init__(self, capacity: int, name: str = "spf"):
         if capacity < 2:
             raise ValueError("space-filling window needs capacity >= 2")
-        self.window = SlidingWindow(capacity)
-        self.name = name
-
-    def seed(self, points) -> None:
-        for p in points:
-            self.window.push(p)
+        super().__init__(capacity, name)
 
     def propose(self, ctx: AcquisitionContext) -> float:
         if len(self.window) < 2:
@@ -156,32 +142,34 @@ class SpaceFillingAgent(Agent):
             return 1.0 if gap > 0.0 else 0.0
         return min(1.0, gap / spread)
 
-    def observe(self, ctx: AcquisitionContext) -> None:
-        self.window.push(ctx.features)
-
 
 class CertaintyThresholdAgent(Agent):
     """Votes to acquire while the model is uncertain; feedback moves the bar.
 
     A positive reward (the acquired label contradicted the model) raises the
-    threshold so the agent keeps acquiring; the signed penalty lowers it.
+    threshold so the agent keeps acquiring; the signed penalty lowers it. The
+    vote never drops below an ``epsilon`` floor of forced acquisition.
     """
 
     def __init__(self, threshold: float, learning_rate: float,
-                 penalty: float = -0.5, name: str = "ral"):
+                 penalty: float = -0.5, name: str = "ral", epsilon: float = 0.0):
         if not 0.0 < threshold <= 1.0:
             raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
         if learning_rate <= 0.0:
             raise ValueError("learning rate must be positive")
         if penalty >= 0.0:
             raise ValueError("the penalty enters the update signed (negative)")
+        if not 0.0 <= epsilon <= 1.0:
+            raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
         self.threshold = float(threshold)
         self.learning_rate = float(learning_rate)
         self.penalty = float(penalty)
+        self.epsilon = float(epsilon)
         self.name = name
 
     def propose(self, ctx: AcquisitionContext) -> float:
-        return uncertainty_vote(ctx.certainty, self.threshold)
+        vote = uncertainty_vote(ctx.certainty, self.threshold)
+        return self.epsilon + (1.0 - self.epsilon) * vote
 
     def reinforce(self, signed_reward: float) -> None:
         if not math.isfinite(signed_reward):
@@ -189,29 +177,6 @@ class CertaintyThresholdAgent(Agent):
         factor = 1.0 + self.learning_rate * (1.0 - 2.0 ** (signed_reward / self.penalty))
         self.threshold = min(self.threshold * factor, 1.0)
         self.threshold = max(self.threshold, THRESHOLD_FLOOR)
-
-
-class EpsilonGreedyAgent(Agent):
-    """Wraps an agent so its vote never drops below an epsilon floor."""
-
-    def __init__(self, inner: Agent, epsilon: float = 0.01):
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-        self.inner = inner
-        self.epsilon = float(epsilon)
-        self.name = inner.name
-
-    def propose(self, ctx: AcquisitionContext) -> float:
-        return epsilon_wrap(self.inner.propose(ctx), self.epsilon)
-
-    def observe(self, ctx: AcquisitionContext) -> None:
-        self.inner.observe(ctx)
-
-    def reinforce(self, signed_reward: float) -> None:
-        self.inner.reinforce(signed_reward)
-
-    def seed(self, points) -> None:
-        self.inner.seed(points)
 
 
 class RandomBaseline(Agent):

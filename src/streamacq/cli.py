@@ -10,7 +10,6 @@ import numpy as np
 
 from .datagen import GeneratorConfig, generate
 from .harness import (
-    STRATEGIES,
     export_results,
     load_experiment_config,
     run_experiment,
@@ -99,12 +98,9 @@ def _cmd_bench(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     strategies = ([s.strip() for s in args.strategies.split(",")]
                   if args.strategies else [config.strategy])
-    for name in strategies:
-        if name not in STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {name!r}; choose from {', '.join(STRATEGIES)}")
-    summaries = [run_replications(replace(config, strategy=name), seeds)
-                 for name in strategies]
+    # every config is built first, so a bad strategy fails before any seed runs
+    configs = [replace(config, strategy=name) for name in strategies]
+    summaries = [run_replications(c, seeds) for c in configs]
     table = summary_table(summaries)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(table)

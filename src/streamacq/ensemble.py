@@ -76,7 +76,6 @@ class SolverConfig:
     n_experts: int
     horizon: int = 2000
     p_min: float | None = None
-    confidence: float = 0.1
     ewma_weight: float = 0.3
     limit_width: float = 5.0
     flip_warmup: int = 10
@@ -89,8 +88,6 @@ class SolverConfig:
             raise ValueError("horizon must be positive")
         if self.p_min is not None and not 0.0 <= self.p_min <= 1.0 / N_ARMS:
             raise ValueError(f"p_min must lie in [0, 1/{N_ARMS}]")
-        if not 0.0 < self.confidence < 1.0:
-            raise ValueError("confidence level must lie in (0, 1)")
         if not 0.0 < self.ewma_weight <= 1.0:
             raise ValueError("ewma weight must lie in (0, 1]")
         if self.limit_width <= 0.0:
@@ -103,8 +100,7 @@ class SolverConfig:
         """Exploration floor; the default vanishes for a single expert."""
         if self.p_min is not None:
             return self.p_min
-        return min(math.sqrt(math.log(self.n_experts) / (N_ARMS * self.horizon)),
-                   1.0 / N_ARMS)
+        return min(self.exploration_bonus, 1.0 / N_ARMS)
 
     @property
     def exploration_bonus(self) -> float:

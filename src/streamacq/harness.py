@@ -21,7 +21,6 @@ from .agents import (
     AcquisitionContext,
     Agent,
     CertaintyThresholdAgent,
-    EpsilonGreedyAgent,
     LowDensityAgent,
     RandomBaseline,
     SpaceFillingAgent,
@@ -91,7 +90,6 @@ class ExperimentConfig:
     eval_every: int = 25
     horizon: int = 2000
     p_min: float | None = None
-    confidence: float = 0.1
     ewma_weight: float = 0.3
     limit_width: float = 5.0
     flip_warmup: int = 10
@@ -120,11 +118,11 @@ class ExperimentConfig:
             raise ValueError("budget fraction must lie in (0, 1]")
         if self.eval_every < 1:
             raise ValueError("evaluation period must be at least 1")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
-        # Build every configured agent once, whatever the strategy: `bench`
-        # swaps the strategy after parsing, so a bad agent setting must fail
-        # here rather than when its roster first runs.
+        # Build the solver and every configured agent once, whatever the
+        # strategy: `bench` swaps the strategy after parsing, so a bad setting
+        # must fail here rather than when a run first builds it. The expert
+        # count enters no solver check.
+        self.solver_config(1)
         for name, make in self._agent_factories().items():
             try:
                 make()
@@ -134,9 +132,9 @@ class ExperimentConfig:
     def _agent_factories(self) -> dict:
         """Constructors of every agent whose settings live in this config."""
         def ral(threshold, rate, name):
-            return EpsilonGreedyAgent(CertaintyThresholdAgent(
-                threshold, rate, penalty=self.rewards.signed_redundant, name=name),
-                self.epsilon)
+            return CertaintyThresholdAgent(
+                threshold, rate, penalty=self.rewards.signed_redundant, name=name,
+                epsilon=self.epsilon)
 
         return {
             "ld1": lambda: LowDensityAgent(self.ld1_window, self.ld1_sparsity, name="ld1"),
@@ -160,7 +158,6 @@ class ExperimentConfig:
             n_experts=n_experts,
             horizon=self.horizon,
             p_min=self.p_min,
-            confidence=self.confidence,
             ewma_weight=self.ewma_weight,
             limit_width=self.limit_width,
             flip_warmup=self.flip_warmup,
@@ -239,15 +236,8 @@ class StreamRunner:
 
         proba = self.model.predict_proba(features)
         predicted = int(predicted_class(proba))
-        ctx = AcquisitionContext(
-            features=np.asarray(features, dtype=float),
-            predicted=predicted,
-            proba=proba,
-            certainty=float(proba.max()),
-            time_index=self.t,
-            budget_total=self.split.budget,
-            budget_used=self.budget_used,
-        )
+        ctx = AcquisitionContext(features=np.asarray(features, dtype=float),
+                                 certainty=float(proba.max()))
         votes = [agent.propose(ctx) for agent in self.agents]
         decision = self.ensemble.decide(votes, self.rng)
 
@@ -403,6 +393,8 @@ def load_csv_stream(path: str, label_column: str = "label"):
                 values = [float(row[i]) for i in feature_idx]
             except ValueError:
                 raise ValueError(f"{path} row {row_no}: non-numeric feature cell") from None
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{path} row {row_no}: non-finite feature cell")
             raw_label = row[label_idx].strip()
             if raw_label not in ("0", "1"):
                 raise ValueError(
@@ -534,7 +526,6 @@ _SCALAR_KEYS = {
     "budget_fraction": float,
     "eval_every": int,
     "horizon": int,
-    "confidence": float,
     "ewma_weight": float,
     "limit_width": float,
     "flip_warmup": int,

@@ -7,12 +7,10 @@ from streamacq.agents import (
     THRESHOLD_FLOOR,
     AcquisitionContext,
     CertaintyThresholdAgent,
-    EpsilonGreedyAgent,
     LowDensityAgent,
     RandomBaseline,
     SpaceFillingAgent,
     UncertaintyBaseline,
-    epsilon_wrap,
     local_sparsity,
     random_baseline_rate,
     uncertainty_vote,
@@ -20,13 +18,9 @@ from streamacq.agents import (
 from streamacq.core import SlidingWindow
 
 
-def make_context(features, certainty=0.5, predicted=0, time_index=0):
-    proba = np.array([certainty, 1.0 - certainty])
-    if predicted == 1:
-        proba = proba[::-1]
+def make_context(features, certainty=0.5):
     return AcquisitionContext(features=np.asarray(features, dtype=float),
-                              predicted=predicted, proba=proba,
-                              certainty=certainty, time_index=time_index)
+                              certainty=certainty)
 
 
 class TestLocalSparsity:
@@ -69,15 +63,6 @@ class TestLocalSparsity:
 
 
 class TestHelpers:
-    def test_epsilon_wrap(self):
-        assert epsilon_wrap(0.0, 0.01) == pytest.approx(0.01)
-        assert epsilon_wrap(1.0, 0.01) == pytest.approx(1.0)
-        assert epsilon_wrap(0.5, 0.2) == pytest.approx(0.6)
-        with pytest.raises(ValueError):
-            epsilon_wrap(1.5, 0.01)
-        with pytest.raises(ValueError):
-            epsilon_wrap(0.5, -0.1)
-
     def test_random_baseline_rate(self):
         assert random_baseline_rate(48, 480) == pytest.approx(0.1)
         assert random_baseline_rate(10, 5) == 1.0
@@ -200,26 +185,25 @@ class TestCertaintyThresholdAgent:
         with pytest.raises(ValueError):
             agent.reinforce(float("nan"))
 
+    def test_epsilon_floor(self):
+        agent = CertaintyThresholdAgent(threshold=0.9, learning_rate=0.01, epsilon=0.01)
+        # at or above the threshold the vote is the floor; below it, certain
+        assert agent.propose(make_context([0.0], certainty=0.95)) == 0.01
+        assert agent.propose(make_context([0.0], certainty=0.9)) == 0.01
+        assert agent.propose(make_context([0.0], certainty=0.5)) == 1.0
+        agent = CertaintyThresholdAgent(threshold=0.9, learning_rate=0.01, epsilon=1.0)
+        assert agent.propose(make_context([0.0], certainty=0.95)) == 1.0
 
-class TestEpsilonGreedyAgent:
-    def test_wraps_inner_vote(self):
-        inner = CertaintyThresholdAgent(threshold=0.9, learning_rate=0.01)
-        agent = EpsilonGreedyAgent(inner, epsilon=0.01)
-        assert agent.propose(make_context([0.0], certainty=0.95)) == pytest.approx(0.01)
-        assert agent.propose(make_context([0.0], certainty=0.5)) == pytest.approx(1.0)
-        assert agent.name == inner.name
+    def test_epsilon_leaves_reinforce_unchanged(self):
+        agent = CertaintyThresholdAgent(threshold=0.95, learning_rate=0.01, epsilon=0.2)
+        agent.reinforce(1.0)
+        assert agent.threshold == pytest.approx(0.957125)
+        assert agent.epsilon == 0.2
 
-    def test_delegates_reinforce(self):
-        inner = CertaintyThresholdAgent(threshold=0.95, learning_rate=0.01)
-        EpsilonGreedyAgent(inner).reinforce(1.0)
-        assert inner.threshold == pytest.approx(0.957125)
-
-    def test_delegates_observe_and_seed(self):
-        inner = LowDensityAgent(capacity=4, sparsity_level=0.5)
-        agent = EpsilonGreedyAgent(inner)
-        agent.seed([[0.0, 0.0]])
-        agent.observe(make_context([1.0, 0.0]))
-        assert len(inner.window) == 2
+    @pytest.mark.parametrize("epsilon", [-0.1, 1.5, float("nan")])
+    def test_epsilon_outside_unit_interval_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            CertaintyThresholdAgent(threshold=0.9, learning_rate=0.01, epsilon=epsilon)
 
 
 class TestBaselines:

@@ -110,11 +110,12 @@ class TestBench:
 
     def test_unknown_strategy_exits_nonzero(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL_CONFIG)
+        out = tmp_path / "table.csv"
         code = main(["bench", "--config", config, "--seeds", "0,1",
-                     "--strategies", "oracle", "--out",
-                     str(tmp_path / "table.csv")])
+                     "--strategies", "rs,oracle", "--out", str(out)])
         assert code == 1
-        assert "unknown strategy" in capsys.readouterr().err
+        assert "unknown strategy 'oracle'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_agent_setting_fails_before_any_seed_runs(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL_CONFIG + "spf1_window = 1\n")

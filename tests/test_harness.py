@@ -9,7 +9,6 @@ import pytest
 
 from streamacq.agents import (
     CertaintyThresholdAgent,
-    EpsilonGreedyAgent,
     LowDensityAgent,
     RandomBaseline,
     SpaceFillingAgent,
@@ -114,6 +113,8 @@ class TestConfigParsing:
         "us_threshold = 0",
         "strategy = rs\nspf1_window = 1",
         "strategy = ral1\nld2_window = 0",
+        "epsilon = 1.5",
+        "strategy = ld1\nepsilon = -0.1",
     ])
     def test_agent_setting_an_agent_would_refuse_rejected(self, text):
         """A bad agent setting fails at parse time, even outside the roster.
@@ -124,12 +125,25 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="agent "):
             parse_config_text(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("p_min = 0.7", "p_min must lie in"),
+        ("horizon = 0", "horizon must be positive"),
+        ("ewma_weight = 0", "ewma weight must lie in"),
+        ("limit_width = 0", "limit width must be positive"),
+        ("flip_warmup = 1", "flip warm-up needs"),
+    ])
+    def test_solver_setting_the_solver_would_refuse_rejected(self, text, message):
+        """A solver setting that would stop a run at start-up fails at parse time."""
+        with pytest.raises(ValueError, match=message):
+            parse_config_text(text)
+
     def test_p_min_auto_maps_to_none(self):
         assert parse_config_text("p_min = auto").p_min is None
 
-    def test_unknown_key_rejected(self):
+    @pytest.mark.parametrize("text", ["windowsize = 10", "confidence = 0.1"])
+    def test_unknown_key_rejected(self, text):
         with pytest.raises(ValueError, match="unknown config key"):
-            parse_config_text("windowsize = 10")
+            parse_config_text(text)
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ValueError, match="duplicate key"):
@@ -190,20 +204,21 @@ class TestExperimentConfig:
         assert isinstance(agents[0], LowDensityAgent)
         assert isinstance(agents[4], SpaceFillingAgent)
         for idx in (1, 3, 5):
-            assert isinstance(agents[idx], EpsilonGreedyAgent)
-            assert isinstance(agents[idx].inner, CertaintyThresholdAgent)
+            assert isinstance(agents[idx], CertaintyThresholdAgent)
+            assert agents[idx].epsilon == 0.01
         assert agents[0].window.capacity == 100
         assert agents[2].window.capacity == 150
         assert agents[4].window.capacity == 60
-        assert agents[1].inner.threshold == 0.95
-        assert agents[1].inner.learning_rate == 0.005
-        assert agents[5].inner.threshold == 0.90
-        assert agents[5].inner.penalty == -0.5
+        assert agents[1].threshold == 0.95
+        assert agents[1].learning_rate == 0.005
+        assert agents[3].learning_rate == 0.01
+        assert agents[5].threshold == 0.90
+        assert agents[5].penalty == -0.5
 
-    def test_exploration_agents_not_epsilon_wrapped(self):
+    def test_exploration_agents_have_no_epsilon_floor(self):
         agents = ExperimentConfig(strategy="ensemble6").build_agents(48, 480)
         for idx in (0, 2, 4):
-            assert not isinstance(agents[idx], EpsilonGreedyAgent)
+            assert not hasattr(agents[idx], "epsilon")
 
     def test_random_baseline_rate_from_budget(self):
         agent, = ExperimentConfig(strategy="rs").build_agents(48, 480)
@@ -382,6 +397,13 @@ class TestCsvStreamIO:
         path = tmp_path / "data.csv"
         path.write_text("f1,label\nok,1\n", encoding="utf-8")
         with pytest.raises(ValueError, match="row 1.*non-numeric"):
+            load_csv_stream(str(path))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "+Infinity"])
+    def test_non_finite_feature_error_names_row(self, tmp_path, cell):
+        path = tmp_path / "data.csv"
+        path.write_text(f"f1,f2,label\n1.0,2.0,1\n3.0,{cell},0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="row 2: non-finite feature cell"):
             load_csv_stream(str(path))
 
     def test_non_binary_label_rejected(self, tmp_path):

@@ -155,9 +155,9 @@ class CertaintyThresholdAgent(Agent):
                  penalty: float = -0.5, name: str = "ral", epsilon: float = 0.0):
         if not 0.0 < threshold <= 1.0:
             raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-        if learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
-        if penalty >= 0.0:
+        if not (math.isfinite(learning_rate) and learning_rate > 0.0):
+            raise ValueError(f"learning rate must be positive and finite, got {learning_rate}")
+        if not (math.isfinite(penalty) and penalty < 0.0):
             raise ValueError("the penalty enters the update signed (negative)")
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")

@@ -71,39 +71,60 @@ class Sample:
 
 
 class LabeledPool:
-    """Labelled samples accumulated for model fitting, in acquisition order."""
+    """Labelled samples accumulated for model fitting, in acquisition order.
+
+    Rows and labels live in preallocated arrays whose capacity doubles when
+    full, so ``features`` and ``labels`` copy a prefix instead of rebuilding
+    an array from a list of rows.
+    """
+
+    INITIAL_CAPACITY = 32
 
     def __init__(self, samples: Iterable[Sample] = ()):
-        self._rows: list[np.ndarray] = []
-        self._labels: list[int] = []
+        self._size = 0
+        # allocated by the first append, which fixes the dimension
+        self._rows: Optional[np.ndarray] = None  # (capacity, dim)
+        self._labels = np.empty(0, dtype=int)  # (capacity,)
         for s in samples:
             self.append(s)
 
     def __len__(self) -> int:
-        return len(self._labels)
+        return self._size
 
     def append(self, sample: Sample) -> None:
         if sample.label is None:
             raise ValueError("cannot pool an unlabelled sample")
-        if self._rows and sample.features.size != self._rows[0].size:
+        v = sample.features
+        if self._rows is None:
+            self._rows = np.empty((self.INITIAL_CAPACITY, v.size))
+            self._labels = np.empty(self.INITIAL_CAPACITY, dtype=int)
+        elif v.size != self._rows.shape[1]:
             raise ValueError(
-                f"sample dimension {sample.features.size} does not match pool "
-                f"dimension {self._rows[0].size}"
+                f"sample dimension {v.size} does not match pool "
+                f"dimension {self._rows.shape[1]}"
             )
-        self._rows.append(sample.features)
-        self._labels.append(int(sample.label))
+        n = self._size
+        if n == self._labels.size:
+            self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
+            self._labels = np.concatenate([self._labels, np.empty_like(self._labels)])
+        self._rows[n] = v
+        self._labels[n] = sample.label
+        self._size = n + 1
 
     @property
     def features(self) -> np.ndarray:
-        return np.array(self._rows, dtype=float)
+        """The pooled rows as a fresh (n, dim) array; (0,) while empty."""
+        if self._rows is None:
+            return np.empty(0)
+        return self._rows[:self._size].copy()
 
     @property
     def labels(self) -> np.ndarray:
-        return np.array(self._labels, dtype=int)
+        return self._labels[:self._size].copy()
 
     def class_counts(self) -> tuple[int, int]:
-        ones = sum(self._labels)
-        return len(self._labels) - ones, ones
+        ones = int(self._labels[:self._size].sum())
+        return self._size - ones, ones
 
 
 class SlidingWindow:

@@ -59,8 +59,8 @@ class GeneratorConfig:
             raise ValueError("flip share must lie in [0, 1)")
         if not 0.0 <= self.noise_share < 1.0:
             raise ValueError("noise share must lie in [0, 1)")
-        if self.class_sep <= 0.0:
-            raise ValueError("class separation must be positive")
+        if not (math.isfinite(self.class_sep) and self.class_sep > 0.0):
+            raise ValueError(f"class separation must be positive and finite, got {self.class_sep}")
         if self.informative_features < 2:
             raise ValueError(
                 "need at least two informative features after noise padding")

@@ -90,8 +90,8 @@ class SolverConfig:
             raise ValueError(f"p_min must lie in [0, 1/{N_ARMS}]")
         if not 0.0 < self.ewma_weight <= 1.0:
             raise ValueError("ewma weight must lie in (0, 1]")
-        if self.limit_width <= 0.0:
-            raise ValueError("limit width must be positive")
+        if not (math.isfinite(self.limit_width) and self.limit_width > 0.0):
+            raise ValueError(f"limit width must be positive and finite, got {self.limit_width}")
         if self.flip_warmup < 2:
             raise ValueError("flip warm-up needs at least two observations")
 

@@ -105,13 +105,49 @@ class TestLabeledPool:
         assert pool.class_counts() == (0, 2)
 
     def test_rejects_unlabelled(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot pool an unlabelled sample"):
             LabeledPool().append(Sample([1.0]))
 
     def test_rejects_dimension_mismatch(self):
         pool = LabeledPool([Sample([1.0, 2.0], label=0)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sample dimension 1 does not match pool dimension 2"):
             pool.append(Sample([1.0], label=1))
+
+    def test_arrays_match_the_appended_rows_across_growth(self):
+        rng = np.random.default_rng(4)
+        n = 3 * LabeledPool.INITIAL_CAPACITY + 1
+        rows = rng.normal(size=(n, 3))
+        labels = rng.integers(0, 2, size=n)
+        pool = LabeledPool()
+        for k in range(n):
+            pool.append(Sample(rows[k], int(labels[k])))
+            if k in (0, LabeledPool.INITIAL_CAPACITY - 1, LabeledPool.INITIAL_CAPACITY, n - 1):
+                np.testing.assert_array_equal(pool.features, np.array(list(rows[:k + 1])))
+                np.testing.assert_array_equal(pool.labels, np.array(list(labels[:k + 1])))
+                assert pool.features.dtype == float and pool.labels.dtype == int
+        assert len(pool) == n
+        assert pool.class_counts() == (int((labels == 0).sum()), int(labels.sum()))
+
+    def test_returned_arrays_do_not_change_after_later_appends(self):
+        pool = LabeledPool([Sample([0.0, 0.0], label=0)])
+        features, labels = pool.features, pool.labels
+        for k in range(2 * LabeledPool.INITIAL_CAPACITY):
+            pool.append(Sample([k + 1.0, -1.0], label=1))
+        np.testing.assert_array_equal(features, [[0.0, 0.0]])
+        np.testing.assert_array_equal(labels, [0])
+
+    def test_writing_into_returned_arrays_leaves_the_pool_alone(self):
+        pool = LabeledPool([Sample([0.0, 0.0], label=0)])
+        pool.features[0] = 9.0
+        pool.labels[0] = 1
+        np.testing.assert_array_equal(pool.features, [[0.0, 0.0]])
+        np.testing.assert_array_equal(pool.labels, [0])
+
+    def test_empty_pool_arrays(self):
+        pool = LabeledPool()
+        assert pool.features.shape == (0,)
+        assert pool.labels.shape == (0,)
+        assert pool.class_counts() == (0, 0)
 
 
 class TestSlidingWindow:

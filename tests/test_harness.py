@@ -110,6 +110,9 @@ class TestConfigParsing:
         "ld1_sparsity = 2",
         "ral1_threshold = 0",
         "ral2_rate = 0",
+        "ral1_rate = nan",
+        "ral2_rate = nan",
+        "ral3_rate = inf",
         "us_threshold = 0",
         "strategy = rs\nspf1_window = 1",
         "strategy = ral1\nld2_window = 0",
@@ -130,10 +133,23 @@ class TestConfigParsing:
         ("horizon = 0", "horizon must be positive"),
         ("ewma_weight = 0", "ewma weight must lie in"),
         ("limit_width = 0", "limit width must be positive"),
+        ("limit_width = nan", "limit width must be positive"),
+        ("limit_width = inf", "limit width must be positive"),
         ("flip_warmup = 1", "flip warm-up needs"),
     ])
     def test_solver_setting_the_solver_would_refuse_rejected(self, text, message):
         """A solver setting that would stop a run at start-up fails at parse time."""
+        with pytest.raises(ValueError, match=message):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("class_sep = nan", "class separation must be positive and finite"),
+        ("class_sep = inf", "class separation must be positive and finite"),
+        ("penalty = l2\npenalty_strength = nan", "strength must be finite"),
+        ("penalty = l2\npenalty_strength = inf", "strength must be finite"),
+    ])
+    def test_non_finite_data_or_learner_setting_rejected(self, text, message):
+        """A NaN or infinite setting fails at parse time, naming what it sets."""
         with pytest.raises(ValueError, match=message):
             parse_config_text(text)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import expit
 
 from streamacq.learner import (
     L1_SOFT_THRESHOLD,
@@ -60,6 +61,16 @@ class TestLearnerConfig:
             LearnerConfig(strength=-1.0)
         with pytest.raises(ValueError):
             LearnerConfig(max_iter=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"strength": math.nan},
+        {"strength": math.inf},
+        {"grad_tol": math.nan},
+        {"grad_tol": -1e-6},
+    ], ids=["nan-strength", "inf-strength", "nan-grad-tol", "negative-grad-tol"])
+    def test_non_finite_or_negative_settings_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            LearnerConfig(penalty="l2", **kwargs)
 
 
 class TestPrediction:
@@ -204,9 +215,22 @@ class TestGradient:
         assert plain == pytest.approx(ridge)
 
 
+def reference_gradient(w, b, X, y, config):
+    """The allocating gradient expression, independent of the learner's code."""
+    resid = (expit(X @ w + b) - y) / X.shape[0]
+    gw = X.T @ resid
+    gb = float(resid.sum())
+    if config.penalty == "l2":
+        gw = gw + config.strength * w
+    elif config.penalty == "l1":
+        gw = gw + config.strength * np.sign(w)
+    return gw, gb
+
+
 def reference_fit(X, y, config, loss_trace):
-    """The descent of :func:`fit_logistic` through the public, validating calls."""
+    """The descent of :func:`fit_logistic`, one fresh array per operation."""
     X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
     n, p = X.shape
     w = np.zeros(p)
     b = 0.0
@@ -216,7 +240,7 @@ def reference_fit(X, y, config, loss_trace):
     step = 0.1 / (1.0 + lipschitz)
     for _ in range(config.max_iter):
         loss_trace.append(loss_value(w, b, X, y, config))
-        gw, gb = loss_gradient(w, b, X, y, config)
+        gw, gb = reference_gradient(w, b, X, y, config)
         if float(np.sqrt(gw @ gw + gb * gb)) < config.grad_tol:
             break
         w = w - step * gw
@@ -225,6 +249,20 @@ def reference_fit(X, y, config, loss_trace):
             w = np.sign(w) * np.maximum(np.abs(w) - L1_SOFT_THRESHOLD, 0.0)
     loss_trace.append(loss_value(w, b, X, y, config))
     return w, b
+
+
+def assert_fits_reference(X, y, config):
+    """Traced and untraced fits both equal the reference bit for bit."""
+    expected_trace = []
+    w, b = reference_fit(X, y, config, expected_trace)
+    gw, gb = reference_gradient(w, b, X, np.asarray(y, dtype=float), config)
+    trace = []
+    for model in (fit_logistic(X, y, config, loss_trace=trace), fit_logistic(X, y, config)):
+        assert np.array_equal(model.weights, w)
+        assert model.bias == b
+        assert model.grad_norm == float(np.sqrt(gw @ gw + gb * gb))
+    assert trace == expected_trace
+    return trace
 
 
 @st.composite
@@ -241,24 +279,47 @@ def pools(draw):
     return X, y, LearnerConfig(penalty=penalty, strength=strength)
 
 
-class TestFitMatchesValidatingReference:
+class TestFitMatchesAllocatingReference:
     @settings(max_examples=60, deadline=None)
     @given(pools())
-    def test_bit_identical_to_a_loop_over_public_calls(self, pool):
+    def test_bit_identical_to_the_allocating_loop(self, pool):
         X, y, config = pool
-        trace = []
-        model = fit_logistic(X, y, config, loss_trace=trace)
         if np.unique(y).size == 1:
+            trace = []
+            model = fit_logistic(X, y, config, loss_trace=trace)
             assert model.degenerate_class == int(y[0])
             assert model.grad_norm is None
             assert trace == []
             return
-        expected_trace = []
-        w, b = reference_fit(X, y, config, expected_trace)
-        assert np.array_equal(model.weights, w)
-        assert model.bias == b
-        assert trace == expected_trace
-        gw, gb = loss_gradient(w, b, X, y, config)
-        assert model.grad_norm == float(np.sqrt(gw @ gw + gb * gb))
+        trace = assert_fits_reference(X, y, config)
         if config.penalty != "l1":
             assert np.all(np.diff(np.asarray(trace)) <= 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pools(), st.floats(-5.0, 5.0))
+    def test_public_gradient_matches_the_allocating_expression(self, pool, b):
+        X, y, config = pool
+        w = np.linspace(-1.0, 1.0, X.shape[1])
+        gw, gb = loss_gradient(w, b, X, y, config)
+        rw, rb = reference_gradient(w, b, X, y.astype(float), config)
+        assert np.array_equal(gw, rw)
+        assert gb == rb
+
+    def test_strong_ridge_stops_at_the_gradient_tolerance(self):
+        """The iteration where the loop breaks is the reference's."""
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(40, 3))
+        y = rng.integers(0, 2, size=40)
+        config = LearnerConfig(penalty="l2", strength=5.0, grad_tol=1e-2)
+        trace = assert_fits_reference(X, y, config)
+        assert len(trace) - 1 < config.max_iter
+        assert fit_logistic(X, y, config).grad_norm < config.grad_tol
+
+    def test_fits_share_no_buffer(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(30, 4))
+        y = rng.integers(0, 2, size=30)
+        first = fit_logistic(X, y)
+        kept = first.weights.copy()
+        fit_logistic(X[::-1].copy(), 1 - y)
+        np.testing.assert_array_equal(first.weights, kept)

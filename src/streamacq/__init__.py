@@ -18,7 +18,7 @@ from .agents import (
     random_baseline_rate,
     uncertainty_vote,
 )
-from .core import LabeledPool, Sample, SlidingWindow, euclidean, squared_euclidean
+from .core import LabeledPool, SlidingWindow, euclidean, squared_euclidean
 from .datagen import (
     Dataset,
     GeneratorConfig,
@@ -83,7 +83,6 @@ __all__ = [
     "RewardSpec",
     "RunMetrics",
     "STRATEGIES",
-    "Sample",
     "ScenarioSplit",
     "SlidingWindow",
     "SolverConfig",

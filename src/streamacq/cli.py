@@ -10,6 +10,7 @@ import numpy as np
 
 from .datagen import GeneratorConfig, generate
 from .harness import (
+    ExperimentConfig,
     export_results,
     load_experiment_config,
     run_experiment,
@@ -32,15 +33,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = ExperimentConfig().generator
     gen = sub.add_parser("gen", help="write a synthetic dataset CSV")
     gen.add_argument("--out", required=True, help="output CSV path")
-    gen.add_argument("--n", type=int, default=1000, help="training-role sample count")
-    gen.add_argument("--p", type=int, default=15, help="feature dimension")
-    gen.add_argument("--positive-share", type=float, default=0.10)
-    gen.add_argument("--flip-share", type=float, default=0.0)
-    gen.add_argument("--noise-share", type=float, default=0.0)
-    gen.add_argument("--class-sep", type=float, default=1.0)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--n", type=int, default=defaults.n, help="training-role sample count")
+    gen.add_argument("--p", type=int, default=defaults.p, help="feature dimension")
+    gen.add_argument("--positive-share", type=float, default=defaults.positive_share)
+    gen.add_argument("--flip-share", type=float, default=defaults.flip_share)
+    gen.add_argument("--noise-share", type=float, default=defaults.noise_share)
+    gen.add_argument("--class-sep", type=float, default=defaults.class_sep)
+    gen.add_argument("--seed", type=int, default=defaults.seed)
 
     run = sub.add_parser("run", help="run one seeded experiment")
     run.add_argument("--config", required=True, help="key=value config file")
@@ -110,6 +112,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify_theory(args) -> int:
+    if args.grid_points < 2:
+        # the nondecreasing check compares neighbouring grid points
+        raise ValueError(f"--grid-points must be at least 2, got {args.grid_points}")
     grid = np.linspace(0.0, args.grid_max, args.grid_points)
     base = TheoryParams(draws=args.draws, seed=args.seed)
     rows = []

@@ -1,4 +1,4 @@
-"""Shared primitives: stream samples, labelled pools, and sliding windows.
+"""Shared primitives: feature vectors, labelled pools, and sliding windows.
 
 The sliding window keeps, for every member, its Euclidean distance to the
 farthest and to the nearest other member.  Both exploration agents read these
@@ -13,13 +13,11 @@ extremes that were the distance to the evicted point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
 __all__ = [
-    "Sample",
     "LabeledPool",
     "SlidingWindow",
     "as_feature_vector",
@@ -55,21 +53,6 @@ def euclidean(x, y) -> float:
     return math.sqrt(squared_euclidean(x, y))
 
 
-@dataclass(eq=False)
-class Sample:
-    """One stream element: feature vector, optional binary label, arrival index."""
-
-    features: np.ndarray
-    label: Optional[int] = None
-    time_index: int = -1
-
-    def __post_init__(self):
-        self.features = as_feature_vector(self.features)
-        if self.label is not None and self.label not in (0, 1):
-            raise ValueError(f"label must be 0, 1 or None, got {self.label!r}")
-        self.time_index = int(self.time_index)
-
-
 class LabeledPool:
     """Labelled samples accumulated for model fitting, in acquisition order.
 
@@ -80,21 +63,20 @@ class LabeledPool:
 
     INITIAL_CAPACITY = 32
 
-    def __init__(self, samples: Iterable[Sample] = ()):
+    def __init__(self):
         self._size = 0
         # allocated by the first append, which fixes the dimension
         self._rows: Optional[np.ndarray] = None  # (capacity, dim)
         self._labels = np.empty(0, dtype=int)  # (capacity,)
-        for s in samples:
-            self.append(s)
 
     def __len__(self) -> int:
         return self._size
 
-    def append(self, sample: Sample) -> None:
-        if sample.label is None:
-            raise ValueError("cannot pool an unlabelled sample")
-        v = sample.features
+    def append(self, features, label) -> None:
+        """Pool one labelled row; ``label`` must be 0 or 1."""
+        v = as_feature_vector(features)
+        if label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {label!r}")
         if self._rows is None:
             self._rows = np.empty((self.INITIAL_CAPACITY, v.size))
             self._labels = np.empty(self.INITIAL_CAPACITY, dtype=int)
@@ -108,7 +90,7 @@ class LabeledPool:
             self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
             self._labels = np.concatenate([self._labels, np.empty_like(self._labels)])
         self._rows[n] = v
-        self._labels[n] = sample.label
+        self._labels[n] = label
         self._size = n + 1
 
     @property

@@ -4,6 +4,9 @@ A strategy names either an agent ensemble (two, four, or six experts), a
 single agent, or a baseline; every choice runs through the same monitored
 controller, which degenerates gracefully for one expert. Runs are driven by
 a flat key=value config plus a seed and export plot-ready CSV/JSON files.
+A config key is the name of a scalar ``ExperimentConfig`` field, or a flat
+name in ``_NESTED_KEYS`` for a field of the generator, reward or learner
+config; its value is parsed by the type the field declares.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -27,7 +31,7 @@ from .agents import (
     UncertaintyBaseline,
     random_baseline_rate,
 )
-from .core import LabeledPool, Sample
+from .core import LabeledPool
 from .datagen import (
     Dataset,
     GeneratorConfig,
@@ -154,15 +158,10 @@ class ExperimentConfig:
         return [factories[name]() for name in _ROSTERS[self.strategy]]
 
     def solver_config(self, n_experts: int) -> SolverConfig:
-        return SolverConfig(
-            n_experts=n_experts,
-            horizon=self.horizon,
-            p_min=self.p_min,
-            ewma_weight=self.ewma_weight,
-            limit_width=self.limit_width,
-            flip_warmup=self.flip_warmup,
-            monitor=self.monitor,
-        )
+        """The solver settings of this config, for ``n_experts`` experts."""
+        return SolverConfig(n_experts=n_experts, **{
+            f.name: getattr(self, f.name) for f in fields(SolverConfig)
+            if f.name != "n_experts"})
 
 
 @dataclass(frozen=True)
@@ -201,9 +200,8 @@ class StreamRunner:
         self.config = config
         self.split = split
         self.pool = LabeledPool()
-        for i, (row, label) in enumerate(zip(split.initial_features,
-                                             split.initial_labels)):
-            self.pool.append(Sample(row, int(label), time_index=i - len(split.initial_labels)))
+        for row, label in zip(split.initial_features, split.initial_labels):
+            self.pool.append(row, int(label))
         self.model = fit_logistic(self.pool.features, self.pool.labels, config.learner)
         stream_len = split.stream_labels.shape[0]
         self.agents = config.build_agents(split.budget, stream_len)
@@ -248,7 +246,7 @@ class StreamRunner:
                 raise RuntimeError(f"oracle returned no label at step {self.t}")
             truth = int(label)
             reward = step_reward(True, predicted, truth, self.config.rewards)
-            self.pool.append(Sample(ctx.features, truth, time_index=self.t))
+            self.pool.append(ctx.features, truth)
             self.model = fit_logistic(self.pool.features, self.pool.labels,
                                       self.config.learner)
             self.budget_used += 1
@@ -445,15 +443,11 @@ def case_study_split(features: np.ndarray, labels: np.ndarray, seed: int,
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:
     """Write a dataset in the ordered-CSV interchange format."""
-    n, p = dataset.features.shape
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join([f"f{j + 1}" for j in range(p)] + ["label"]) + "\n")
-        for i in range(n):
-            cells = [repr(float(v)) for v in dataset.features[i]]
-            cells.append(str(int(dataset.labels[i])))
-            fh.write(",".join(cells) + "\n")
-    os.replace(tmp, path)
+    p = dataset.features.shape[1]
+    lines = [",".join([f"f{j + 1}" for j in range(p)] + ["label"])]
+    for row, label in zip(dataset.features, dataset.labels):
+        lines.append(",".join([repr(float(v)) for v in row] + [str(int(label))]))
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 # -- result export ------------------------------------------------------------
@@ -506,63 +500,57 @@ def _atomic_write(path: str, text: str) -> None:
 
 # -- config files --------------------------------------------------------------
 
-_GENERATOR_KEYS = {
-    "n": int,
-    "p": int,
-    "positive_share": float,
-    "flip_share": float,
-    "noise_share": float,
-    "class_sep": float,
+# Flat config-file names of the nested-config fields: key -> (section, field).
+_NESTED_KEYS = {
+    **{name: ("generator", name) for name in (
+        "n", "p", "positive_share", "flip_share", "noise_share", "class_sep")},
+    "informative_reward": ("rewards", "informative"),
+    "redundant_reward": ("rewards", "redundant"),
+    "penalty": ("learner", "penalty"),
+    "penalty_strength": ("learner", "strength"),
+    "max_iter": ("learner", "max_iter"),
 }
 
-_REWARD_KEYS = {"informative_reward": float, "redundant_reward": float}
 
-_LEARNER_KEYS = {"penalty": str, "penalty_strength": float, "max_iter": int}
-
-_SCALAR_KEYS = {
-    "strategy": str,
-    "dataset": str,
-    "label_column": str,
-    "budget_fraction": float,
-    "eval_every": int,
-    "horizon": int,
-    "ewma_weight": float,
-    "limit_width": float,
-    "flip_warmup": int,
-    "epsilon": float,
-    "us_threshold": float,
-    "ld1_window": int,
-    "ld1_sparsity": float,
-    "ld2_window": int,
-    "ld2_sparsity": float,
-    "spf1_window": int,
-    "ral1_threshold": float,
-    "ral1_rate": float,
-    "ral2_threshold": float,
-    "ral2_rate": float,
-    "ral3_threshold": float,
-    "ral3_rate": float,
-}
-
-CONFIG_KEYS = sorted(
-    list(_GENERATOR_KEYS) + list(_REWARD_KEYS) + list(_LEARNER_KEYS)
-    + list(_SCALAR_KEYS) + ["p_min", "monitor"])
-
-
-def _parse_bool(key: str, raw: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     lowered = raw.lower()
     if lowered in ("true", "1", "yes", "on"):
         return True
     if lowered in ("false", "0", "no", "off"):
         return False
-    raise ValueError(f"config key {key!r}: expected a boolean, got {raw!r}")
+    raise ValueError("expected a boolean")
+
+
+def _parse_float_or_auto(raw: str) -> float | None:
+    return None if raw.lower() == "auto" else float(raw)
+
+
+# value parser per declared field type
+_PARSERS = {int: int, float: float, str: str, bool: _parse_bool,
+            str | None: str, float | None: _parse_float_or_auto}
+
+
+def _config_keys() -> dict:
+    """Every config key -> (section or None for top level, field, parser)."""
+    hints = get_type_hints(ExperimentConfig)
+    keys = {f.name: (None, f.name, _PARSERS[hints[f.name]])
+            for f in fields(ExperimentConfig) if not is_dataclass(hints[f.name])}
+    for key, (section, name) in _NESTED_KEYS.items():
+        keys[key] = (section, name, _PARSERS[get_type_hints(hints[section])[name]])
+    return keys
+
+
+_KEYS = _config_keys()
+CONFIG_KEYS = sorted(_KEYS)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Build an experiment config from flat ``key = value`` lines.
 
-    Blank lines and ``#`` comments are ignored; unknown keys are errors. The
-    accepted keys are listed in ``CONFIG_KEYS``.
+    Blank lines and ``#`` comments are ignored; unknown keys are errors. A key
+    is a scalar ``ExperimentConfig`` field name or a name in ``_NESTED_KEYS``,
+    and its value is parsed by the field's declared type; ``CONFIG_KEYS``
+    lists them all.
     """
     mapping: dict[str, str] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -577,42 +565,24 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ValueError(f"config line {line_no}: duplicate key {key!r}")
         mapping[key] = value
 
-    gen_kwargs: dict = {}
-    reward_kwargs: dict = {}
-    learner_kwargs: dict = {}
-    top_kwargs: dict = {}
+    top: dict = {}
+    nested: dict = {section: {} for section, _ in _NESTED_KEYS.values()}
     for key, raw in mapping.items():
+        if key not in _KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        section, name, parse = _KEYS[key]
         try:
-            if key in _GENERATOR_KEYS:
-                gen_kwargs[key] = _GENERATOR_KEYS[key](raw)
-            elif key == "informative_reward":
-                reward_kwargs["informative"] = float(raw)
-            elif key == "redundant_reward":
-                reward_kwargs["redundant"] = float(raw)
-            elif key in _LEARNER_KEYS:
-                name = "strength" if key == "penalty_strength" else key
-                learner_kwargs[name] = _LEARNER_KEYS[key](raw)
-            elif key == "p_min":
-                top_kwargs["p_min"] = None if raw.lower() == "auto" else float(raw)
-            elif key == "monitor":
-                top_kwargs["monitor"] = _parse_bool(key, raw)
-            elif key in _SCALAR_KEYS:
-                top_kwargs[key] = _SCALAR_KEYS[key](raw)
-            else:
-                raise KeyError(key)
-        except KeyError:
-            raise ValueError(f"unknown config key {key!r}") from None
-        except ValueError as exc:
-            if "unknown config key" in str(exc) or "expected a boolean" in str(exc):
-                raise
-            raise ValueError(f"config key {key!r}: bad value {raw!r}") from None
+            value = parse(raw)
+        except ValueError:
+            problem = "expected a boolean, got" if parse is _parse_bool else "bad value"
+            raise ValueError(f"config key {key!r}: {problem} {raw!r}") from None
+        (top if section is None else nested[section])[name] = value
 
     base = ExperimentConfig()
-    generator = replace(base.generator, **gen_kwargs) if gen_kwargs else base.generator
-    rewards = RewardSpec(**reward_kwargs) if reward_kwargs else base.rewards
-    learner = LearnerConfig(**learner_kwargs) if learner_kwargs else base.learner
-    return replace(base, generator=generator, rewards=rewards, learner=learner,
-                   **top_kwargs)
+    for section, values in nested.items():
+        if values:
+            top[section] = replace(getattr(base, section), **values)
+    return replace(base, **top)
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:

@@ -34,6 +34,14 @@ _QUAD_NODES = 4001
 _BISECT_STEPS = 200
 
 
+def _require_finite(config, names) -> None:
+    """Reject a NaN or infinite setting, naming it."""
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class TheoryParams:
     """Geometry of the window-vs-incoming-sample comparison.
@@ -53,6 +61,8 @@ class TheoryParams:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(self, ("sigma_window_sq", "sigma_incoming_sq",
+                               "center_dist_sq", "margin_slack"))
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
         if self.window < 2:
@@ -229,6 +239,7 @@ class RalSweepConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(self, ("class_offset", "sigma_pool_sq", "sigma_incoming_sq"))
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
         if self.pool_size < 4:

@@ -154,6 +154,21 @@ class TestVerifyTheory:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid-points", "0"], "--grid-points must be at least 2"),
+        (["--grid-points", "1"], "--grid-points must be at least 2"),
+        (["--grid-max", "nan"], "center_dist_sq must be finite"),
+    ])
+    def test_unusable_grid_exits_nonzero(self, tmp_path, capsys, flags, message):
+        """A grid the checks cannot judge fails with an error, not a pass."""
+        out = tmp_path / "grid.csv"
+        code = main(["verify-theory", "--out", str(out), "--draws", "2000", *flags])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert "theory verification passed" not in captured.out
+        assert not out.exists()
+
 
 class TestConsoleScript:
     def test_module_invocation_smoke(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Tests for the shared primitives: samples, pools, and sliding windows."""
+"""Tests for the shared primitives: feature vectors, pools, and sliding windows."""
 
 import math
 
@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from streamacq.core import (
     LabeledPool,
-    Sample,
     SlidingWindow,
     as_feature_vector,
     euclidean,
@@ -71,47 +70,35 @@ class TestDistances:
             assert euclidean(x, y) == pytest.approx(np.linalg.norm(x - y))
 
 
-class TestSample:
-    def test_holds_features_label_and_time(self):
-        s = Sample([1.0, 2.0], label=1, time_index=5)
-        np.testing.assert_array_equal(s.features, [1.0, 2.0])
-        assert s.label == 1
-        assert s.time_index == 5
-
-    def test_unlabelled_allowed(self):
-        assert Sample([0.0]).label is None
-
-    def test_rejects_non_binary_labels(self):
-        with pytest.raises(ValueError):
-            Sample([0.0], label=2)
-
-    def test_rejects_bad_features(self):
-        with pytest.raises(ValueError):
-            Sample([np.nan], label=0)
-
-
 class TestLabeledPool:
     def test_append_and_arrays(self):
         pool = LabeledPool()
-        pool.append(Sample([0.0, 1.0], label=0))
-        pool.append(Sample([2.0, 3.0], label=1))
+        pool.append([0.0, 1.0], 0)
+        pool.append([2.0, 3.0], 1)
         assert len(pool) == 2
         np.testing.assert_array_equal(pool.features, [[0.0, 1.0], [2.0, 3.0]])
         np.testing.assert_array_equal(pool.labels, [0, 1])
         assert pool.class_counts() == (1, 1)
 
-    def test_init_from_iterable(self):
-        pool = LabeledPool([Sample([1.0], label=1), Sample([2.0], label=1)])
-        assert pool.class_counts() == (0, 2)
-
     def test_rejects_unlabelled(self):
-        with pytest.raises(ValueError, match="cannot pool an unlabelled sample"):
-            LabeledPool().append(Sample([1.0]))
+        with pytest.raises(ValueError, match="label must be 0 or 1, got None"):
+            LabeledPool().append([1.0], None)
+
+    def test_rejects_non_binary_labels(self):
+        with pytest.raises(ValueError, match="label must be 0 or 1, got 2"):
+            LabeledPool().append([0.0], 2)
+
+    def test_rejects_bad_features(self):
+        pool = LabeledPool()
+        with pytest.raises(ValueError, match="non-finite"):
+            pool.append([np.nan], 0)
+        assert len(pool) == 0
 
     def test_rejects_dimension_mismatch(self):
-        pool = LabeledPool([Sample([1.0, 2.0], label=0)])
+        pool = LabeledPool()
+        pool.append([1.0, 2.0], 0)
         with pytest.raises(ValueError, match="sample dimension 1 does not match pool dimension 2"):
-            pool.append(Sample([1.0], label=1))
+            pool.append([1.0], 1)
 
     def test_arrays_match_the_appended_rows_across_growth(self):
         rng = np.random.default_rng(4)
@@ -120,7 +107,7 @@ class TestLabeledPool:
         labels = rng.integers(0, 2, size=n)
         pool = LabeledPool()
         for k in range(n):
-            pool.append(Sample(rows[k], int(labels[k])))
+            pool.append(rows[k], int(labels[k]))
             if k in (0, LabeledPool.INITIAL_CAPACITY - 1, LabeledPool.INITIAL_CAPACITY, n - 1):
                 np.testing.assert_array_equal(pool.features, np.array(list(rows[:k + 1])))
                 np.testing.assert_array_equal(pool.labels, np.array(list(labels[:k + 1])))
@@ -129,15 +116,17 @@ class TestLabeledPool:
         assert pool.class_counts() == (int((labels == 0).sum()), int(labels.sum()))
 
     def test_returned_arrays_do_not_change_after_later_appends(self):
-        pool = LabeledPool([Sample([0.0, 0.0], label=0)])
+        pool = LabeledPool()
+        pool.append([0.0, 0.0], 0)
         features, labels = pool.features, pool.labels
         for k in range(2 * LabeledPool.INITIAL_CAPACITY):
-            pool.append(Sample([k + 1.0, -1.0], label=1))
+            pool.append([k + 1.0, -1.0], 1)
         np.testing.assert_array_equal(features, [[0.0, 0.0]])
         np.testing.assert_array_equal(labels, [0])
 
     def test_writing_into_returned_arrays_leaves_the_pool_alone(self):
-        pool = LabeledPool([Sample([0.0, 0.0], label=0)])
+        pool = LabeledPool()
+        pool.append([0.0, 0.0], 0)
         pool.features[0] = 9.0
         pool.labels[0] = 1
         np.testing.assert_array_equal(pool.features, [[0.0, 0.0]])

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from streamacq.datagen import (
     generate,
     scenario_split,
 )
+from streamacq.ensemble import SolverConfig
 from streamacq.harness import (
     CASE_STUDY_POOL_SIZE,
     CONFIG_KEYS,
@@ -182,6 +185,29 @@ class TestConfigParsing:
                     "ral3_rate", "budget_fraction"):
             assert key in CONFIG_KEYS
 
+    def test_config_keys_are_pinned(self):
+        """Deriving the keys from the config dataclasses keeps the same 35 names."""
+        assert CONFIG_KEYS == [
+            "budget_fraction", "class_sep", "dataset", "epsilon", "eval_every",
+            "ewma_weight", "flip_share", "flip_warmup", "horizon",
+            "informative_reward", "label_column", "ld1_sparsity", "ld1_window",
+            "ld2_sparsity", "ld2_window", "limit_width", "max_iter", "monitor", "n",
+            "noise_share", "p", "p_min", "penalty", "penalty_strength",
+            "positive_share", "ral1_rate", "ral1_threshold", "ral2_rate",
+            "ral2_threshold", "ral3_rate", "ral3_threshold", "redundant_reward",
+            "spf1_window", "strategy", "us_threshold",
+        ]
+
+    def test_readme_example_parses_and_names_every_key(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = re.search(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"),
+                          re.S).group(1)
+        assert parse_config_text(block).dataset is None
+        uncommented = re.sub(r"^# (\w+ =)", r"\1", block, flags=re.M)
+        assert parse_config_text(uncommented).dataset == "data.csv"
+        named = set(re.findall(r"^(?:# )?(\w+) =", block, re.M))
+        assert set(CONFIG_KEYS) <= named
+
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("strategy = ld1\nn = 600\n", encoding="utf-8")
@@ -245,6 +271,17 @@ class TestExperimentConfig:
         agent, = ExperimentConfig(strategy="us").build_agents(48, 480)
         assert isinstance(agent, UncertaintyBaseline)
         assert agent.threshold == 0.7
+
+    def test_solver_defaults_match_the_solver_config(self):
+        for n in (1, 6):
+            assert ExperimentConfig().solver_config(n) == SolverConfig(n_experts=n)
+
+    def test_every_solver_setting_reaches_the_solver(self):
+        cfg = parse_config_text("horizon = 60\np_min = 0.2\newma_weight = 0.5\n"
+                                "limit_width = 3\nflip_warmup = 4\nmonitor = off")
+        assert cfg.solver_config(2) == SolverConfig(
+            n_experts=2, horizon=60, p_min=0.2, ewma_weight=0.5, limit_width=3.0,
+            flip_warmup=4, monitor=False)
 
     def test_single_expert_solver_passes_votes_through(self):
         solver = ExperimentConfig(strategy="ld1").solver_config(1)

@@ -137,6 +137,10 @@ class TestSolveM2:
             solve_m2(TheoryParams(sparsity_level=0.5))
         with pytest.raises(ValueError):
             solve_m2(TheoryParams(window=2))
+        for name, value in (("center_dist_sq", math.nan), ("sigma_window_sq", math.nan),
+                            ("sigma_incoming_sq", math.inf), ("margin_slack", math.nan)):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                TheoryParams(**{name: value})
 
 
 class TestRalSweep:
@@ -157,6 +161,11 @@ class TestRalSweep:
         means, stds = mc_ral_nonconvergence(config, np.array([0.0, 5.0]))
         np.testing.assert_allclose(means, 1.0)
         np.testing.assert_allclose(stds, 0.0)
+
+    def test_validation(self):
+        for name in ("class_offset", "sigma_pool_sq"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                RalSweepConfig(**{name: math.nan})
 
     def test_deterministic_given_seed(self):
         config = RalSweepConfig(dim=3, pool_size=20, n_pools=5, draws=50, seed=4)

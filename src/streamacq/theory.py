@@ -102,7 +102,14 @@ def _quadrature(params: TheoryParams, nodes: int) -> float:
         params.center_dist_sq, params.sigma_window_sq, params.sigma_incoming_sq, q)
     s_within = math.sqrt(v_within)
     s_cross = math.sqrt(v_cross)
+    settings = (f"sigma_window_sq={params.sigma_window_sq}, "
+                f"sigma_incoming_sq={params.sigma_incoming_sq}, "
+                f"center_dist_sq={params.center_dist_sq}, dim={q}")
+    if not all(0.0 < s < math.inf for s in (s_within, s_cross)):
+        raise ValueError(f"squared-distance spread is zero or not finite at {settings}")
     y = np.linspace(m_cross - 8.0 * s_cross, m_cross + 8.0 * s_cross, nodes)
+    if not np.all(np.diff(y) > 0.0):
+        raise ValueError(f"quadrature nodes collapse below the float spacing at {settings}")
     cdf_within = ndtr((y - m_within) / s_within)
     density = np.exp(-0.5 * ((y - m_cross) / s_cross) ** 2) / (s_cross * math.sqrt(2.0 * math.pi))
     inner = float(np.trapezoid(cdf_within ** (big_l - 1) * density, y))

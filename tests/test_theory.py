@@ -1,6 +1,7 @@
 """Tests for the acquisition-probability analysis helpers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,22 @@ class TestExpectedAcquisition:
 
     def test_unclipped_expectation_can_exceed_one(self):
         assert expected_ld_acquisition(TheoryParams(center_dist_sq=30.0)) > 1.0
+
+    def test_large_finite_shift_still_saturates(self):
+        assert expected_ld_acquisition(TheoryParams(center_dist_sq=1e12)) == pytest.approx(20.0)
+
+    @pytest.mark.parametrize("kwargs, named", [
+        ({"center_dist_sq": 1e300}, "center_dist_sq=1e+300"),
+        ({"sigma_window_sq": 1e-300}, "sigma_window_sq=1e-300"),
+        ({"sigma_window_sq": 1e300}, "sigma_window_sq=1e+300"),
+        ({"sigma_incoming_sq": 1e300}, "sigma_incoming_sq=1e+300"),
+    ], ids=["huge-shift", "tiny-window-variance", "huge-window-variance",
+            "huge-incoming-variance"])
+    def test_extreme_settings_rejected_with_their_values(self, kwargs, named):
+        """Settings whose quadrature grid degenerates fail, naming the values,
+        instead of returning a wrong rate or asking for a wider grid."""
+        with pytest.raises(ValueError, match=re.escape(named)):
+            expected_ld_acquisition(TheoryParams(**kwargs))
 
 
 class TestMcAcquisition:

@@ -4,6 +4,10 @@ One joint decision per stream sample is drawn from a mixture of expert
 advice vectors. Expert weights grow with importance-weighted reward plus an
 exploration bonus, and an EWMA chart over the standardized weights reflects
 them across the uniform level whenever one expert drifts out of its limits.
+
+The solver keeps its per-expert state as arrays of length ``n_experts``. A
+step builds and checks the advice matrix once, in :meth:`WeightedEnsemble.decide`;
+the :class:`JointDecision` carries it to :meth:`WeightedEnsemble.update_weights`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ __all__ = [
     "WEIGHT_FLOOR",
     "RewardSpec",
     "SolverConfig",
-    "ExpertState",
     "JointDecision",
     "WeightedEnsemble",
     "step_reward",
@@ -108,40 +111,14 @@ class SolverConfig:
         return math.sqrt(math.log(self.n_experts) / (N_ARMS * self.horizon))
 
 
-@dataclass
-class ExpertState:
-    """One expert's weight, EWMA statistic, and running moments.
-
-    The moments cover every standardized weight the monitor has recorded,
-    tracked incrementally so variance never needs a second pass.
-    """
-
-    weight: float = 1.0
-    ewma: float = 0.0
-    obs_count: int = 0
-    obs_mean: float = 0.0
-    obs_m2: float = 0.0
-
-    def record(self, value: float) -> None:
-        self.obs_count += 1
-        delta = value - self.obs_mean
-        self.obs_mean += delta / self.obs_count
-        self.obs_m2 += delta * (value - self.obs_mean)
-
-    @property
-    def variance(self) -> float:
-        """Sample variance of recorded values; zero below two observations."""
-        if self.obs_count < 2:
-            return 0.0
-        return self.obs_m2 / (self.obs_count - 1)
-
-
 @dataclass(frozen=True)
 class JointDecision:
-    """Mixture probabilities over the two arms plus the sampled arm."""
+    """Mixture probabilities over the two arms, the sampled arm, and the
+    per-expert advice matrix the probabilities were mixed from."""
 
     probs: np.ndarray
     arm: int
+    advice: np.ndarray
 
     @property
     def acquired(self) -> bool:
@@ -149,12 +126,20 @@ class JointDecision:
 
 
 class WeightedEnsemble:
-    """Combines expert acquire-votes into one monitored joint policy."""
+    """Combines expert acquire-votes into one monitored joint policy.
+
+    ``obs_mean`` and ``obs_m2`` are the chart's running (Welford) moments of
+    the standardized weights. Every :meth:`ewma_step` records every expert
+    once, so ``steps`` is also each expert's record count.
+    """
 
     def __init__(self, config: SolverConfig):
         self.config = config
-        self.experts = [ExpertState(weight=1.0, ewma=1.0 / config.n_experts)
-                        for _ in range(config.n_experts)]
+        n = config.n_experts
+        self.weights = np.ones(n)
+        self.ewma = np.full(n, 1.0 / n)
+        self.obs_mean = np.zeros(n)
+        self.obs_m2 = np.zeros(n)
         self.limit_width = float(config.limit_width)
         self.steps = 0
         self.flips = 0
@@ -166,83 +151,91 @@ class WeightedEnsemble:
         v = np.asarray(votes, dtype=float)
         if v.shape != (self.config.n_experts,):
             raise ValueError(f"expected {self.config.n_experts} votes, got shape {v.shape}")
-        if not np.all(np.isfinite(v)) or np.any(v < 0.0) or np.any(v > 1.0):
+        if not (0.0 <= v.min() and v.max() <= 1.0):  # NaN fails both tests
             raise ValueError("votes must be finite and lie in [0, 1]")
         return np.column_stack([v, 1.0 - v])
 
     def arm_probabilities(self, votes) -> np.ndarray:
         """Weight-mixed arm distribution with the exploration floor."""
-        advice = self.advice_matrix(votes)
-        weights = np.array([e.weight for e in self.experts])
-        mix = weights @ advice / weights.sum()
+        return self._mix(self.advice_matrix(votes))
+
+    def _mix(self, advice: np.ndarray) -> np.ndarray:
+        mix = self.weights @ advice / self.weights.sum()
         p_min = self.config.resolved_p_min
         return (1.0 - N_ARMS * p_min) * mix + p_min
 
     def decide(self, votes, rng: np.random.Generator) -> JointDecision:
         """Sample one arm from the mixed distribution via inverse CDF."""
-        probs = self.arm_probabilities(votes)
+        advice = self.advice_matrix(votes)
+        probs = self._mix(advice)
         u = float(rng.random())
         arm = ARM_ACQUIRE if u < probs[ARM_ACQUIRE] else ARM_PASS
-        return JointDecision(probs=probs, arm=arm)
+        return JointDecision(probs=probs, arm=arm, advice=advice)
 
     # -- learning -----------------------------------------------------------
 
-    def update_weights(self, votes, decision: JointDecision, reward: float) -> None:
-        """Exponential update from importance-weighted reward plus variance bonus."""
+    def update_weights(self, decision: JointDecision, reward: float) -> None:
+        """Exponential update from importance-weighted reward plus variance bonus.
+
+        Reads the advice the decision was drawn from, so the votes are built
+        and checked once per step, in :meth:`decide`.
+        """
         if not 0.0 <= reward <= 1.0:
             raise ValueError(f"reward must lie in [0, 1], got {reward}")
-        advice = self.advice_matrix(votes)
         if self.config.resolved_p_min == 0.0:
             return  # exponent scale is p_min/2, so the update is exactly neutral
-        probs = decision.probs
-        reward_hat = np.zeros(N_ARMS)
-        reward_hat[decision.arm] = reward / probs[decision.arm]
-        gain = advice @ reward_hat
+        advice, probs, arm = decision.advice, decision.probs, decision.arm
+        gain = advice[:, arm] * (reward / probs[arm])  # importance-weighted reward
         spread = (advice / probs).sum(axis=1)
-        bonus = self.config.exploration_bonus
-        scale = self.config.resolved_p_min / 2.0
-        for expert, g, v in zip(self.experts, gain, spread):
-            expert.weight *= math.exp(scale * (g + v * bonus))
-            if not math.isfinite(expert.weight) or expert.weight <= 0.0:
-                raise FloatingPointError("expert weight left (0, inf)")
+        exponent = self.config.resolved_p_min / 2.0 * (
+            gain + spread * self.config.exploration_bonus)
+        # math.exp per expert, not np.exp: numpy's SIMD exp differs from libm's
+        # in the last bit on about a quarter of random inputs, which would
+        # move the exported weights
+        self.weights *= [math.exp(x) for x in exponent.tolist()]
+        if not (0.0 < self.weights.min() and self.weights.max() < math.inf):
+            raise FloatingPointError("expert weight left (0, inf)")
 
     # -- monitoring ---------------------------------------------------------
 
     def standardized_weights(self) -> np.ndarray:
-        total = sum(e.weight for e in self.experts)
-        return np.array([e.weight / total for e in self.experts])
+        return self.weights / self.weights.sum()
+
+    @property
+    def variance(self) -> np.ndarray:
+        """Sample variance of each expert's recorded standardized weights;
+        zero below two records."""
+        if self.steps < 2:
+            return np.zeros(self.config.n_experts)
+        return self.obs_m2 / (self.steps - 1)
 
     def ewma_step(self) -> bool:
         """One chart update; returns True when the weights were reflected.
 
         Every call records the standardized weights, refreshes each expert's
-        EWMA statistic, widens the limits, and advances the step counter. When
+        EWMA statistic, advances the step counter, and widens the limits. When
         monitoring is on, any statistic outside its limits after warm-up
         reflects all standardized weights across the uniform level.
         """
         cfg = self.config
-        n = cfg.n_experts
-        level = 1.0 / n
+        level = 1.0 / cfg.n_experts
         lam = cfg.ewma_weight
         standardized = self.standardized_weights()
 
-        for expert, s in zip(self.experts, standardized):
-            expert.record(s)
-            expert.ewma = lam * s + (1.0 - lam) * expert.ewma
+        self.steps += 1
+        delta = standardized - self.obs_mean
+        self.obs_mean += delta / self.steps
+        self.obs_m2 += delta * (standardized - self.obs_mean)
+        self.ewma = lam * standardized + (1.0 - lam) * self.ewma
 
         flipped = False
-        if cfg.monitor and all(e.obs_count >= cfg.flip_warmup for e in self.experts):
+        if cfg.monitor and self.steps >= cfg.flip_warmup:
             half_width = self.limit_width * (lam / (2.0 - lam))
-            out = any(
-                abs(e.ewma - level) > half_width * e.variance
-                for e in self.experts
-            )
-            if out:
+            if np.any(np.abs(self.ewma - level) > half_width * self.variance):
                 self._reflect(standardized, level)
                 flipped = True
                 self.flips += 1
 
-        self.steps += 1
         growth = self.steps / cfg.horizon
         if growth >= math.log(_LIMIT_WIDTH_CAP):
             self.limit_width = _LIMIT_WIDTH_CAP
@@ -254,9 +247,7 @@ class WeightedEnsemble:
 
     def _reflect(self, standardized: np.ndarray, level: float) -> None:
         """Mirror standardized weights across the uniform level and reseed EWMA."""
-        total = sum(e.weight for e in self.experts)
         mirrored = np.maximum(2.0 * level - standardized, WEIGHT_FLOOR)
         mirrored /= mirrored.sum()
-        for expert, s in zip(self.experts, mirrored):
-            expert.weight = s * total
-            expert.ewma = s
+        self.weights = mirrored * self.weights.sum()
+        self.ewma = mirrored

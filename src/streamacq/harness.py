@@ -16,6 +16,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import get_type_hints
 
@@ -221,52 +222,42 @@ class StreamRunner:
     def step(self, features: np.ndarray, label, evaluate: bool = False) -> StepRecord:
         """Advance one stream sample; ``label`` is the oracle answer if asked."""
         self.t += 1
-        accuracy = None
-        if self.budget_used >= self.split.budget:
-            if evaluate:
-                accuracy = self.test_accuracy()
-            return StepRecord(
-                t=self.t, action=0, reward=0.0, budget_used=self.budget_used,
-                accuracy=accuracy,
-                weights=tuple(self.ensemble.standardized_weights()),
-                flipped=False,
-            )
+        reward, acquired, flipped = 0.0, False, False
+        if self.budget_used < self.split.budget:
+            proba = self.model.predict_proba(features)
+            predicted = int(predicted_class(proba))
+            ctx = AcquisitionContext(features=np.asarray(features, dtype=float),
+                                     certainty=float(proba.max()))
+            votes = [agent.propose(ctx) for agent in self.agents]
+            decision = self.ensemble.decide(votes, self.rng)
+            acquired = decision.acquired
 
-        proba = self.model.predict_proba(features)
-        predicted = int(predicted_class(proba))
-        ctx = AcquisitionContext(features=np.asarray(features, dtype=float),
-                                 certainty=float(proba.max()))
-        votes = [agent.propose(ctx) for agent in self.agents]
-        decision = self.ensemble.decide(votes, self.rng)
+            truth = None
+            if acquired:
+                if label is None:
+                    raise RuntimeError(f"oracle returned no label at step {self.t}")
+                truth = int(label)
+                reward = step_reward(True, predicted, truth, self.config.rewards)
+                self.pool.append(ctx.features, truth)
+                self.model = fit_logistic(self.pool.features, self.pool.labels,
+                                          self.config.learner)
+                self.budget_used += 1
+                if truth == 1:
+                    self.acquired_positive += 1
 
-        reward = 0.0
-        truth = None
-        if decision.acquired:
-            if label is None:
-                raise RuntimeError(f"oracle returned no label at step {self.t}")
-            truth = int(label)
-            reward = step_reward(True, predicted, truth, self.config.rewards)
-            self.pool.append(ctx.features, truth)
-            self.model = fit_logistic(self.pool.features, self.pool.labels,
-                                      self.config.learner)
-            self.budget_used += 1
-            if truth == 1:
-                self.acquired_positive += 1
+            self.ensemble.update_weights(decision, reward)
+            flipped = self.ensemble.ewma_step()
+            for agent, vote in zip(self.agents, votes):
+                agent.observe(ctx)
+                if acquired and vote >= 0.5:
+                    signed = (self.config.rewards.informative if predicted != truth
+                              else self.config.rewards.signed_redundant)
+                    agent.reinforce(signed)
 
-        self.ensemble.update_weights(votes, decision, reward)
-        flipped = self.ensemble.ewma_step()
-        for agent, vote in zip(self.agents, votes):
-            agent.observe(ctx)
-            if decision.acquired and vote >= 0.5:
-                signed = (self.config.rewards.informative if predicted != truth
-                          else self.config.rewards.signed_redundant)
-                agent.reinforce(signed)
-
-        if evaluate:
-            accuracy = self.test_accuracy()
         return StepRecord(
-            t=self.t, action=1 if decision.acquired else 0, reward=reward,
-            budget_used=self.budget_used, accuracy=accuracy,
+            t=self.t, action=int(acquired), reward=reward,
+            budget_used=self.budget_used,
+            accuracy=self.test_accuracy() if evaluate else None,
             weights=tuple(self.ensemble.standardized_weights()),
             flipped=flipped,
         )
@@ -375,6 +366,10 @@ def load_csv_stream(path: str, label_column: str = "label"):
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        repeated = sorted(h for h, count in Counter(header).items() if count > 1)
+        if repeated:
+            raise ValueError(
+                f"{path}: repeated column name(s) in header: {', '.join(map(repr, repeated))}")
         if label_column not in header:
             raise ValueError(f"{path}: no {label_column!r} column in header")
         label_idx = header.index(label_column)

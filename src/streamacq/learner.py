@@ -29,8 +29,6 @@ from typing import Optional
 import numpy as np
 from scipy.special import expit
 
-from .core import as_feature_vector
-
 __all__ = [
     "LearnerConfig",
     "LogisticModel",
@@ -85,21 +83,18 @@ class LogisticModel:
     grad_norm: Optional[float] = None
 
     def predict_proba(self, x) -> np.ndarray:
-        v = as_feature_vector(x)
-        if v.size != self.weights.size:
-            raise ValueError(f"dimension mismatch: {v.size} vs model {self.weights.size}")
-        if self.degenerate_class is not None:
-            p1 = 1.0 - DEGENERATE_CONFIDENCE if self.degenerate_class == 1 else DEGENERATE_CONFIDENCE
-        else:
-            p1 = float(expit(self.weights @ v + self.bias))
-            p1 = min(max(p1, PROBA_CLIP), 1.0 - PROBA_CLIP)
-        return np.array([1.0 - p1, p1])
+        """Class probabilities of one sample; the batch path on a one-row batch."""
+        v = np.asarray(x, dtype=float)
+        if v.ndim != 1 or v.size != self.weights.size:
+            raise ValueError(f"expected a 1-d feature vector of {self.weights.size} values, "
+                             f"got shape {v.shape}")
+        return self.predict_proba_batch(v[None, :])[0]
 
     def predict_proba_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.weights.size:
             raise ValueError("expected an (n, p) array matching the model dimension")
-        if not np.all(np.isfinite(X)):
+        if not np.isfinite(X).all():
             raise ValueError("inputs have non-finite entries")
         if self.degenerate_class is not None:
             p1 = np.full(X.shape[0],
@@ -114,9 +109,6 @@ class LogisticModel:
 
     def predict_batch(self, X) -> np.ndarray:
         return predicted_class(self.predict_proba_batch(X))
-
-    def certainty(self, x) -> float:
-        return float(self.predict_proba(x).max())
 
 
 def _validated_xy(X, y) -> tuple[np.ndarray, np.ndarray]:

@@ -1,16 +1,19 @@
 """Tests for the weighted expert ensemble and its monitoring chart."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from streamacq.ensemble import (
     ARM_ACQUIRE,
     ARM_PASS,
     N_ARMS,
     WEIGHT_FLOOR,
-    ExpertState,
     JointDecision,
     RewardSpec,
     SolverConfig,
@@ -32,9 +35,14 @@ class StubGenerator:
 def make_ensemble(n_experts, weights=None, **kwargs):
     ens = WeightedEnsemble(SolverConfig(n_experts=n_experts, **kwargs))
     if weights is not None:
-        for expert, w in zip(ens.experts, weights):
-            expert.weight = float(w)
+        ens.weights = np.array(weights, dtype=float)
     return ens
+
+
+def even_odds_acquire(ens, votes):
+    """An acquire decision at probabilities (0.5, 0.5) on the given votes."""
+    return JointDecision(probs=np.array([0.5, 0.5]), arm=ARM_ACQUIRE,
+                         advice=ens.advice_matrix(votes))
 
 
 class TestRewardSpec:
@@ -85,20 +93,24 @@ class TestSolverConfig:
             SolverConfig(n_experts=2, flip_warmup=1)
 
 
-class TestExpertState:
+class TestChartVariance:
     def test_running_variance_matches_numpy(self):
         rng = np.random.default_rng(8)
-        values = rng.normal(size=40)
-        state = ExpertState()
-        for v in values:
-            state.record(float(v))
-        assert state.variance == pytest.approx(np.var(values, ddof=1))
+        ens = make_ensemble(3, monitor=False)
+        recorded = []
+        for _ in range(40):
+            ens.weights = rng.uniform(0.01, 10.0, size=3)
+            recorded.append(ens.standardized_weights())
+            ens.ewma_step()
+        assert ens.steps == 40
+        np.testing.assert_allclose(ens.variance, np.var(recorded, axis=0, ddof=1),
+                                   rtol=1e-12)
 
-    def test_variance_zero_below_two_observations(self):
-        state = ExpertState()
-        assert state.variance == 0.0
-        state.record(0.4)
-        assert state.variance == 0.0
+    def test_variance_zero_below_two_records(self):
+        ens = make_ensemble(2, weights=[3.0, 1.0], monitor=False)
+        np.testing.assert_array_equal(ens.variance, [0.0, 0.0])
+        ens.ewma_step()
+        np.testing.assert_array_equal(ens.variance, [0.0, 0.0])
 
 
 class TestDecide:
@@ -148,33 +160,30 @@ class TestUpdateWeights:
     def test_importance_weighted_gain_hand_value(self):
         """Full credit at even odds multiplies the weight by e^0.1."""
         ens = make_ensemble(1, p_min=0.1)
-        decision = JointDecision(probs=np.array([0.5, 0.5]), arm=ARM_ACQUIRE)
-        ens.update_weights([1.0], decision, reward=1.0)
-        assert ens.experts[0].weight == pytest.approx(math.exp(0.1))
+        ens.update_weights(even_odds_acquire(ens, [1.0]), reward=1.0)
+        assert ens.weights[0] == pytest.approx(math.exp(0.1))
 
     def test_zero_reward_leaves_single_expert_unchanged(self):
         ens = make_ensemble(1, p_min=0.1)
-        decision = JointDecision(probs=np.array([0.5, 0.5]), arm=ARM_ACQUIRE)
-        ens.update_weights([1.0], decision, reward=0.0)
-        assert ens.experts[0].weight == 1.0
+        ens.update_weights(even_odds_acquire(ens, [1.0]), reward=0.0)
+        assert ens.weights[0] == 1.0
 
     def test_wrong_arm_vote_gets_no_gain(self):
         ens = make_ensemble(1, p_min=0.1)
-        decision = JointDecision(probs=np.array([0.5, 0.5]), arm=ARM_ACQUIRE)
-        ens.update_weights([0.0], decision, reward=1.0)
-        assert ens.experts[0].weight == 1.0
+        ens.update_weights(even_odds_acquire(ens, [0.0]), reward=1.0)
+        assert ens.weights[0] == 1.0
 
     def test_vanishing_floor_is_a_no_op(self):
         ens = make_ensemble(1)  # auto floor resolves to zero
-        decision = JointDecision(probs=np.array([1.0, 0.0]), arm=ARM_ACQUIRE)
-        ens.update_weights([1.0], decision, reward=1.0)
-        assert ens.experts[0].weight == 1.0
+        decision = JointDecision(probs=np.array([1.0, 0.0]), arm=ARM_ACQUIRE,
+                                 advice=ens.advice_matrix([1.0]))
+        ens.update_weights(decision, reward=1.0)
+        assert ens.weights[0] == 1.0
 
     def test_reward_validation(self):
         ens = make_ensemble(2)
-        decision = JointDecision(probs=np.array([0.5, 0.5]), arm=ARM_ACQUIRE)
         with pytest.raises(ValueError):
-            ens.update_weights([1.0, 0.0], decision, reward=1.5)
+            ens.update_weights(even_odds_acquire(ens, [1.0, 0.0]), reward=1.5)
 
     def test_weights_stay_positive_over_random_steps(self):
         """Long random interaction never drives a weight out of (0, inf)."""
@@ -185,40 +194,37 @@ class TestUpdateWeights:
             votes = rng.uniform(0.0, 1.0, size=3)
             decision = ens.decide(votes, rng)
             reward = float(rng.choice(rewards)) if decision.acquired else 0.0
-            ens.update_weights(votes, decision, reward)
+            ens.update_weights(decision, reward)
             ens.ewma_step()
-            for expert in ens.experts:
-                assert expert.weight > 0.0
-                assert math.isfinite(expert.weight)
+            assert np.all(ens.weights > 0.0)
+            assert np.all(np.isfinite(ens.weights))
 
 
 class TestEwmaChart:
     def test_statistic_update_hand_value(self):
         ens = make_ensemble(2, weights=[9.0, 1.0], monitor=False)
         ens.ewma_step()
-        assert ens.experts[0].ewma == pytest.approx(0.3 * 0.9 + 0.7 * 0.5)
-        assert ens.experts[1].ewma == pytest.approx(0.3 * 0.1 + 0.7 * 0.5)
+        assert ens.ewma[0] == pytest.approx(0.3 * 0.9 + 0.7 * 0.5)
+        assert ens.ewma[1] == pytest.approx(0.3 * 0.1 + 0.7 * 0.5)
 
     def test_out_of_limits_reflects_all_weights(self):
         ens = make_ensemble(2, weights=[9.0, 1.0], flip_warmup=2)
-        for expert in ens.experts:  # pretend warm-up already passed
-            expert.obs_count = 10
-            expert.obs_m2 = 9 * 0.01  # running variance 0.01
+        ens.steps = 10  # pretend warm-up already passed
+        ens.obs_m2[:] = 9 * 0.01  # running variance 0.01
         flipped = ens.ewma_step()
         assert flipped
         assert ens.flips == 1
         np.testing.assert_allclose(ens.standardized_weights(), [0.1, 0.9])
         # total decision power is preserved by the reflection
-        assert sum(e.weight for e in ens.experts) == pytest.approx(10.0)
+        assert ens.weights.sum() == pytest.approx(10.0)
         # the statistic restarts from the reflected weights
-        assert ens.experts[0].ewma == pytest.approx(0.1)
-        assert ens.experts[1].ewma == pytest.approx(0.9)
+        assert ens.ewma[0] == pytest.approx(0.1)
+        assert ens.ewma[1] == pytest.approx(0.9)
 
     def test_inside_limits_changes_nothing(self):
         ens = make_ensemble(2, weights=[1.02, 0.98], flip_warmup=2)
-        for expert in ens.experts:
-            expert.obs_count = 10
-            expert.obs_m2 = 9 * 1.0  # huge variance, huge limits
+        ens.steps = 10
+        ens.obs_m2[:] = 9 * 1.0  # huge variance, huge limits
         assert not ens.ewma_step()
         np.testing.assert_allclose(ens.standardized_weights(), [0.51, 0.49])
 
@@ -237,9 +243,8 @@ class TestEwmaChart:
         """A dominant expert reflects below zero and lands on the floor."""
         weights = [0.5, 0.1, 0.1, 0.1, 0.1, 0.1]
         ens = make_ensemble(6, weights=weights, flip_warmup=2)
-        for expert in ens.experts:
-            expert.obs_count = 10
-            expert.obs_m2 = 0.0  # zero variance, zero-width limits
+        ens.steps = 10
+        ens.obs_m2[:] = 0.0  # zero variance, zero-width limits
         assert ens.ewma_step()
         standardized = ens.standardized_weights()
         assert standardized.sum() == pytest.approx(1.0, abs=1e-12)
@@ -248,7 +253,7 @@ class TestEwmaChart:
         raw = 2.0 / 6.0 - np.asarray(weights)
         raw_clamped = np.maximum(raw, WEIGHT_FLOOR)
         np.testing.assert_allclose(standardized, raw_clamped / raw_clamped.sum())
-        assert sum(e.weight for e in ens.experts) == pytest.approx(1.0)
+        assert ens.weights.sum() == pytest.approx(1.0)
 
     def test_limits_widen_every_step(self):
         ens = make_ensemble(2, horizon=100, monitor=False)
@@ -275,7 +280,7 @@ class TestEwmaChart:
         for _ in range(300):
             decision = ens.decide(votes, stub)
             assert decision.acquired
-            ens.update_weights(votes, decision, reward=1.0)
+            ens.update_weights(decision, reward=1.0)
             ens.ewma_step()
             share = ens.standardized_weights()
             favored.append(share[0])
@@ -284,3 +289,163 @@ class TestEwmaChart:
         assert np.all(np.diff(favored) >= -1e-15)
         assert np.all(np.diff(other) <= 1e-15)
         assert favored[-1] > favored[0]
+
+
+@dataclass
+class ReferenceExpert:
+    """One expert's weight, EWMA statistic and Welford moments, as scalars."""
+
+    weight: float = 1.0
+    ewma: float = 0.0
+    obs_count: int = 0
+    obs_mean: float = 0.0
+    obs_m2: float = 0.0
+
+    def record(self, value):
+        self.obs_count += 1
+        delta = value - self.obs_mean
+        self.obs_mean += delta / self.obs_count
+        self.obs_m2 += delta * (value - self.obs_mean)
+
+    @property
+    def variance(self):
+        if self.obs_count < 2:
+            return 0.0
+        return self.obs_m2 / (self.obs_count - 1)
+
+
+class ReferenceEnsemble:
+    """The solver written out one expert at a time: Python sums, ``math.exp``
+    per expert, a Welford record per expert, and a per-expert reflection.
+    The array solver must reproduce it bit for bit."""
+
+    def __init__(self, config):
+        self.config = config
+        self.experts = [ReferenceExpert(weight=1.0, ewma=1.0 / config.n_experts)
+                        for _ in range(config.n_experts)]
+        self.limit_width = float(config.limit_width)
+        self.steps = 0
+        self.flips = 0
+
+    def standardized_weights(self):
+        total = sum(e.weight for e in self.experts)
+        return np.array([e.weight / total for e in self.experts])
+
+    def decide(self, votes, u):
+        v = np.asarray(votes, dtype=float)
+        advice = np.column_stack([v, 1.0 - v])
+        weights = np.array([e.weight for e in self.experts])
+        mix = weights @ advice / weights.sum()
+        p_min = self.config.resolved_p_min
+        probs = (1.0 - N_ARMS * p_min) * mix + p_min
+        return probs, (ARM_ACQUIRE if u < probs[ARM_ACQUIRE] else ARM_PASS)
+
+    def update_weights(self, votes, probs, arm, reward):
+        if self.config.resolved_p_min == 0.0:
+            return
+        v = np.asarray(votes, dtype=float)
+        advice = np.column_stack([v, 1.0 - v])
+        reward_hat = np.zeros(N_ARMS)
+        reward_hat[arm] = reward / probs[arm]
+        gain = advice @ reward_hat
+        spread = (advice / probs).sum(axis=1)
+        bonus = self.config.exploration_bonus
+        scale = self.config.resolved_p_min / 2.0
+        for expert, g, s in zip(self.experts, gain, spread):
+            expert.weight *= math.exp(scale * (g + s * bonus))
+
+    def ewma_step(self):
+        cfg = self.config
+        level = 1.0 / cfg.n_experts
+        lam = cfg.ewma_weight
+        standardized = self.standardized_weights()
+        for expert, s in zip(self.experts, standardized):
+            expert.record(s)
+            expert.ewma = lam * s + (1.0 - lam) * expert.ewma
+        flipped = False
+        if cfg.monitor and all(e.obs_count >= cfg.flip_warmup for e in self.experts):
+            half_width = self.limit_width * (lam / (2.0 - lam))
+            if any(abs(e.ewma - level) > half_width * e.variance for e in self.experts):
+                total = sum(e.weight for e in self.experts)
+                mirrored = np.maximum(2.0 * level - standardized, WEIGHT_FLOOR)
+                mirrored /= mirrored.sum()
+                for expert, s in zip(self.experts, mirrored):
+                    expert.weight = s * total
+                    expert.ewma = s
+                flipped = True
+                self.flips += 1
+        self.steps += 1
+        growth = self.steps / cfg.horizon
+        if growth >= math.log(1e300):
+            self.limit_width = 1e300
+        else:
+            self.limit_width = min(self.limit_width * math.exp(growth), 1e300)
+        return flipped
+
+
+def assert_same_bits(actual, expected):
+    actual = np.asarray(actual, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    assert actual.tobytes() == expected.tobytes(), (actual, expected)
+
+
+def run_against_reference(config, votes, rewards, uniforms):
+    """Drive both solvers through the same steps, comparing every state bit;
+    returns the number of flips."""
+    ens, ref = WeightedEnsemble(config), ReferenceEnsemble(config)
+    for step_votes, reward, u in zip(votes, rewards, uniforms):
+        decision = ens.decide(step_votes, StubGenerator(u))
+        probs, arm = ref.decide(step_votes, u)
+        assert_same_bits(decision.probs, probs)
+        assert decision.arm == arm
+        ens.update_weights(decision, reward)
+        ref.update_weights(step_votes, probs, arm, reward)
+        assert ens.ewma_step() == ref.ewma_step()
+        assert_same_bits(ens.weights, [e.weight for e in ref.experts])
+        assert_same_bits(ens.ewma, [e.ewma for e in ref.experts])
+        assert_same_bits(ens.obs_mean, [e.obs_mean for e in ref.experts])
+        assert_same_bits(ens.obs_m2, [e.obs_m2 for e in ref.experts])
+        assert_same_bits(ens.variance, [e.variance for e in ref.experts])
+        assert_same_bits(ens.standardized_weights(), ref.standardized_weights())
+        assert all(e.obs_count == ens.steps for e in ref.experts)
+        assert (ens.steps, ens.flips, ens.limit_width) == (ref.steps, ref.flips, ref.limit_width)
+    return ref.flips
+
+
+@st.composite
+def solver_runs(draw):
+    n = draw(st.integers(1, 6))
+    config = SolverConfig(
+        n_experts=n,
+        horizon=draw(st.integers(1, 3000)),
+        p_min=draw(st.one_of(st.none(), st.floats(1e-3, 0.5))),
+        ewma_weight=draw(st.floats(0.05, 1.0)),
+        limit_width=draw(st.floats(1e-3, 10.0)),
+        flip_warmup=draw(st.integers(2, 12)),
+        monitor=draw(st.booleans()),
+    )
+    steps = draw(st.integers(1, 60))
+    unit = st.floats(0.0, 1.0)
+    votes = draw(hnp.arrays(np.float64, (steps, n), elements=unit))
+    rewards = draw(hnp.arrays(np.float64, steps, elements=unit))
+    uniforms = draw(hnp.arrays(np.float64, steps,
+                               elements=st.floats(0.0, 1.0, exclude_max=True)))
+    return config, votes, rewards, uniforms
+
+
+class TestArrayStateMatchesPerExpertReference:
+    @settings(max_examples=200, deadline=None)
+    @given(solver_runs())
+    def test_bit_identical_over_random_runs(self, run):
+        run_against_reference(*run)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_bit_identical_through_flips(self, n):
+        """The default chart over random votes and rewards flips often; every
+        flip and every state after it match the reference."""
+        rng = np.random.default_rng(n)
+        steps = 2000
+        flips = run_against_reference(
+            SolverConfig(n_experts=n), rng.random((steps, n)), rng.random(steps),
+            rng.random(steps))
+        assert flips > 0

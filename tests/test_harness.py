@@ -434,6 +434,19 @@ class TestCsvStreamIO:
         with pytest.raises(ValueError, match="no 'label' column"):
             load_csv_stream(str(path))
 
+    @pytest.mark.parametrize("header, name", [
+        ("f1,label,label", "'label'"),
+        ("f1,f2,f1,label", "'f1'"),
+        ("f1, label ,label", "'label'"),
+    ], ids=["label", "feature", "after-strip"])
+    def test_repeated_column_name_rejected(self, tmp_path, header, name):
+        """A repeated label column would otherwise be read as a feature."""
+        path = tmp_path / "data.csv"
+        cells = ",".join(["1"] * len(header.split(",")))
+        path.write_text(f"{header}\n{cells}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"repeated column name.*{name}"):
+            load_csv_stream(str(path))
+
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("f1,label\n", encoding="utf-8")

@@ -83,7 +83,7 @@ class TestPrediction:
         model = LogisticModel(weights=np.array([math.log(3.0)]), bias=0.0)
         np.testing.assert_allclose(model.predict_proba([1.0]), [0.25, 0.75], atol=1e-12)
         assert model.predict([1.0]) == 1
-        assert model.certainty([1.0]) == pytest.approx(0.75)
+        assert model.predict_proba([1.0]).max() == pytest.approx(0.75)
 
     def test_tie_breaks_to_class_zero(self):
         model = LogisticModel(weights=np.zeros(1), bias=0.0)
@@ -108,7 +108,7 @@ class TestPrediction:
         assert model.degenerate_class == 1
         np.testing.assert_allclose(model.predict_proba([3.0]), [1e-3, 0.999])
         assert model.predict([3.0]) == 1
-        assert model.certainty([3.0]) == pytest.approx(0.999)
+        assert model.predict_proba([3.0]).max() == pytest.approx(0.999)
 
     def test_rejects_non_finite_input(self):
         model = LogisticModel(weights=np.zeros(2), bias=0.0)

@@ -2,8 +2,9 @@
 threshold with an epsilon floor, and the stream baselines.
 
 Every agent votes with a probability in [0, 1] for acquiring the current
-sample and then observes the sample pass by (window-based agents push it
-whether or not it was acquired).
+sample.  The two exploration agents read the newest ``length`` members of one
+sliding window per run, which the stream runner fills with every sample that
+passes by, acquired or not.
 """
 
 from __future__ import annotations
@@ -39,17 +40,17 @@ class AcquisitionContext:
     certainty: float
 
 
-def local_sparsity(window: SlidingWindow, x) -> int:
+def local_sparsity(window: SlidingWindow, x, newest: int | None = None) -> int:
     """Count window members farther from every co-member than from ``x``.
 
-    A member contributes when its cached farthest co-member distance is
-    strictly below its distance to ``x``; a high count means ``x`` lies in a
-    region the window covers sparsely.
+    A member contributes when its farthest co-member distance is strictly
+    below its distance to ``x``; a high count means ``x`` lies in a region the
+    window covers sparsely.  ``newest=k`` counts among the newest ``k`` only.
     """
     if len(window) == 0:
         raise ValueError("local sparsity needs a nonempty window")
-    to_x = window.distances_to(x)
-    far = window.farthest_distances()
+    to_x = window.distances_to(x, newest)
+    far = window.farthest_distances(newest)
     far = np.where(np.isnan(far), 0.0, far)  # singleton window: no co-members
     return int(np.count_nonzero(far < to_x))
 
@@ -76,68 +77,62 @@ class Agent:
     def propose(self, ctx: AcquisitionContext) -> float:
         raise NotImplementedError
 
-    def observe(self, ctx: AcquisitionContext) -> None:
-        """Per-step state update, applied whether or not the sample was acquired."""
-
     def reinforce(self, signed_reward: float) -> None:
         """Feedback after an acquisition this agent voted for."""
 
-    def seed(self, points) -> None:
-        """Prime internal state with the initial pool's feature vectors."""
-
 
 class _WindowAgent(Agent):
-    """An agent that votes against a sliding window of every sample seen."""
+    """An agent that votes against the newest ``length`` members of a shared window."""
 
-    def __init__(self, capacity: int, name: str):
-        self.window = SlidingWindow(capacity)
+    def __init__(self, window: SlidingWindow, length: int, name: str):
+        if not 1 <= length <= window.capacity:
+            raise ValueError(
+                f"window length must lie in [1, {window.capacity}], got {length}")
+        self.window = window
+        self.length = int(length)
         self.name = name
-
-    def seed(self, points) -> None:
-        for p in points:
-            self.window.push(p)
-
-    def observe(self, ctx: AcquisitionContext) -> None:
-        self.window.push(ctx.features)
 
 
 class LowDensityAgent(_WindowAgent):
     """Votes for samples that fall where the recent stream is sparse.
 
-    The raw vote is ``lsf / (L * sparsity_level)`` clipped to 1, where lsf is
-    :func:`local_sparsity` against the window before the sample is inserted.
+    The raw vote is ``lsf / (L * sparsity_level)`` clipped to 1, where L is
+    the window length and lsf is :func:`local_sparsity` against the newest L
+    members before the sample is inserted.
     """
 
-    def __init__(self, capacity: int, sparsity_level: float, name: str = "ld"):
+    def __init__(self, window: SlidingWindow, length: int, sparsity_level: float,
+                 name: str = "ld"):
         if not 0.0 < sparsity_level <= 1.0:
             raise ValueError(f"sparsity level must lie in (0, 1], got {sparsity_level}")
-        super().__init__(capacity, name)
+        super().__init__(window, length, name)
         self.sparsity_level = float(sparsity_level)
 
     def propose(self, ctx: AcquisitionContext) -> float:
         if len(self.window) == 0:
             return 1.0  # no density evidence yet
-        score = local_sparsity(self.window, ctx.features)
-        return min(1.0, score / (self.window.capacity * self.sparsity_level))
+        score = local_sparsity(self.window, ctx.features, self.length)
+        return min(1.0, score / (self.length * self.sparsity_level))
 
 
 class SpaceFillingAgent(_WindowAgent):
     """Votes for samples that would fill a gap in the window's coverage.
 
-    The raw vote is the distance from the sample to its nearest window member,
-    scaled by the largest nearest-neighbour distance inside the window.
+    The raw vote is the distance from the sample to its nearest member among
+    the newest ``length``, scaled by the largest nearest-neighbour distance
+    inside those members.
     """
 
-    def __init__(self, capacity: int, name: str = "spf"):
-        if capacity < 2:
-            raise ValueError("space-filling window needs capacity >= 2")
-        super().__init__(capacity, name)
+    def __init__(self, window: SlidingWindow, length: int, name: str = "spf"):
+        if length < 2:
+            raise ValueError("space-filling window needs length >= 2")
+        super().__init__(window, length, name)
 
     def propose(self, ctx: AcquisitionContext) -> float:
         if len(self.window) < 2:
             return 1.0  # spread undefined below two members
-        gap = float(self.window.distances_to(ctx.features).min())
-        spread = float(self.window.nearest_distances().max())
+        gap = float(self.window.distances_to(ctx.features, self.length).min())
+        spread = float(self.window.nearest_distances(self.length).max())
         if spread == 0.0:  # window collapsed onto one location
             return 1.0 if gap > 0.0 else 0.0
         return min(1.0, gap / spread)

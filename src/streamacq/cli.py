@@ -115,6 +115,8 @@ def _cmd_verify_theory(args) -> int:
     if args.grid_points < 2:
         # the nondecreasing check compares neighbouring grid points
         raise ValueError(f"--grid-points must be at least 2, got {args.grid_points}")
+    if args.grid_max < 0.0:
+        raise ValueError(f"--grid-max must be nonnegative, got {args.grid_max}")
     grid = np.linspace(0.0, args.grid_max, args.grid_points)
     base = TheoryParams(draws=args.draws, seed=args.seed)
     rows = []

@@ -1,13 +1,12 @@
 """Shared primitives: feature vectors, labelled pools, and sliding windows.
 
-The sliding window keeps, for every member, its Euclidean distance to the
-farthest and to the nearest other member.  Both exploration agents read these
-caches on every step, so they are maintained exactly.  Members live in a
-preallocated ring of ``capacity`` slots together with the pairwise distance
-matrix of those slots.  A push computes one distance row, writes it into the
-new slot's row and column, and folds it into every cached extreme; evicting
-the oldest slot recomputes, as a masked row max/min over the matrix, only the
-extremes that were the distance to the evicted point.
+The sliding window keeps its members oldest first in a preallocated array,
+together with their pairwise distance matrix.  A push computes one distance
+row and writes it into the matrix's last row and column; an eviction first
+shifts the points and the matrix down by one.  The farthest and nearest
+co-member distances are read off the matrix when asked for, over all members
+or only the newest ``k``, so one window serves agents of different window
+lengths.
 """
 
 from __future__ import annotations
@@ -110,12 +109,15 @@ class LabeledPool:
 
 
 class SlidingWindow:
-    """Fixed-capacity FIFO of feature vectors with cached pairwise extremes.
+    """Fixed-capacity FIFO of feature vectors with their pairwise distances.
 
-    ``farthest_distances()[j]`` is the Euclidean distance from member ``j`` to
-    the member farthest from it; ``nearest_distances()[j]`` the distance to the
-    closest one.  Both are NaN while the window holds a single point.  Every
-    per-member array is returned oldest first.
+    Members are kept oldest first with their pairwise distance matrix, whose
+    diagonal holds NaN.  The distance queries take ``newest=k`` to read only
+    the newest ``k`` members (all when ``None``), so agents of different
+    window lengths share one window.  ``farthest_distances()[j]`` is the
+    Euclidean distance from member ``j`` to its farthest co-member and
+    ``nearest_distances()[j]`` to its nearest, NaN for a single member.
+    Every per-member array runs oldest first.
     """
 
     def __init__(self, capacity: int):
@@ -123,23 +125,19 @@ class SlidingWindow:
             raise ValueError("window capacity must be >= 1")
         self.capacity = int(capacity)
         self._size = 0
-        self._head = 0  # slot of the oldest member once the ring is full
         # allocated by _allocate once the first point fixes the dimension
-        self._points: Optional[np.ndarray] = None  # (capacity, dim) slots
+        self._points: Optional[np.ndarray] = None  # (capacity, dim), oldest first
         self._dist: Optional[np.ndarray] = None  # (capacity, capacity) pairwise
-        self._far: Optional[np.ndarray] = None  # -inf without a co-member
-        self._near: Optional[np.ndarray] = None  # +inf without a co-member
 
     def _allocate(self, dim: int) -> None:
         cap = self.capacity
         self._points = np.zeros((cap, dim))
-        self._dist = np.zeros((cap, cap))
-        self._far = np.full(cap, -np.inf)
-        self._near = np.full(cap, np.inf)
+        # NaN fills the diagonal for good: an eviction shifts it along itself
+        self._dist = np.full((cap, cap), math.nan)
 
     @classmethod
     def from_points(cls, points, capacity: Optional[int] = None) -> "SlidingWindow":
-        """Bulk-build a window; one vectorized pass fills the distance caches."""
+        """Bulk-build a window; one vectorized pass fills the distance matrix."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise ValueError(f"expected a 2-d point array, got shape {pts.shape}")
@@ -157,11 +155,8 @@ class SlidingWindow:
         sq = (pts * pts).sum(axis=1)
         d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
         dist = np.sqrt(np.clip(d2, 0.0, None))
+        np.fill_diagonal(dist, math.nan)
         win._dist[:m, :m] = dist
-        np.fill_diagonal(dist, -np.inf)
-        win._far[:m] = dist.max(axis=1)
-        np.fill_diagonal(dist, np.inf)
-        win._near[:m] = dist.min(axis=1)
         return win
 
     def __len__(self) -> int:
@@ -171,30 +166,36 @@ class SlidingWindow:
     def dim(self) -> Optional[int]:
         return None if self._points is None else self._points.shape[1]
 
-    def _age_order(self) -> np.ndarray:
-        """Slot indices of the members, oldest first."""
-        return np.arange(self._head, self._head + self._size) % self.capacity
-
-    def _extremes(self, cache: np.ndarray) -> np.ndarray:
-        if self._size < 2:
-            return np.full(self._size, math.nan)
-        return cache[self._age_order()]
+    def _first(self, newest: Optional[int]) -> int:
+        """Index of the oldest of the ``newest`` newest members."""
+        return 0 if newest is None else max(self._size - newest, 0)
 
     def points_matrix(self) -> np.ndarray:
         """Members as an (m, dim) array, oldest first."""
         if self._points is None:
             return np.empty(0)
-        return self._points[self._age_order()]
+        return self._points[:self._size].copy()
 
-    def farthest_distances(self) -> np.ndarray:
-        return self._extremes(self._far)
+    def _block(self, newest: Optional[int]) -> np.ndarray:
+        """Pairwise distances among the ``newest`` newest members."""
+        if self._dist is None:
+            return np.empty((0, 0))
+        lo, n = self._first(newest), self._size
+        return self._dist[lo:n, lo:n]
 
-    def nearest_distances(self) -> np.ndarray:
-        return self._extremes(self._near)
+    # fmax/fmin skip NaN: the diagonal, and the initial value that lets an
+    # empty block reduce.  The matrix is symmetric, so the column reduction,
+    # numpy's faster loop over a row-major block, gives each member's extreme.
 
-    def _row(self, v: np.ndarray) -> np.ndarray:
-        """Distances from ``v`` to every occupied slot, in slot order."""
-        diff = self._points[:self._size] - v
+    def farthest_distances(self, newest: Optional[int] = None) -> np.ndarray:
+        return np.fmax.reduce(self._block(newest), axis=0, initial=math.nan)
+
+    def nearest_distances(self, newest: Optional[int] = None) -> np.ndarray:
+        return np.fmin.reduce(self._block(newest), axis=0, initial=math.nan)
+
+    def _row(self, v: np.ndarray, lo: int = 0) -> np.ndarray:
+        """Distances from ``v`` to the members from index ``lo`` on."""
+        diff = self._points[lo:self._size] - v
         return np.sqrt((diff * diff).sum(axis=1))
 
     def _vector(self, x) -> np.ndarray:
@@ -206,51 +207,37 @@ class SlidingWindow:
             )
         return v
 
-    def distances_to(self, x) -> np.ndarray:
+    def distances_to(self, x, newest: Optional[int] = None) -> np.ndarray:
         """Euclidean distance from ``x`` to every member, oldest first."""
         v = self._vector(x)
         if self._points is None:
             return np.empty(0)
-        return self._row(v)[self._age_order()]
+        return self._row(v, self._first(newest))
 
     def push(self, x) -> None:
         """Append ``x``, evicting the oldest member when at capacity.
 
-        The new point's distance row fills its slot's row and column of the
-        pairwise matrix.  A member keeps its cached extreme unless that
-        extreme was its distance to the evicted point, in which case it is
-        recomputed as a masked row max/min over the matrix.
+        An eviction shifts the points and the distance matrix down by one;
+        the new point's distance row then fills the last row and column.
         """
         v = self._vector(x)
         if self._points is None:
             self._allocate(v.size)
-        far, near, dist = self._far, self._near, self._dist
-        if self._size < self.capacity:
-            slot = self._size
-            self._size += 1
-            stale = np.empty(0, dtype=np.intp)
-        else:
-            slot = self._head
-            self._head = (slot + 1) % self.capacity
-            gone = dist[:, slot]  # row j's distance to the evicted point
-            hit = (far == gone) | (near == gone)
-            hit[slot] = False
-            stale = np.flatnonzero(hit)
+        points, dist = self._points, self._dist
         n = self._size
-        self._points[slot] = v
-        d = self._row(v)  # d[slot] is the new point's distance to itself
-        dist[slot, :n] = d
-        dist[:n, slot] = d
-        np.maximum(far[:n], d, out=far[:n])
-        np.minimum(near[:n], d, out=near[:n])
-        if stale.size:
-            rows = dist[stale, :n]
-            diagonal = (np.arange(stale.size), stale)
-            rows[diagonal] = -np.inf
-            far[stale] = rows.max(axis=1)
-            rows[diagonal] = np.inf
-            near[stale] = rows.min(axis=1)
-        d[slot] = -np.inf
-        far[slot] = d.max()
-        d[slot] = np.inf
-        near[slot] = d.min()
+        if n == self.capacity:
+            n -= 1
+            points[:n] = points[1:]
+            # Moving the flat buffer back by capacity + 1 entries moves the
+            # matrix up a row and left a column; numpy copies a 1-d overlap
+            # in place, where the 2-d shift would go through a temporary.
+            # Only the last row and column come out stale, and the new row
+            # rewrites them; the NaN corner is not moved.
+            flat = dist.reshape(-1)
+            flat[:flat.size - self.capacity - 1] = flat[self.capacity + 1:]
+            self._size = n
+        d = self._row(v)
+        points[n] = v
+        dist[n, :n] = d
+        dist[:n, n] = d
+        self._size = n + 1

@@ -32,7 +32,7 @@ from .agents import (
     UncertaintyBaseline,
     random_baseline_rate,
 )
-from .core import LabeledPool
+from .core import LabeledPool, SlidingWindow
 from .datagen import (
     Dataset,
     GeneratorConfig,
@@ -81,10 +81,10 @@ CASE_STUDY_POOL_SIZE = 10
 class ExperimentConfig:
     """One experiment: data source, strategy, solver and agent settings.
 
-    Agent defaults are the stock roster: two low-density windows, one
-    space-filling window, and three certainty-threshold agents at staggered
-    thresholds and learning rates. The run seed arrives separately so one
-    config replicates cleanly.
+    Agent defaults are the stock roster: two low-density agents and one
+    space-filling agent on one shared window, and three certainty-threshold
+    agents at staggered thresholds and learning rates. The run seed arrives
+    separately so one config replicates cleanly.
     """
 
     strategy: str = "ensemble6"
@@ -128,32 +128,40 @@ class ExperimentConfig:
         # must fail here rather than when a run first builds it. The expert
         # count enters no solver check.
         self.solver_config(1)
-        for name, make in self._agent_factories().items():
+        window = SlidingWindow(max(1, self.ld1_window, self.ld2_window, self.spf1_window))
+        for name, make in self._agent_factories(window).items():
             try:
                 make()
             except ValueError as exc:
                 raise ValueError(f"agent {name}: {exc}") from None
 
-    def _agent_factories(self) -> dict:
-        """Constructors of every agent whose settings live in this config."""
+    def _agent_factories(self, window: SlidingWindow | None) -> dict:
+        """Constructors of every agent this config sets; window agents read ``window``."""
         def ral(threshold, rate, name):
             return CertaintyThresholdAgent(
                 threshold, rate, penalty=self.rewards.signed_redundant, name=name,
                 epsilon=self.epsilon)
 
         return {
-            "ld1": lambda: LowDensityAgent(self.ld1_window, self.ld1_sparsity, name="ld1"),
-            "ld2": lambda: LowDensityAgent(self.ld2_window, self.ld2_sparsity, name="ld2"),
-            "spf1": lambda: SpaceFillingAgent(self.spf1_window, name="spf1"),
+            "ld1": lambda: LowDensityAgent(window, self.ld1_window, self.ld1_sparsity, name="ld1"),
+            "ld2": lambda: LowDensityAgent(window, self.ld2_window, self.ld2_sparsity, name="ld2"),
+            "spf1": lambda: SpaceFillingAgent(window, self.spf1_window, name="spf1"),
             "ral1": lambda: ral(self.ral1_threshold, self.ral1_rate, "ral1"),
             "ral2": lambda: ral(self.ral2_threshold, self.ral2_rate, "ral2"),
             "ral3": lambda: ral(self.ral3_threshold, self.ral3_rate, "ral3"),
             "us": lambda: UncertaintyBaseline(self.us_threshold, name="us"),
         }
 
-    def build_agents(self, budget: int, stream_len: int) -> list[Agent]:
-        """Instantiate the roster for this config's strategy."""
-        factories = self._agent_factories()
+    def build_window(self) -> SlidingWindow | None:
+        """The run's window, as long as the roster's longest; None without a window agent."""
+        lengths = [getattr(self, f"{name}_window") for name in _ROSTERS[self.strategy]
+                   if hasattr(self, f"{name}_window")]
+        return SlidingWindow(max(lengths)) if lengths else None
+
+    def build_agents(self, budget: int, stream_len: int,
+                     window: SlidingWindow | None) -> list[Agent]:
+        """The roster of this config's strategy; window agents read ``window``."""
+        factories = self._agent_factories(window)
         factories["rs"] = lambda: RandomBaseline(
             random_baseline_rate(budget, stream_len), name="rs")
         return [factories[name]() for name in _ROSTERS[self.strategy]]
@@ -205,9 +213,11 @@ class StreamRunner:
             self.pool.append(row, int(label))
         self.model = fit_logistic(self.pool.features, self.pool.labels, config.learner)
         stream_len = split.stream_labels.shape[0]
-        self.agents = config.build_agents(split.budget, stream_len)
-        for agent in self.agents:
-            agent.seed(split.initial_features)
+        self.window = config.build_window()
+        self.agents = config.build_agents(split.budget, stream_len, self.window)
+        if self.window is not None:
+            for row in split.initial_features:
+                self.window.push(row)
         self.ensemble = WeightedEnsemble(config.solver_config(len(self.agents)))
         self.rng = np.random.default_rng([seed, STAGE_RUN])
         self.seed_value = seed
@@ -247,8 +257,9 @@ class StreamRunner:
 
             self.ensemble.update_weights(decision, reward)
             flipped = self.ensemble.ewma_step()
+            if self.window is not None:
+                self.window.push(ctx.features)
             for agent, vote in zip(self.agents, votes):
-                agent.observe(ctx)
                 if acquired and vote >= 0.5:
                     signed = (self.config.rewards.informative if predicted != truth
                               else self.config.rewards.signed_redundant)

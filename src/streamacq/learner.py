@@ -96,13 +96,17 @@ class LogisticModel:
             raise ValueError("expected an (n, p) array matching the model dimension")
         if not np.isfinite(X).all():
             raise ValueError("inputs have non-finite entries")
+        proba = np.empty((X.shape[0], 2))
+        p1 = proba[:, 1]
         if self.degenerate_class is not None:
-            p1 = np.full(X.shape[0],
-                         1.0 - DEGENERATE_CONFIDENCE if self.degenerate_class == 1
-                         else DEGENERATE_CONFIDENCE)
+            p1[:] = (1.0 - DEGENERATE_CONFIDENCE if self.degenerate_class == 1
+                     else DEGENERATE_CONFIDENCE)
         else:
-            p1 = np.clip(expit(X @ self.weights + self.bias), PROBA_CLIP, 1.0 - PROBA_CLIP)
-        return np.column_stack([1.0 - p1, p1])
+            expit(X @ self.weights + self.bias, out=p1)
+            np.maximum(p1, PROBA_CLIP, out=p1)
+            np.minimum(p1, 1.0 - PROBA_CLIP, out=p1)
+        np.subtract(1.0, p1, out=proba[:, 0])
+        return proba
 
     def predict(self, x) -> int:
         return int(predicted_class(self.predict_proba(x)))

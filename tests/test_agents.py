@@ -77,74 +77,96 @@ class TestHelpers:
         assert uncertainty_vote(0.71, 0.7) == 0.0
 
 
+def pushed(capacity, points=()):
+    """A window of ``capacity`` holding ``points``, pushed oldest first."""
+    win = SlidingWindow(capacity)
+    for p in points:
+        win.push(p)
+    return win
+
+
 class TestLowDensityAgent:
     def test_empty_window_votes_full(self):
-        agent = LowDensityAgent(capacity=10, sparsity_level=0.1)
+        agent = LowDensityAgent(SlidingWindow(10), 10, sparsity_level=0.1)
         assert agent.propose(make_context([1.0, 1.0])) == 1.0
 
     def test_vote_scales_with_sparsity_count(self):
-        agent = LowDensityAgent(capacity=10, sparsity_level=0.5)
-        agent.seed([[0.0, 0.0], [1.0, 0.0]])
+        agent = LowDensityAgent(pushed(10, [[0.0, 0.0], [1.0, 0.0]]), 10,
+                                sparsity_level=0.5)
         # lsf=2 against L*delta=5
         assert agent.propose(make_context([10.0, 0.0])) == pytest.approx(0.4)
         assert agent.propose(make_context([0.5, 0.0])) == 0.0
 
     def test_vote_clipped_at_one(self):
-        agent = LowDensityAgent(capacity=10, sparsity_level=0.01)
-        agent.seed([[0.0, 0.0], [1.0, 0.0]])
+        agent = LowDensityAgent(pushed(10, [[0.0, 0.0], [1.0, 0.0]]), 10,
+                                sparsity_level=0.01)
         assert agent.propose(make_context([10.0, 0.0])) == 1.0
 
-    def test_observe_pushes_every_sample(self):
-        agent = LowDensityAgent(capacity=3, sparsity_level=0.5)
-        for i in range(5):
-            agent.observe(make_context([float(i), 0.0]))
-        assert len(agent.window) == 3
-        np.testing.assert_array_equal(agent.window.points_matrix()[:, 0], [2.0, 3.0, 4.0])
+    def test_reads_only_its_newest_members(self):
+        """An agent of length 3 on a window of 5 votes as on a window of 3."""
+        points = [[float(i), 0.0] for i in range(5)]
+        shared = LowDensityAgent(pushed(5, points), 3, sparsity_level=0.5)
+        alone = LowDensityAgent(pushed(3, points), 3, sparsity_level=0.5)
+        assert len(shared.window) == 5
+        for x in ([0.0, 0.0], [2.5, 0.0], [9.0, 0.0], [3.0, 7.0]):
+            assert shared.propose(make_context(x)) == alone.propose(make_context(x))
 
     def test_vote_evaluated_before_insertion(self):
-        agent = LowDensityAgent(capacity=4, sparsity_level=0.5)
-        agent.seed([[0.0, 0.0], [1.0, 0.0]])
+        win = pushed(4, [[0.0, 0.0], [1.0, 0.0]])
+        agent = LowDensityAgent(win, 4, sparsity_level=0.5)
         ctx = make_context([10.0, 0.0])
         first = agent.propose(ctx)
-        agent.observe(ctx)
+        win.push(ctx.features)
         assert first == pytest.approx(1.0)
         # once the far point joined the window the same location looks dense
         assert agent.propose(ctx) < first
 
     def test_sparsity_level_validation(self):
         with pytest.raises(ValueError):
-            LowDensityAgent(capacity=10, sparsity_level=0.0)
+            LowDensityAgent(SlidingWindow(10), 10, sparsity_level=0.0)
         with pytest.raises(ValueError):
-            LowDensityAgent(capacity=10, sparsity_level=1.5)
+            LowDensityAgent(SlidingWindow(10), 10, sparsity_level=1.5)
+
+    @pytest.mark.parametrize("length", [0, 11])
+    def test_length_must_fit_the_window(self, length):
+        with pytest.raises(ValueError, match=r"window length must lie in \[1, 10\]"):
+            LowDensityAgent(SlidingWindow(10), length, sparsity_level=0.5)
 
 
 class TestSpaceFillingAgent:
     def test_under_two_members_votes_full(self):
-        agent = SpaceFillingAgent(capacity=5)
+        win = SlidingWindow(5)
+        agent = SpaceFillingAgent(win, 5)
         assert agent.propose(make_context([0.0])) == 1.0
-        agent.observe(make_context([0.0]))
+        win.push([0.0])
         assert agent.propose(make_context([9.0])) == 1.0
 
     def test_gap_over_spread(self):
-        agent = SpaceFillingAgent(capacity=5)
-        agent.seed([[0.0, 0.0], [2.0, 0.0]])
+        agent = SpaceFillingAgent(pushed(5, [[0.0, 0.0], [2.0, 0.0]]), 5)
         # nearest gap 1, spread 2
         assert agent.propose(make_context([1.0, 0.0])) == pytest.approx(0.5)
 
     def test_vote_clipped_at_one(self):
-        agent = SpaceFillingAgent(capacity=5)
-        agent.seed([[0.0, 0.0], [2.0, 0.0]])
+        agent = SpaceFillingAgent(pushed(5, [[0.0, 0.0], [2.0, 0.0]]), 5)
         assert agent.propose(make_context([50.0, 0.0])) == 1.0
 
     def test_collapsed_window(self):
-        agent = SpaceFillingAgent(capacity=5)
-        agent.seed([[1.0, 1.0], [1.0, 1.0]])
+        agent = SpaceFillingAgent(pushed(5, [[1.0, 1.0], [1.0, 1.0]]), 5)
         assert agent.propose(make_context([1.0, 1.0])) == 0.0
         assert agent.propose(make_context([1.0, 2.0])) == 1.0
 
+    def test_reads_only_its_newest_members(self):
+        # the oldest member [0, 0] lies outside the agent's newest two
+        agent = SpaceFillingAgent(pushed(3, [[0.0, 0.0], [4.0, 0.0], [6.0, 0.0]]), 2)
+        # nearest gap 1 (to [4, 0]), spread 2 (between [4, 0] and [6, 0])
+        assert agent.propose(make_context([3.0, 0.0])) == pytest.approx(0.5)
+
     def test_capacity_validation(self):
+        """The length needs two members and must fit the window's capacity."""
         with pytest.raises(ValueError):
-            SpaceFillingAgent(capacity=1)
+            SpaceFillingAgent(SlidingWindow(5), 1)
+        with pytest.raises(ValueError):
+            SpaceFillingAgent(SlidingWindow(5), 6)
 
 
 class TestCertaintyThresholdAgent:

@@ -2,11 +2,13 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import streamacq
 from streamacq.cli import main
 from streamacq.harness import load_csv_stream
 
@@ -158,6 +160,7 @@ class TestVerifyTheory:
         (["--grid-points", "0"], "--grid-points must be at least 2"),
         (["--grid-points", "1"], "--grid-points must be at least 2"),
         (["--grid-max", "nan"], "center_dist_sq must be finite"),
+        (["--grid-max", "-1"], "--grid-max must be nonnegative"),
     ])
     def test_unusable_grid_exits_nonzero(self, tmp_path, capsys, flags, message):
         """A grid the checks cannot judge fails with an error, not a pass."""
@@ -167,16 +170,21 @@ class TestVerifyTheory:
         captured = capsys.readouterr()
         assert f"error: {message}" in captured.err
         assert "theory verification passed" not in captured.out
+        assert "center_dist_sq=" not in captured.out  # no grid point ran
         assert not out.exists()
 
 
 class TestConsoleScript:
     def test_module_invocation_smoke(self, tmp_path):
+        # the child imports the same package as this process, installed or not
+        package_root = os.path.dirname(os.path.dirname(streamacq.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         out = str(tmp_path / "data.csv")
         result = subprocess.run(
             [sys.executable, "-m", "streamacq.cli", "gen", "--out", out,
              "--n", "30", "--p", "2"],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path})
         assert result.returncode == 0
         assert "wrote" in result.stdout
 

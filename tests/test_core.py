@@ -172,7 +172,7 @@ class TestSlidingWindow:
             win.push([0.0])
 
     def test_caches_track_brute_force_over_random_pushes(self):
-        """Cached extremes must equal a fresh recomputation after every push."""
+        """The extremes must equal a fresh recomputation after every push."""
         rng = np.random.default_rng(42)
         for trial in range(30):
             dim = int(rng.integers(1, 6))
@@ -209,7 +209,9 @@ class TestSlidingWindow:
             SlidingWindow.from_points(np.zeros((3, 2)), capacity=2)
 
     def test_from_points_empty_and_singleton(self):
-        assert len(SlidingWindow.from_points(np.zeros((0, 2)), capacity=4)) == 0
+        empty = SlidingWindow.from_points(np.zeros((0, 2)), capacity=4)
+        assert len(empty) == 0
+        assert empty.farthest_distances().size == empty.nearest_distances().size == 0
         single = SlidingWindow.from_points([[1.0, 2.0]])
         assert math.isnan(single.farthest_distances()[0])
 
@@ -257,13 +259,16 @@ class RingReference:
         self.points = np.vstack([self.points, v])
         self.dist = dist
 
-    def extremes(self):
+    def extremes(self, newest=None):
+        """Per-member extremes among the newest ``newest`` members (all if None)."""
         m = len(self.points)
-        if m < 2:
-            return np.full(m, np.nan), np.full(m, np.nan)
-        off = ~np.eye(m, dtype=bool)
-        far = np.array([self.dist[j][off[j]].max() for j in range(m)])
-        near = np.array([self.dist[j][off[j]].min() for j in range(m)])
+        k = m if newest is None else min(newest, m)
+        dist = self.dist[m - k:, m - k:]
+        if k < 2:
+            return np.full(k, np.nan), np.full(k, np.nan)
+        off = ~np.eye(k, dtype=bool)
+        far = np.array([dist[j][off[j]].max() for j in range(k)])
+        near = np.array([dist[j][off[j]].min() for j in range(k)])
         return far, near
 
 
@@ -277,38 +282,43 @@ def ring_cases(draw):
                              min_size=1, max_size=8))
     picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=40))
     n_bulk = draw(st.integers(0, min(capacity, len(picks))))
-    return capacity, [distinct[i] for i in picks], n_bulk
+    newest = draw(st.integers(1, capacity))
+    return capacity, [distinct[i] for i in picks], n_bulk, newest
 
 
-def assert_matches_reference(win, ref):
-    far, near = ref.extremes()
+def assert_matches_reference(win, ref, newest=None):
     np.testing.assert_array_equal(win.points_matrix(), ref.points)
-    assert np.array_equal(win.farthest_distances(), far, equal_nan=True)
-    assert np.array_equal(win.nearest_distances(), near, equal_nan=True)
+    for k in (None, newest):
+        far, near = ref.extremes(k)
+        assert np.array_equal(win.farthest_distances(k), far, equal_nan=True)
+        assert np.array_equal(win.nearest_distances(k), near, equal_nan=True)
 
 
 class TestRingProperties:
     @settings(max_examples=150, deadline=None)
     @given(ring_cases())
     def test_extremes_equal_brute_force_after_every_push(self, case):
-        """Cached extremes equal a rescan of the same distances, bit for bit."""
-        capacity, points, n_bulk = case
+        """Extremes and distance rows, over all members and over the newest
+        ``newest``, equal a rescan of the same distances, bit for bit."""
+        capacity, points, n_bulk, newest = case
         ref = RingReference(capacity, points[0].size, points[:n_bulk])
         if n_bulk:
             win = SlidingWindow.from_points(points[:n_bulk], capacity=capacity)
-            assert_matches_reference(win, ref)
+            assert_matches_reference(win, ref, newest)
         else:
             win = SlidingWindow(capacity)
         for v in points[n_bulk:]:
             if len(win):
                 assert np.array_equal(win.distances_to(v), row_distances(ref.points, v))
+                assert np.array_equal(win.distances_to(v, newest),
+                                      row_distances(ref.points[-newest:], v))
             win.push(v)
             ref.push(v)
-            assert_matches_reference(win, ref)
+            assert_matches_reference(win, ref, newest)
 
     def test_evicting_every_members_farthest_point(self):
         """Halving gaps make the oldest point every member's farthest, so each
-        eviction leaves every member's cached farthest distance stale."""
+        eviction changes every member's farthest distance."""
         capacity = 5
         points = [np.array([-(0.5 ** k)]) for k in range(16)]
         win = SlidingWindow(capacity)

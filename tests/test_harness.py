@@ -50,6 +50,12 @@ def small_config(strategy="rs", **kwargs):
     return ExperimentConfig(strategy=strategy, generator=SMALL_GEN, **kwargs)
 
 
+def roster(strategy):
+    """The default config's agents for ``strategy``, on a budget of 48 in 480."""
+    cfg = ExperimentConfig(strategy=strategy)
+    return cfg.build_agents(48, 480, cfg.build_window())
+
+
 @pytest.fixture(scope="module")
 def split():
     return scenario_split(generate(SMALL_GEN), seed=0)
@@ -231,16 +237,14 @@ class TestExperimentConfig:
         sizes = {"ensemble2": 2, "ensemble4": 4, "ensemble6": 6,
                  "ld1": 1, "spf1": 1, "ral2": 1, "us": 1, "rs": 1}
         for strategy, expected in sizes.items():
-            cfg = ExperimentConfig(strategy=strategy)
-            assert len(cfg.build_agents(48, 480)) == expected
+            assert len(roster(strategy)) == expected
 
     def test_strategy_list_matches_rosters(self):
         for strategy in STRATEGIES:
-            cfg = ExperimentConfig(strategy=strategy)
-            assert cfg.build_agents(48, 480)
+            assert roster(strategy)
 
     def test_ensemble6_composition(self):
-        agents = ExperimentConfig(strategy="ensemble6").build_agents(48, 480)
+        agents = roster("ensemble6")
         assert [a.name for a in agents] == ["ld1", "ral1", "ld2", "ral2",
                                             "spf1", "ral3"]
         assert isinstance(agents[0], LowDensityAgent)
@@ -248,9 +252,9 @@ class TestExperimentConfig:
         for idx in (1, 3, 5):
             assert isinstance(agents[idx], CertaintyThresholdAgent)
             assert agents[idx].epsilon == 0.01
-        assert agents[0].window.capacity == 100
-        assert agents[2].window.capacity == 150
-        assert agents[4].window.capacity == 60
+        assert [agents[i].length for i in (0, 2, 4)] == [100, 150, 60]
+        assert agents[0].window is agents[2].window is agents[4].window
+        assert agents[0].window.capacity == 150
         assert agents[1].threshold == 0.95
         assert agents[1].learning_rate == 0.005
         assert agents[3].learning_rate == 0.01
@@ -258,17 +262,17 @@ class TestExperimentConfig:
         assert agents[5].penalty == -0.5
 
     def test_exploration_agents_have_no_epsilon_floor(self):
-        agents = ExperimentConfig(strategy="ensemble6").build_agents(48, 480)
+        agents = roster("ensemble6")
         for idx in (0, 2, 4):
             assert not hasattr(agents[idx], "epsilon")
 
     def test_random_baseline_rate_from_budget(self):
-        agent, = ExperimentConfig(strategy="rs").build_agents(48, 480)
+        agent, = roster("rs")
         assert isinstance(agent, RandomBaseline)
         assert agent.rate == pytest.approx(0.1)
 
     def test_uncertainty_baseline_threshold(self):
-        agent, = ExperimentConfig(strategy="us").build_agents(48, 480)
+        agent, = roster("us")
         assert isinstance(agent, UncertaintyBaseline)
         assert agent.threshold == 0.7
 
@@ -358,6 +362,21 @@ class TestStreamRunner:
         runner.agents[0].rate = 1.0
         with pytest.raises(RuntimeError, match="no label"):
             runner.step(split.stream_features[0], None)
+
+    def test_roster_without_window_agent_builds_no_window(self, split):
+        assert StreamRunner(small_config("rs"), 12, split).window is None
+
+    def test_window_holds_the_seed_pool_and_every_active_step(self, split):
+        """The shared window gets each initial row and each active step's row once."""
+        runner = StreamRunner(small_config("ensemble6"), 13, split)
+        metrics = runner.run()
+        used_before = [0] + [r.budget_used for r in metrics.records[:-1]]
+        active = sum(used < split.budget for used in used_before)
+        assert 0 < active < len(metrics.records)
+        seen = np.vstack([split.initial_features, split.stream_features[:active]])
+        assert len(runner.window) == min(150, len(seen))
+        np.testing.assert_array_equal(runner.window.points_matrix(),
+                                      seen[-runner.window.capacity:])
 
     def test_initial_accuracy_from_seed_pool(self, split):
         runner = StreamRunner(small_config("rs"), 11, split)

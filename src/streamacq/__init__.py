@@ -18,7 +18,7 @@ from .agents import (
     random_baseline_rate,
     uncertainty_vote,
 )
-from .core import LabeledPool, SlidingWindow, euclidean, squared_euclidean
+from .core import LabeledPool, SlidingWindow, euclidean
 from .datagen import (
     Dataset,
     GeneratorConfig,
@@ -112,7 +112,6 @@ __all__ = [
     "scenario_split",
     "solve_m2",
     "squared_distance_moments",
-    "squared_euclidean",
     "step_reward",
     "summary_table",
     "uncertainty_vote",

@@ -2,9 +2,10 @@
 threshold with an epsilon floor, and the stream baselines.
 
 Every agent votes with a probability in [0, 1] for acquiring the current
-sample.  The two exploration agents read the newest ``length`` members of one
-sliding window per run, which the stream runner fills with every sample that
-passes by, acquired or not.
+sample.  The two exploration agents share one sliding window per run.  The
+stream runner pushes every sample that reaches the vote into it, acquired or
+not, before the agents vote; each exploration agent then compares the newest
+member, the sample, with the ``length`` members before it.
 """
 
 from __future__ import annotations
@@ -40,19 +41,21 @@ class AcquisitionContext:
     certainty: float
 
 
-def local_sparsity(window: SlidingWindow, x, newest: int | None = None) -> int:
-    """Count window members farther from every co-member than from ``x``.
+def local_sparsity(window: SlidingWindow, k: int | None = None) -> int:
+    """Count members closer to every co-member than to the newest member.
 
-    A member contributes when its farthest co-member distance is strictly
-    below its distance to ``x``; a high count means ``x`` lies in a region the
-    window covers sparsely.  ``newest=k`` counts among the newest ``k`` only.
+    Among the ``k`` members before the newest (all when ``None``), a member
+    contributes when its farthest co-member distance is strictly below its
+    distance to the newest member; a high count means the newest member lies
+    in a region the window covers sparsely.
     """
-    if len(window) == 0:
-        raise ValueError("local sparsity needs a nonempty window")
-    to_x = window.distances_to(x, newest)
-    far = window.farthest_distances(newest)
-    far = np.where(np.isnan(far), 0.0, far)  # singleton window: no co-members
-    return int(np.count_nonzero(far < to_x))
+    to_new, block = window.candidate(k)
+    # fmax skips NaN: the diagonal, and the initial value that lets an empty
+    # block reduce.  The block is symmetric, so the column reduction, numpy's
+    # faster loop over a row-major block, gives each member's farthest.
+    far = np.fmax.reduce(block, axis=0, initial=math.nan)
+    far = np.where(np.isnan(far), 0.0, far)  # a lone member has no co-members
+    return int(np.count_nonzero(far < to_new))
 
 
 def random_baseline_rate(budget: int, stream_len: int) -> float:
@@ -82,12 +85,13 @@ class Agent:
 
 
 class _WindowAgent(Agent):
-    """An agent that votes against the newest ``length`` members of a shared window."""
+    """An agent that votes on the newest member of a shared window against the
+    ``length`` members before it; the window keeps one slot for the newest."""
 
     def __init__(self, window: SlidingWindow, length: int, name: str):
-        if not 1 <= length <= window.capacity:
+        if not 1 <= length < window.capacity:
             raise ValueError(
-                f"window length must lie in [1, {window.capacity}], got {length}")
+                f"window length must lie in [1, {window.capacity - 1}], got {length}")
         self.window = window
         self.length = int(length)
         self.name = name
@@ -97,8 +101,8 @@ class LowDensityAgent(_WindowAgent):
     """Votes for samples that fall where the recent stream is sparse.
 
     The raw vote is ``lsf / (L * sparsity_level)`` clipped to 1, where L is
-    the window length and lsf is :func:`local_sparsity` against the newest L
-    members before the sample is inserted.
+    the window length and lsf is :func:`local_sparsity` of the sample, the
+    window's newest member, against the L members before it.
     """
 
     def __init__(self, window: SlidingWindow, length: int, sparsity_level: float,
@@ -109,18 +113,18 @@ class LowDensityAgent(_WindowAgent):
         self.sparsity_level = float(sparsity_level)
 
     def propose(self, ctx: AcquisitionContext) -> float:
-        if len(self.window) == 0:
-            return 1.0  # no density evidence yet
-        score = local_sparsity(self.window, ctx.features, self.length)
+        if len(self.window) < 2:
+            return 1.0  # no density evidence before the sample
+        score = local_sparsity(self.window, self.length)
         return min(1.0, score / (self.length * self.sparsity_level))
 
 
 class SpaceFillingAgent(_WindowAgent):
     """Votes for samples that would fill a gap in the window's coverage.
 
-    The raw vote is the distance from the sample to its nearest member among
-    the newest ``length``, scaled by the largest nearest-neighbour distance
-    inside those members.
+    The raw vote is the distance from the sample, the window's newest member,
+    to its nearest among the ``length`` members before it, scaled by the
+    largest nearest-neighbour distance inside those members.
     """
 
     def __init__(self, window: SlidingWindow, length: int, name: str = "spf"):
@@ -129,10 +133,12 @@ class SpaceFillingAgent(_WindowAgent):
         super().__init__(window, length, name)
 
     def propose(self, ctx: AcquisitionContext) -> float:
-        if len(self.window) < 2:
-            return 1.0  # spread undefined below two members
-        gap = float(self.window.distances_to(ctx.features, self.length).min())
-        spread = float(self.window.nearest_distances(self.length).max())
+        if len(self.window) < 3:
+            return 1.0  # spread undefined below two members before the sample
+        to_new, block = self.window.candidate(self.length)
+        gap = float(to_new.min())
+        # fmin skips the NaN diagonal; the block is symmetric, as in local_sparsity
+        spread = float(np.fmin.reduce(block, axis=0, initial=math.nan).max())
         if spread == 0.0:  # window collapsed onto one location
             return 1.0 if gap > 0.0 else 0.0
         return min(1.0, gap / spread)

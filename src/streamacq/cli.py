@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -26,6 +27,19 @@ from .theory import (
 )
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer seed; argparse names the flag on failure."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _seed_list(text: str) -> list[int]:
+    """Comma-separated seeds, each checked like ``--seed``; blanks are skipped."""
+    return [_seed(s) for s in text.split(",") if s.strip() != ""]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="streamacq",
@@ -42,16 +56,16 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--flip-share", type=float, default=defaults.flip_share)
     gen.add_argument("--noise-share", type=float, default=defaults.noise_share)
     gen.add_argument("--class-sep", type=float, default=defaults.class_sep)
-    gen.add_argument("--seed", type=int, default=defaults.seed)
+    gen.add_argument("--seed", type=_seed, default=defaults.seed)
 
     run = sub.add_parser("run", help="run one seeded experiment")
     run.add_argument("--config", required=True, help="key=value config file")
-    run.add_argument("--seed", type=int, required=True)
+    run.add_argument("--seed", type=_seed, required=True)
     run.add_argument("--out", required=True, help="output directory")
 
     bench = sub.add_parser("bench", help="replicate strategies across seeds")
     bench.add_argument("--config", required=True, help="key=value config file")
-    bench.add_argument("--seeds", required=True,
+    bench.add_argument("--seeds", type=_seed_list, required=True,
                        help="comma-separated seed list, e.g. 0,1,2")
     bench.add_argument("--out", required=True, help="summary table CSV path")
     bench.add_argument("--strategies", default=None,
@@ -61,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="check the closed-form acquisition rate against Monte Carlo")
     theory.add_argument("--out", required=True, help="grid CSV path")
     theory.add_argument("--draws", type=int, default=10_000)
-    theory.add_argument("--seed", type=int, default=17)
+    theory.add_argument("--seed", type=_seed, default=17)
     theory.add_argument("--grid-max", type=float, default=30.0,
                         help="largest squared center distance")
     theory.add_argument("--grid-points", type=int, default=8)
@@ -97,12 +111,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = load_experiment_config(args.config)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
     strategies = ([s.strip() for s in args.strategies.split(",")]
                   if args.strategies else [config.strategy])
     # every config is built first, so a bad strategy fails before any seed runs
     configs = [replace(config, strategy=name) for name in strategies]
-    summaries = [run_replications(c, seeds) for c in configs]
+    summaries = [run_replications(c, args.seeds) for c in configs]
     table = summary_table(summaries)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(table)
@@ -115,8 +128,8 @@ def _cmd_verify_theory(args) -> int:
     if args.grid_points < 2:
         # the nondecreasing check compares neighbouring grid points
         raise ValueError(f"--grid-points must be at least 2, got {args.grid_points}")
-    if args.grid_max < 0.0:
-        raise ValueError(f"--grid-max must be nonnegative, got {args.grid_max}")
+    if not 0.0 <= args.grid_max < math.inf:  # NaN fails too
+        raise ValueError(f"--grid-max must be nonnegative and finite, got {args.grid_max}")
     grid = np.linspace(0.0, args.grid_max, args.grid_points)
     base = TheoryParams(draws=args.draws, seed=args.seed)
     rows = []

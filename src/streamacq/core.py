@@ -1,12 +1,12 @@
 """Shared primitives: feature vectors, labelled pools, and sliding windows.
 
 The sliding window keeps its members oldest first in a preallocated array,
-together with their pairwise distance matrix.  A push computes one distance
-row and writes it into the matrix's last row and column; an eviction first
-shifts the points and the matrix down by one.  The farthest and nearest
-co-member distances are read off the matrix when asked for, over all members
-or only the newest ``k``, so one window serves agents of different window
-lengths.
+together with their pairwise distance matrix.  A push checks the new point,
+computes its one distance row and writes it into the matrix's last row and
+column; an eviction first shifts the points and the matrix down by one.  The
+stream runner pushes each sample before the agents vote, so
+:meth:`SlidingWindow.candidate` hands them the newest member's distance row
+and the distances among the members before it, read off the matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "LabeledPool",
     "SlidingWindow",
     "as_feature_vector",
-    "squared_euclidean",
     "euclidean",
 ]
 
@@ -37,19 +36,14 @@ def as_feature_vector(x) -> np.ndarray:
     return v
 
 
-def squared_euclidean(x, y) -> float:
-    """Sum of squared coordinate differences of two equal-length vectors."""
+def euclidean(x, y) -> float:
+    """Euclidean distance between two equal-length vectors."""
     xv = as_feature_vector(x)
     yv = as_feature_vector(y)
     if xv.shape != yv.shape:
         raise ValueError(f"dimension mismatch: {xv.size} vs {yv.size}")
     d = xv - yv
-    return float(d @ d)
-
-
-def euclidean(x, y) -> float:
-    """Euclidean distance, the square root of :func:`squared_euclidean`."""
-    return math.sqrt(squared_euclidean(x, y))
+    return math.sqrt(float(d @ d))
 
 
 class LabeledPool:
@@ -112,12 +106,9 @@ class SlidingWindow:
     """Fixed-capacity FIFO of feature vectors with their pairwise distances.
 
     Members are kept oldest first with their pairwise distance matrix, whose
-    diagonal holds NaN.  The distance queries take ``newest=k`` to read only
-    the newest ``k`` members (all when ``None``), so agents of different
-    window lengths share one window.  ``farthest_distances()[j]`` is the
-    Euclidean distance from member ``j`` to its farthest co-member and
-    ``nearest_distances()[j]`` to its nearest, NaN for a single member.
-    Every per-member array runs oldest first.
+    diagonal holds NaN.  :meth:`candidate` reads the newest member's distances
+    to the ``k`` members before it, and the distances among those ``k``, so
+    agents of different window lengths share one window.
     """
 
     def __init__(self, capacity: int):
@@ -166,53 +157,25 @@ class SlidingWindow:
     def dim(self) -> Optional[int]:
         return None if self._points is None else self._points.shape[1]
 
-    def _first(self, newest: Optional[int]) -> int:
-        """Index of the oldest of the ``newest`` newest members."""
-        return 0 if newest is None else max(self._size - newest, 0)
-
     def points_matrix(self) -> np.ndarray:
         """Members as an (m, dim) array, oldest first."""
         if self._points is None:
             return np.empty(0)
         return self._points[:self._size].copy()
 
-    def _block(self, newest: Optional[int]) -> np.ndarray:
-        """Pairwise distances among the ``newest`` newest members."""
-        if self._dist is None:
-            return np.empty((0, 0))
-        lo, n = self._first(newest), self._size
-        return self._dist[lo:n, lo:n]
+    def candidate(self, k: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+        """The newest member's distances and the distances among the members before it.
 
-    # fmax/fmin skip NaN: the diagonal, and the initial value that lets an
-    # empty block reduce.  The matrix is symmetric, so the column reduction,
-    # numpy's faster loop over a row-major block, gives each member's extreme.
-
-    def farthest_distances(self, newest: Optional[int] = None) -> np.ndarray:
-        return np.fmax.reduce(self._block(newest), axis=0, initial=math.nan)
-
-    def nearest_distances(self, newest: Optional[int] = None) -> np.ndarray:
-        return np.fmin.reduce(self._block(newest), axis=0, initial=math.nan)
-
-    def _row(self, v: np.ndarray, lo: int = 0) -> np.ndarray:
-        """Distances from ``v`` to the members from index ``lo`` on."""
-        diff = self._points[lo:self._size] - v
-        return np.sqrt((diff * diff).sum(axis=1))
-
-    def _vector(self, x) -> np.ndarray:
-        """Validate ``x`` as a point of this window's dimension."""
-        v = as_feature_vector(x)
-        if self._points is not None and v.size != self.dim:
-            raise ValueError(
-                f"dimension mismatch: window holds {self.dim}-d points, got {v.size}"
-            )
-        return v
-
-    def distances_to(self, x, newest: Optional[int] = None) -> np.ndarray:
-        """Euclidean distance from ``x`` to every member, oldest first."""
-        v = self._vector(x)
-        if self._points is None:
-            return np.empty(0)
-        return self._row(v, self._first(newest))
+        Reads the ``k`` members before the newest (all of them when ``None``),
+        oldest first: their distances to the newest member as a row, and their
+        pairwise distances as a block with NaN on the diagonal.  Both are views
+        into the matrix, valid until the next push.
+        """
+        n = self._size
+        if n == 0:
+            raise ValueError("the window is empty; push the candidate first")
+        lo = 0 if k is None else max(n - 1 - k, 0)
+        return self._dist[n - 1, lo:n - 1], self._dist[lo:n - 1, lo:n - 1]
 
     def push(self, x) -> None:
         """Append ``x``, evicting the oldest member when at capacity.
@@ -220,9 +183,13 @@ class SlidingWindow:
         An eviction shifts the points and the distance matrix down by one;
         the new point's distance row then fills the last row and column.
         """
-        v = self._vector(x)
+        v = as_feature_vector(x)
         if self._points is None:
             self._allocate(v.size)
+        elif v.size != self.dim:
+            raise ValueError(
+                f"dimension mismatch: window holds {self.dim}-d points, got {v.size}"
+            )
         points, dist = self._points, self._dist
         n = self._size
         if n == self.capacity:
@@ -236,7 +203,8 @@ class SlidingWindow:
             flat = dist.reshape(-1)
             flat[:flat.size - self.capacity - 1] = flat[self.capacity + 1:]
             self._size = n
-        d = self._row(v)
+        diff = points[:n] - v
+        d = np.sqrt((diff * diff).sum(axis=1))
         points[n] = v
         dist[n, :n] = d
         dist[:n, n] = d

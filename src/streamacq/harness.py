@@ -128,7 +128,7 @@ class ExperimentConfig:
         # must fail here rather than when a run first builds it. The expert
         # count enters no solver check.
         self.solver_config(1)
-        window = SlidingWindow(max(1, self.ld1_window, self.ld2_window, self.spf1_window))
+        window = SlidingWindow(max(1, self.ld1_window, self.ld2_window, self.spf1_window) + 1)
         for name, make in self._agent_factories(window).items():
             try:
                 make()
@@ -153,10 +153,11 @@ class ExperimentConfig:
         }
 
     def build_window(self) -> SlidingWindow | None:
-        """The run's window, as long as the roster's longest; None without a window agent."""
+        """The run's window, one longer than the roster's longest window length
+        to hold the sample under vote; None without a window agent."""
         lengths = [getattr(self, f"{name}_window") for name in _ROSTERS[self.strategy]
                    if hasattr(self, f"{name}_window")]
-        return SlidingWindow(max(lengths)) if lengths else None
+        return SlidingWindow(max(lengths) + 1) if lengths else None
 
     def build_agents(self, budget: int, stream_len: int,
                      window: SlidingWindow | None) -> list[Agent]:
@@ -238,6 +239,8 @@ class StreamRunner:
             predicted = int(predicted_class(proba))
             ctx = AcquisitionContext(features=np.asarray(features, dtype=float),
                                      certainty=float(proba.max()))
+            if self.window is not None:
+                self.window.push(ctx.features)
             votes = [agent.propose(ctx) for agent in self.agents]
             decision = self.ensemble.decide(votes, self.rng)
             acquired = decision.acquired
@@ -257,8 +260,6 @@ class StreamRunner:
 
             self.ensemble.update_weights(decision, reward)
             flipped = self.ensemble.ewma_step()
-            if self.window is not None:
-                self.window.push(ctx.features)
             for agent, vote in zip(self.agents, votes):
                 if acquired and vote >= 0.5:
                     signed = (self.config.rewards.informative if predicted != truth

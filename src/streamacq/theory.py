@@ -147,7 +147,9 @@ def mc_ld_acquisition(params: TheoryParams) -> McEstimate:
 
     Draws real windows and incoming samples and runs the exact sparsity count
     through the agent machinery, so it carries none of the closed form's
-    normal approximation.
+    normal approximation.  Each window is bulk-built from its L draws with
+    room for one more; the incoming sample is then pushed, as the stream
+    runner does, and counted against the L members before it.
     """
     if params.draws < 1000:
         raise ValueError("need at least 1000 draws for a stable estimate")
@@ -163,8 +165,9 @@ def mc_ld_acquisition(params: TheoryParams) -> McEstimate:
     for d in range(params.draws):
         pts = rng.standard_normal((big_l, q)) * s_window
         x = rng.standard_normal(q) * s_incoming + offset
-        window = SlidingWindow.from_points(pts)
-        ratios[d] = local_sparsity(window, x) / scale
+        window = SlidingWindow.from_points(pts, capacity=big_l + 1)
+        window.push(x)
+        ratios[d] = local_sparsity(window) / scale
 
     clipped = np.minimum(ratios, 1.0)
     root = math.sqrt(params.draws)

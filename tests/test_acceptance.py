@@ -146,8 +146,9 @@ def test_criterion_4_exchangeable_sources_have_unit_sparsity():
     scores = np.empty(draws)
     for i in range(draws):
         window = SlidingWindow.from_points(rng.normal(size=(capacity, dim)),
-                                           capacity)
-        scores[i] = local_sparsity(window, rng.normal(size=dim))
+                                           capacity + 1)
+        window.push(rng.normal(size=dim))
+        scores[i] = local_sparsity(window)
     mean = float(scores.mean())
     se = float(scores.std(ddof=1) / np.sqrt(draws))
     ok = abs(mean - 1.0) <= 3.0 * se

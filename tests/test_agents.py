@@ -23,43 +23,49 @@ def make_context(features, certainty=0.5):
                               certainty=certainty)
 
 
+def with_candidate(points, x):
+    """A window of ``points`` with room for ``x``, then ``x`` pushed."""
+    win = SlidingWindow.from_points(points, capacity=len(points) + 1)
+    win.push(x)
+    return win
+
+
 class TestLocalSparsity:
     def test_far_point_counts_both_members(self):
-        win = SlidingWindow.from_points([[0.0, 0.0], [1.0, 0.0]])
-        assert local_sparsity(win, [10.0, 0.0]) == 2
+        win = with_candidate([[0.0, 0.0], [1.0, 0.0]], [10.0, 0.0])
+        assert local_sparsity(win) == 2
 
     def test_interior_point_counts_none(self):
-        win = SlidingWindow.from_points([[0.0, 0.0], [4.0, 0.0]])
-        assert local_sparsity(win, [2.0, 0.0]) == 0
+        win = with_candidate([[0.0, 0.0], [4.0, 0.0]], [2.0, 0.0])
+        assert local_sparsity(win) == 0
 
     def test_singleton_window_counts_any_distinct_point(self):
         # a lone member has no co-member distance, so any separation counts
-        win = SlidingWindow.from_points([[0.0]])
-        assert local_sparsity(win, [1.0]) == 1
-        assert local_sparsity(win, [0.0]) == 0
+        assert local_sparsity(with_candidate([[0.0]], [1.0])) == 1
+        assert local_sparsity(with_candidate([[0.0]], [0.0])) == 0
 
     def test_empty_window_rejected(self):
-        with pytest.raises(ValueError):
-            local_sparsity(SlidingWindow(5), [0.0])
+        with pytest.raises(ValueError, match="window is empty"):
+            local_sparsity(SlidingWindow(5))
 
     def test_dimension_mismatch_rejected(self):
-        win = SlidingWindow.from_points([[0.0, 0.0]])
-        with pytest.raises(ValueError):
-            local_sparsity(win, [0.0])
+        """The candidate enters through the push, which checks its dimension."""
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            with_candidate([[0.0, 0.0]], [0.0])
 
     def test_count_matches_direct_definition(self):
         rng = np.random.default_rng(14)
         for _ in range(25):
             pts = rng.normal(size=(int(rng.integers(2, 12)), 3))
             x = rng.normal(size=3)
-            win = SlidingWindow.from_points(pts)
+            win = with_candidate(pts, x)
             expected = 0
             for j in range(len(pts)):
                 others = [np.linalg.norm(pts[j] - pts[k])
                           for k in range(len(pts)) if k != j]
                 if max(others) < np.linalg.norm(pts[j] - x):
                     expected += 1
-            assert local_sparsity(win, x) == expected
+            assert local_sparsity(win) == expected
 
 
 class TestHelpers:
@@ -85,88 +91,98 @@ def pushed(capacity, points=()):
     return win
 
 
+def vote(agent, x):
+    """Push ``x`` into the agent's window, as the stream runner does, then vote."""
+    agent.window.push(x)
+    return agent.propose(make_context(x))
+
+
+def voter(make, points, capacity, *args, **kwargs):
+    """``make(window, ...)`` on a fresh window of ``points`` for every vote."""
+    return lambda x: vote(make(pushed(capacity, points), *args, **kwargs), x)
+
+
 class TestLowDensityAgent:
     def test_empty_window_votes_full(self):
-        agent = LowDensityAgent(SlidingWindow(10), 10, sparsity_level=0.1)
-        assert agent.propose(make_context([1.0, 1.0])) == 1.0
+        """The sample alone in the window: no density evidence yet."""
+        agent = LowDensityAgent(SlidingWindow(11), 10, sparsity_level=0.1)
+        assert vote(agent, [1.0, 1.0]) == 1.0
 
     def test_vote_scales_with_sparsity_count(self):
-        agent = LowDensityAgent(pushed(10, [[0.0, 0.0], [1.0, 0.0]]), 10,
-                                sparsity_level=0.5)
+        propose = voter(LowDensityAgent, [[0.0, 0.0], [1.0, 0.0]], 11, 10,
+                        sparsity_level=0.5)
         # lsf=2 against L*delta=5
-        assert agent.propose(make_context([10.0, 0.0])) == pytest.approx(0.4)
-        assert agent.propose(make_context([0.5, 0.0])) == 0.0
+        assert propose([10.0, 0.0]) == pytest.approx(0.4)
+        assert propose([0.5, 0.0]) == 0.0
 
     def test_vote_clipped_at_one(self):
-        agent = LowDensityAgent(pushed(10, [[0.0, 0.0], [1.0, 0.0]]), 10,
-                                sparsity_level=0.01)
-        assert agent.propose(make_context([10.0, 0.0])) == 1.0
+        propose = voter(LowDensityAgent, [[0.0, 0.0], [1.0, 0.0]], 11, 10,
+                        sparsity_level=0.01)
+        assert propose([10.0, 0.0]) == 1.0
 
     def test_reads_only_its_newest_members(self):
         """An agent of length 3 on a window of 5 votes as on a window of 3."""
         points = [[float(i), 0.0] for i in range(5)]
-        shared = LowDensityAgent(pushed(5, points), 3, sparsity_level=0.5)
-        alone = LowDensityAgent(pushed(3, points), 3, sparsity_level=0.5)
-        assert len(shared.window) == 5
+        shared = voter(LowDensityAgent, points, 6, 3, sparsity_level=0.5)
+        alone = voter(LowDensityAgent, points, 4, 3, sparsity_level=0.5)
         for x in ([0.0, 0.0], [2.5, 0.0], [9.0, 0.0], [3.0, 7.0]):
-            assert shared.propose(make_context(x)) == alone.propose(make_context(x))
+            assert shared(x) == alone(x)
 
     def test_vote_evaluated_before_insertion(self):
-        win = pushed(4, [[0.0, 0.0], [1.0, 0.0]])
-        agent = LowDensityAgent(win, 4, sparsity_level=0.5)
-        ctx = make_context([10.0, 0.0])
-        first = agent.propose(ctx)
-        win.push(ctx.features)
+        """The sample is compared with the members before it, not with itself."""
+        agent = LowDensityAgent(pushed(5, [[0.0, 0.0], [1.0, 0.0]]), 4,
+                                sparsity_level=0.5)
+        first = vote(agent, [10.0, 0.0])
         assert first == pytest.approx(1.0)
         # once the far point joined the window the same location looks dense
-        assert agent.propose(ctx) < first
+        assert vote(agent, [10.0, 0.0]) < first
 
     def test_sparsity_level_validation(self):
         with pytest.raises(ValueError):
-            LowDensityAgent(SlidingWindow(10), 10, sparsity_level=0.0)
+            LowDensityAgent(SlidingWindow(11), 10, sparsity_level=0.0)
         with pytest.raises(ValueError):
-            LowDensityAgent(SlidingWindow(10), 10, sparsity_level=1.5)
+            LowDensityAgent(SlidingWindow(11), 10, sparsity_level=1.5)
 
     @pytest.mark.parametrize("length", [0, 11])
     def test_length_must_fit_the_window(self, length):
+        """The window keeps one slot beyond the length for the sample."""
         with pytest.raises(ValueError, match=r"window length must lie in \[1, 10\]"):
-            LowDensityAgent(SlidingWindow(10), length, sparsity_level=0.5)
+            LowDensityAgent(SlidingWindow(11), length, sparsity_level=0.5)
 
 
 class TestSpaceFillingAgent:
     def test_under_two_members_votes_full(self):
-        win = SlidingWindow(5)
-        agent = SpaceFillingAgent(win, 5)
-        assert agent.propose(make_context([0.0])) == 1.0
-        win.push([0.0])
-        assert agent.propose(make_context([9.0])) == 1.0
+        agent = SpaceFillingAgent(SlidingWindow(6), 5)
+        assert vote(agent, [0.0]) == 1.0
+        assert vote(agent, [9.0]) == 1.0
 
     def test_gap_over_spread(self):
-        agent = SpaceFillingAgent(pushed(5, [[0.0, 0.0], [2.0, 0.0]]), 5)
+        propose = voter(SpaceFillingAgent, [[0.0, 0.0], [2.0, 0.0]], 6, 5)
         # nearest gap 1, spread 2
-        assert agent.propose(make_context([1.0, 0.0])) == pytest.approx(0.5)
+        assert propose([1.0, 0.0]) == pytest.approx(0.5)
 
     def test_vote_clipped_at_one(self):
-        agent = SpaceFillingAgent(pushed(5, [[0.0, 0.0], [2.0, 0.0]]), 5)
-        assert agent.propose(make_context([50.0, 0.0])) == 1.0
+        propose = voter(SpaceFillingAgent, [[0.0, 0.0], [2.0, 0.0]], 6, 5)
+        assert propose([50.0, 0.0]) == 1.0
 
     def test_collapsed_window(self):
-        agent = SpaceFillingAgent(pushed(5, [[1.0, 1.0], [1.0, 1.0]]), 5)
-        assert agent.propose(make_context([1.0, 1.0])) == 0.0
-        assert agent.propose(make_context([1.0, 2.0])) == 1.0
+        propose = voter(SpaceFillingAgent, [[1.0, 1.0], [1.0, 1.0]], 6, 5)
+        assert propose([1.0, 1.0]) == 0.0
+        assert propose([1.0, 2.0]) == 1.0
 
     def test_reads_only_its_newest_members(self):
         # the oldest member [0, 0] lies outside the agent's newest two
-        agent = SpaceFillingAgent(pushed(3, [[0.0, 0.0], [4.0, 0.0], [6.0, 0.0]]), 2)
+        agent = SpaceFillingAgent(pushed(4, [[0.0, 0.0], [4.0, 0.0], [6.0, 0.0]]), 2)
         # nearest gap 1 (to [4, 0]), spread 2 (between [4, 0] and [6, 0])
-        assert agent.propose(make_context([3.0, 0.0])) == pytest.approx(0.5)
+        assert vote(agent, [3.0, 0.0]) == pytest.approx(0.5)
 
     def test_capacity_validation(self):
-        """The length needs two members and must fit the window's capacity."""
+        """The length needs two members and must leave the window a slot for
+        the sample."""
         with pytest.raises(ValueError):
             SpaceFillingAgent(SlidingWindow(5), 1)
-        with pytest.raises(ValueError):
-            SpaceFillingAgent(SlidingWindow(5), 6)
+        with pytest.raises(ValueError, match=r"window length must lie in \[1, 4\]"):
+            SpaceFillingAgent(SlidingWindow(5), 5)
 
 
 class TestCertaintyThresholdAgent:

@@ -159,8 +159,9 @@ class TestVerifyTheory:
     @pytest.mark.parametrize("flags, message", [
         (["--grid-points", "0"], "--grid-points must be at least 2"),
         (["--grid-points", "1"], "--grid-points must be at least 2"),
-        (["--grid-max", "nan"], "center_dist_sq must be finite"),
+        (["--grid-max", "nan"], "--grid-max must be nonnegative and finite"),
         (["--grid-max", "-1"], "--grid-max must be nonnegative"),
+        (["--grid-max", "inf"], "--grid-max must be nonnegative and finite"),
     ])
     def test_unusable_grid_exits_nonzero(self, tmp_path, capsys, flags, message):
         """A grid the checks cannot judge fails with an error, not a pass."""
@@ -172,6 +173,39 @@ class TestVerifyTheory:
         assert "theory verification passed" not in captured.out
         assert "center_dist_sq=" not in captured.out  # no grid point ran
         assert not out.exists()
+
+
+class TestSeedFlags:
+    """Every seed flag takes non-negative integers only and names itself on failure."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (["gen", "--out", "data.csv"], "--seed", "-1"),
+        (["gen", "--out", "data.csv"], "--seed", "x"),
+        (["run", "--config", "exp.cfg", "--out", "results"], "--seed", "-1"),
+        (["run", "--config", "exp.cfg", "--out", "results"], "--seed", "1.5"),
+        (["verify-theory", "--out", "grid.csv"], "--seed", "-3"),
+        (["bench", "--config", "exp.cfg", "--out", "table.csv"], "--seeds", "0,x"),
+        (["bench", "--config", "exp.cfg", "--out", "table.csv"], "--seeds", "0,-1"),
+    ])
+    def test_bad_seed_is_a_usage_error_naming_the_flag(self, tmp_path, monkeypatch, capsys,
+                                                      command, flag, value):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, SMALL_CONFIG)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, flag, value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: seed must be a non-negative integer" in captured.err
+        assert captured.out == ""  # nothing ran, not even a first seed
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+    def test_seed_list_skips_blanks(self, tmp_path):
+        config = write_config(tmp_path, SMALL_CONFIG)
+        out = tmp_path / "table.csv"
+        assert main(["bench", "--config", config, "--seeds", "0, 1,",
+                     "--out", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh))[1][1] == "2"
 
 
 class TestConsoleScript:

@@ -13,22 +13,25 @@ from streamacq.core import (
     SlidingWindow,
     as_feature_vector,
     euclidean,
-    squared_euclidean,
 )
 
 
-def brute_force_extremes(points):
-    """Reference per-member farthest/nearest distances, NaN for singletons."""
+def brute_force_candidate(points):
+    """Reference ``candidate()``: the last point's distances to the points
+    before it, and their pairwise distances with NaN on the diagonal."""
     m = len(points)
-    far = np.full(m, np.nan)
-    near = np.full(m, np.nan)
-    if m < 2:
-        return far, near
-    for j in range(m):
-        ds = [np.linalg.norm(points[j] - points[k]) for k in range(m) if k != j]
-        far[j] = max(ds)
-        near[j] = min(ds)
-    return far, near
+    dist = np.full((m, m), np.nan)
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                dist[i, j] = np.linalg.norm(points[i] - points[j])
+    return dist[m - 1, :m - 1], dist[:m - 1, :m - 1]
+
+
+def assert_candidate_close(win, row, block):
+    got_row, got_block = win.candidate()
+    np.testing.assert_allclose(got_row, row)
+    np.testing.assert_allclose(got_block, block)  # NaN matches NaN
 
 
 class TestFeatureVector:
@@ -54,13 +57,14 @@ class TestFeatureVector:
 
 class TestDistances:
     def test_hand_values(self):
-        assert squared_euclidean([0, 0], [3, 4]) == 25.0
         assert euclidean([0, 0], [3, 4]) == 5.0
         assert euclidean([1.5], [1.5]) == 0.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            squared_euclidean([1, 2], [1, 2, 3])
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+            euclidean([1, 2], [1, 2, 3])
+        with pytest.raises(ValueError, match="non-finite"):
+            euclidean([1.0, np.nan], [1.0, 2.0])
 
     def test_matches_numpy_on_random_pairs(self):
         rng = np.random.default_rng(7)
@@ -145,18 +149,25 @@ class TestSlidingWindow:
             SlidingWindow(0)
 
     def test_singleton_has_nan_extremes(self):
+        """A lone member before the newest has only its NaN diagonal."""
         win = SlidingWindow(3)
         win.push([1.0, 1.0])
         assert len(win) == 1
-        assert math.isnan(win.farthest_distances()[0])
-        assert math.isnan(win.nearest_distances()[0])
+        row, block = win.candidate()
+        assert row.shape == (0,) and block.shape == (0, 0)
+        win.push([2.0, 1.0])
+        row, block = win.candidate()
+        np.testing.assert_array_equal(row, [1.0])
+        assert block.shape == (1, 1) and math.isnan(block[0, 0])
 
     def test_two_members(self):
         win = SlidingWindow(5)
         win.push([0.0, 0.0])
         win.push([3.0, 4.0])
-        np.testing.assert_allclose(win.farthest_distances(), [5.0, 5.0])
-        np.testing.assert_allclose(win.nearest_distances(), [5.0, 5.0])
+        win.push([0.0, 4.0])
+        row, block = win.candidate()
+        np.testing.assert_array_equal(row, [4.0, 3.0])
+        np.testing.assert_array_equal(block, [[np.nan, 5.0], [5.0, np.nan]])
 
     def test_eviction_is_fifo(self):
         win = SlidingWindow(2)
@@ -168,11 +179,16 @@ class TestSlidingWindow:
     def test_dimension_mismatch_rejected(self):
         win = SlidingWindow(3)
         win.push([0.0, 0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="dimension mismatch: window holds 2-d points, got 1"):
             win.push([0.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            win.push([0.0, np.inf])
+        assert len(win) == 1
 
     def test_caches_track_brute_force_over_random_pushes(self):
-        """The extremes must equal a fresh recomputation after every push."""
+        """The candidate row and block must equal a fresh recomputation after
+        every push."""
         rng = np.random.default_rng(42)
         for trial in range(30):
             dim = int(rng.integers(1, 6))
@@ -180,18 +196,16 @@ class TestSlidingWindow:
             win = SlidingWindow(capacity)
             for _ in range(int(rng.integers(1, 50))):
                 win.push(rng.normal(size=dim))
-                far, near = brute_force_extremes(win.points_matrix())
-                np.testing.assert_allclose(win.farthest_distances(), far,
-                                           err_msg=f"trial {trial}")
-                np.testing.assert_allclose(win.nearest_distances(), near,
-                                           err_msg=f"trial {trial}")
+                row, block = brute_force_candidate(win.points_matrix())
+                got_row, got_block = win.candidate()
+                np.testing.assert_allclose(got_row, row, err_msg=f"trial {trial}")
+                np.testing.assert_allclose(got_block, block, err_msg=f"trial {trial}")
 
     def test_duplicate_points_supported(self):
         win = SlidingWindow(4)
         for _ in range(3):
             win.push([1.0, 2.0])
-        np.testing.assert_allclose(win.farthest_distances(), np.zeros(3))
-        np.testing.assert_allclose(win.nearest_distances(), np.zeros(3))
+        assert_candidate_close(win, np.zeros(2), [[np.nan, 0.0], [0.0, np.nan]])
 
     def test_from_points_matches_incremental(self):
         rng = np.random.default_rng(11)
@@ -201,8 +215,7 @@ class TestSlidingWindow:
         for p in pts:
             inc.push(p)
         np.testing.assert_allclose(bulk.points_matrix(), inc.points_matrix())
-        np.testing.assert_allclose(bulk.farthest_distances(), inc.farthest_distances())
-        np.testing.assert_allclose(bulk.nearest_distances(), inc.nearest_distances())
+        assert_candidate_close(bulk, *inc.candidate())
 
     def test_from_points_capacity_check(self):
         with pytest.raises(ValueError):
@@ -211,18 +224,20 @@ class TestSlidingWindow:
     def test_from_points_empty_and_singleton(self):
         empty = SlidingWindow.from_points(np.zeros((0, 2)), capacity=4)
         assert len(empty) == 0
-        assert empty.farthest_distances().size == empty.nearest_distances().size == 0
+        with pytest.raises(ValueError, match="window is empty"):
+            empty.candidate()
         single = SlidingWindow.from_points([[1.0, 2.0]])
-        assert math.isnan(single.farthest_distances()[0])
+        assert single.candidate()[0].size == 0
 
-    def test_distances_to_in_age_order(self):
-        win = SlidingWindow(3)
-        for p in ([0.0, 0.0], [3.0, 4.0], [6.0, 8.0], [0.0, 1.0]):
+    def test_candidate_in_age_order(self):
+        win = SlidingWindow(4)
+        for p in ([0.0, 0.0], [3.0, 4.0], [6.0, 8.0], [0.0, 1.0], [0.0, 0.0]):
             win.push(p)
-        np.testing.assert_array_equal(win.distances_to([0.0, 0.0]), [5.0, 10.0, 1.0])
-        with pytest.raises(ValueError):
-            win.distances_to([0.0])
-        assert SlidingWindow(2).distances_to([1.0]).size == 0
+        np.testing.assert_array_equal(win.candidate()[0], [5.0, 10.0, 1.0])
+        np.testing.assert_array_equal(win.candidate(2)[0], [10.0, 1.0])
+        np.testing.assert_array_equal(win.candidate(9)[0], [5.0, 10.0, 1.0])
+        with pytest.raises(ValueError, match="window is empty"):
+            SlidingWindow(2).candidate()
 
 
 def row_distances(points, v):
@@ -259,16 +274,27 @@ class RingReference:
         self.points = np.vstack([self.points, v])
         self.dist = dist
 
-    def extremes(self, newest=None):
-        """Per-member extremes among the newest ``newest`` members (all if None)."""
+    def candidate(self, k=None):
+        """The last row's distances to the ``k`` rows before it (all if None),
+        and the block among those rows with NaN on the diagonal, rescanned."""
         m = len(self.points)
-        k = m if newest is None else min(newest, m)
-        dist = self.dist[m - k:, m - k:]
-        if k < 2:
-            return np.full(k, np.nan), np.full(k, np.nan)
-        off = ~np.eye(k, dtype=bool)
-        far = np.array([dist[j][off[j]].max() for j in range(k)])
-        near = np.array([dist[j][off[j]].min() for j in range(k)])
+        lo = 0 if k is None else max(m - 1 - k, 0)
+        before = range(lo, m - 1)
+        row = np.array([self.dist[m - 1, j] for j in before])
+        block = np.array([[math.nan if i == j else self.dist[i, j] for j in before]
+                          for i in before]).reshape(len(before), len(before))
+        return row, block
+
+    def extremes(self, k=None):
+        """Per-member farthest and nearest co-member among the ``k`` rows
+        before the last (all if None), NaN for a lone member."""
+        _, block = self.candidate(k)
+        n = len(block)
+        if n < 2:
+            return np.full(n, np.nan), np.full(n, np.nan)
+        off = ~np.eye(n, dtype=bool)
+        far = np.array([block[j][off[j]].max() for j in range(n)])
+        near = np.array([block[j][off[j]].min() for j in range(n)])
         return far, near
 
 
@@ -282,39 +308,45 @@ def ring_cases(draw):
                              min_size=1, max_size=8))
     picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=40))
     n_bulk = draw(st.integers(0, min(capacity, len(picks))))
-    newest = draw(st.integers(1, capacity))
-    return capacity, [distinct[i] for i in picks], n_bulk, newest
+    k = draw(st.integers(1, max(capacity - 1, 1)))
+    return capacity, [distinct[i] for i in picks], n_bulk, k
 
 
-def assert_matches_reference(win, ref, newest=None):
+def assert_matches_reference(win, ref, k=None):
+    """Points, and the candidate row and block over all members and over the
+    ``k`` before the newest, equal the reference bit for bit; so do the
+    extremes reduced off the block the way the window agents reduce them."""
     np.testing.assert_array_equal(win.points_matrix(), ref.points)
-    for k in (None, newest):
-        far, near = ref.extremes(k)
-        assert np.array_equal(win.farthest_distances(k), far, equal_nan=True)
-        assert np.array_equal(win.nearest_distances(k), near, equal_nan=True)
+    for kk in (None, k):
+        row, block = win.candidate(kk)
+        ref_row, ref_block = ref.candidate(kk)
+        assert np.array_equal(row, ref_row)
+        assert np.array_equal(block, ref_block, equal_nan=True)
+        far, near = ref.extremes(kk)
+        assert np.array_equal(np.fmax.reduce(block, axis=0, initial=math.nan), far,
+                              equal_nan=True)
+        assert np.array_equal(np.fmin.reduce(block, axis=0, initial=math.nan), near,
+                              equal_nan=True)
 
 
 class TestRingProperties:
     @settings(max_examples=150, deadline=None)
     @given(ring_cases())
     def test_extremes_equal_brute_force_after_every_push(self, case):
-        """Extremes and distance rows, over all members and over the newest
-        ``newest``, equal a rescan of the same distances, bit for bit."""
-        capacity, points, n_bulk, newest = case
+        """The candidate row and block, and the extremes reduced off it, over
+        all members and over the ``k`` before the newest, equal a rescan of
+        the reference's last k+1 rows, bit for bit."""
+        capacity, points, n_bulk, k = case
         ref = RingReference(capacity, points[0].size, points[:n_bulk])
         if n_bulk:
             win = SlidingWindow.from_points(points[:n_bulk], capacity=capacity)
-            assert_matches_reference(win, ref, newest)
+            assert_matches_reference(win, ref, k)
         else:
             win = SlidingWindow(capacity)
         for v in points[n_bulk:]:
-            if len(win):
-                assert np.array_equal(win.distances_to(v), row_distances(ref.points, v))
-                assert np.array_equal(win.distances_to(v, newest),
-                                      row_distances(ref.points[-newest:], v))
             win.push(v)
             ref.push(v)
-            assert_matches_reference(win, ref, newest)
+            assert_matches_reference(win, ref, k)
 
     def test_evicting_every_members_farthest_point(self):
         """Halving gaps make the oldest point every member's farthest, so each
@@ -324,10 +356,10 @@ class TestRingProperties:
         win = SlidingWindow(capacity)
         ref = RingReference(capacity, 1)
         for k, v in enumerate(points):
-            if k >= capacity:
-                oldest = win.points_matrix()[0]
-                np.testing.assert_array_equal(win.farthest_distances()[1:],
-                                              win.distances_to(oldest)[1:])
             win.push(v)
             ref.push(v)
             assert_matches_reference(win, ref)
+            if k >= capacity:
+                _, block = win.candidate()
+                np.testing.assert_array_equal(
+                    np.fmax.reduce(block, axis=0, initial=math.nan)[1:], block[0, 1:])

@@ -5,8 +5,9 @@ by :func:`export_results` for seeds 0-2 of the two benchmark workloads. Seed 0
 was recorded from the allocating learner and list-backed pool that preceded
 the in-place refit loop, seeds 1 and 2 from the mean-gradient descent that
 preceded the augmented-design loop. All six equal the digests of the same
-seeds in ``perfbench/baseline.json``. A change that moves any exported number,
-even in its last bit, fails here.
+seeds in ``perfbench/baseline.json``. A seventh digest pins the grid CSV of
+``streamacq verify-theory`` on a small grid. A change that moves any exported
+number, even in its last bit, fails here.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from streamacq.cli import main
 from streamacq.datagen import GeneratorConfig
 from streamacq.harness import ExperimentConfig, export_results, run_experiment
 
@@ -47,6 +49,7 @@ GOLDEN = {
         "6709fc1f47dbffa9c9933f42a47fb3ae9bd40e191643705fb1fd8ed8d5f4986e",
     ),
 }
+THEORY_GRID = "08750729dbc7db81551265f295a51d380746ef267ddfb2c2a2d9474a6af212ec"
 SEED_ZERO = [key for key in GOLDEN if key[2] == 0]
 LATER_SEEDS = [key for key in GOLDEN if key[2] != 0]
 
@@ -67,3 +70,10 @@ def test_seed_zero_exports_match_the_recorded_digests(tmp_path, strategy, genera
                          ids=["toy-1", "toy-2", "scenario-1", "scenario-2"])
 def test_later_seed_exports_match_the_recorded_digests(tmp_path, strategy, generator, seed):
     assert export_digests(tmp_path, strategy, generator, seed) == GOLDEN[(strategy, generator, seed)]
+
+
+def test_theory_grid_csv_matches_the_recorded_digest(tmp_path):
+    out = tmp_path / "grid.csv"
+    assert main(["verify-theory", "--out", str(out), "--draws", "1000",
+                 "--grid-points", "3"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == THEORY_GRID

@@ -254,7 +254,7 @@ class TestExperimentConfig:
             assert agents[idx].epsilon == 0.01
         assert [agents[i].length for i in (0, 2, 4)] == [100, 150, 60]
         assert agents[0].window is agents[2].window is agents[4].window
-        assert agents[0].window.capacity == 150
+        assert agents[0].window.capacity == 151  # the longest length plus the sample
         assert agents[1].threshold == 0.95
         assert agents[1].learning_rate == 0.005
         assert agents[3].learning_rate == 0.01
@@ -374,7 +374,7 @@ class TestStreamRunner:
         active = sum(used < split.budget for used in used_before)
         assert 0 < active < len(metrics.records)
         seen = np.vstack([split.initial_features, split.stream_features[:active]])
-        assert len(runner.window) == min(150, len(seen))
+        assert len(runner.window) == min(151, len(seen))
         np.testing.assert_array_equal(runner.window.points_matrix(),
                                       seen[-runner.window.capacity:])
 

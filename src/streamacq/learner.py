@@ -4,20 +4,32 @@ The optimizer is fixed (zero init, full-batch gradient descent, step
 0.1/(1 + Lipschitz bound), 500-iteration cap, gradient-norm stop at 1e-6) so
 that fitting the same pool twice gives bit-identical parameters.
 
-A fit validates its inputs once, at its boundary, and then descends on an
-augmented design built once per fit: in ``forward = [X | 1]`` the column of
-ones meets the bias, the last entry of ``theta = [w, b]``, and
-``backward = forward * (step / n)`` folds the step and the 1/n of the mean
-loss into the transposed product. An iteration is then six numpy calls on
-buffers allocated once per fit, and it allocates nothing: ``forward.dot(theta)``,
-``expit``, ``- y``, the product with ``backward`` (the step-scaled gradient,
-bias included), its squared norm for the stop test, and ``theta -= move``; a
-penalty adds its term to the weight part of the move. This groups the
-floating-point operations differently from the mean gradient of
-:func:`loss_gradient`, so the fitted parameters agree with that descent to
-rounding, not bit for bit. After the loop, one public :func:`loss_gradient`
-call (which checks the inputs a second time) reports the gradient norm at the
-fitted parameters.
+A fit validates its inputs once, at its boundary, and then descends on a
+design built once per fit. In ``forward = [X | 1]`` the column of ones meets
+the bias, the last entry of ``theta = [w, b]``, and each row whose label is 1
+is negated. For such a row ``expit(z) - 1 = -expit(-z)``, so the residual of
+every row is ``expit(forward . theta)`` and the labels drop out of the loop;
+``backward = forward * (step / n)`` carries the same signs, the step and the
+1/n of the mean loss into the transposed product. An iteration is then four
+numpy calls on buffers allocated once per fit: ``forward.dot(theta)``,
+``expit``, the product with ``backward`` (the step-scaled gradient, bias
+included) and ``theta -= move``; a penalty adds its term to the weight part
+of the move, and under L1 the soft threshold follows the step.
+
+The gradient-norm stop is tested once per block of iterations: each
+iteration writes its move into one row of a block buffer, one ``einsum``
+then gives every row's squared norm, and if row j is below the tolerance the
+block is replayed from its starting ``theta`` through the moves before j.
+That stops at the same iteration with the same bits as a test after every
+iteration; only a norm within the last bit of the tolerance, where ``einsum``
+and a per-row ``dot`` may round apart, could move the stop.
+
+The negated rows compute the residual of a positive label as ``expit(-z)``
+rather than ``expit(z) - 1`` and group the floating-point operations
+differently from the mean gradient of :func:`loss_gradient`, so the fitted
+parameters agree with that descent to rounding, not bit for bit. After the
+loop, one public :func:`loss_gradient` call (which checks the inputs a
+second time) reports the gradient norm at the fitted parameters.
 """
 
 from __future__ import annotations
@@ -41,6 +53,7 @@ __all__ = [
 PROBA_CLIP = 1e-12  # keep probabilities strictly inside (0, 1)
 DEGENERATE_CONFIDENCE = 1e-3  # one-class pools predict the seen class at 1 - this
 L1_SOFT_THRESHOLD = 1e-8
+_STOP_BLOCK = 50  # descent iterations between gradient-norm stop tests
 
 PENALTIES = ("none", "l1", "l2")
 
@@ -165,57 +178,82 @@ def loss_gradient(weights, bias, X, y, config: LearnerConfig) -> tuple[np.ndarra
     return gw, float(resid.sum())
 
 
+def _soft_threshold(w: np.ndarray, scratch: np.ndarray) -> None:
+    """Shrink ``w`` in place toward zero by :data:`L1_SOFT_THRESHOLD`."""
+    np.abs(w, out=scratch)
+    scratch -= L1_SOFT_THRESHOLD
+    np.maximum(scratch, 0.0, out=scratch)
+    np.sign(w, out=w)
+    w *= scratch
+
+
 def fit_logistic(X, y, config: LearnerConfig = LearnerConfig(),
                  loss_trace: Optional[list] = None) -> LogisticModel:
     """Fit from scratch.  A single-class pool yields a constant degenerate model.
 
-    The inputs are validated here, once; the loop iterates on the augmented
+    The inputs are validated here, once; the loop iterates on the sign-folded
     design in buffers allocated once per fit.
     """
     X, y = _validated_xy(X, y)
     n, p = X.shape
-    present = np.unique(y)
-    if present.size == 1:
-        return LogisticModel(np.zeros(p), 0.0, degenerate_class=int(present[0]))
+    if y.min() == y.max():
+        return LogisticModel(np.zeros(p), 0.0, degenerate_class=int(y[0]))
     # gradient Lipschitz bound for the mean logistic loss with a bias column
     lipschitz = (float((X * X).sum()) + n) / (4.0 * n)
     if config.penalty == "l2":
         lipschitz += config.strength
     step = 0.1 / (1.0 + lipschitz)
-    forward = np.ones((n, p + 1))
-    forward[:, :p] = X
+    signs = 1.0 - 2.0 * y
+    forward = np.empty((n, p + 1))
+    np.multiply(X, signs[:, None], out=forward[:, :p])
+    forward[:, p] = signs
     backward = forward * (step / n)
     theta = np.zeros(p + 1)
     w = theta[:p]
-    z, move, scratch = np.empty(n), np.empty(p + 1), np.empty(p)
-    move_w = move[:p]
+    z, start, scratch = np.empty(n), np.empty(p + 1), np.empty(p)
+    moves = np.empty((_STOP_BLOCK, p + 1))
+    rows = list(moves)
+    l2, l1 = config.penalty == "l2", config.penalty == "l1"
+    tracing = loss_trace is not None
     shrink = step * config.strength
     tol = step * config.grad_tol
-    for _ in range(config.max_iter):
-        if loss_trace is not None:
-            loss_trace.append(_loss(w, theta[p], X, y, config))
-        forward.dot(theta, out=z)
-        expit(z, out=z)
-        z -= y
-        z.dot(backward, out=move)
-        if config.penalty == "l2":
-            np.multiply(w, shrink, out=scratch)
-            move_w += scratch
-        elif config.penalty == "l1":
-            np.sign(w, out=scratch)
-            scratch *= shrink
-            move_w += scratch
-        if math.sqrt(move.dot(move)) < tol:
+    done = 0
+    while done < config.max_iter:
+        count = min(_STOP_BLOCK, config.max_iter - done)
+        np.copyto(start, theta)
+        traced = len(loss_trace) if tracing else 0
+        for move in rows[:count]:
+            if tracing:
+                loss_trace.append(_loss(w, theta[p], X, y, config))
+            forward.dot(theta, out=z)
+            expit(z, out=z)
+            z.dot(backward, out=move)
+            if l2:
+                np.multiply(w, shrink, out=scratch)
+                move[:p] += scratch
+            elif l1:
+                np.sign(w, out=scratch)
+                scratch *= shrink
+                move[:p] += scratch
+            theta -= move
+            if l1:
+                _soft_threshold(w, scratch)
+        block = moves[:count]
+        below = np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", block, block)) < tol)
+        if below.size:
+            # replay the block up to the first move under the tolerance
+            stop = int(below[0])
+            np.copyto(theta, start)
+            for move in rows[:stop]:
+                theta -= move
+                if l1:
+                    _soft_threshold(w, scratch)
+            if tracing:
+                del loss_trace[traced + stop + 1:]
             break
-        theta -= move
-        if config.penalty == "l1":
-            np.abs(w, out=scratch)
-            scratch -= L1_SOFT_THRESHOLD
-            np.maximum(scratch, 0.0, out=scratch)
-            np.sign(w, out=w)
-            w *= scratch
+        done += count
     b = float(theta[p])
-    if loss_trace is not None:
+    if tracing:
         loss_trace.append(_loss(w, b, X, y, config))
     # through the public entry point, so the perfbench trace, which counts
     # loss_gradient calls, still sees the final gradient of every iterating fit

@@ -378,6 +378,15 @@ class TestStreamRunner:
         np.testing.assert_array_equal(runner.window.points_matrix(),
                                       seen[-runner.window.capacity:])
 
+    def test_window_longer_than_the_run_rejected_before_allocating(self, split):
+        """A length no run can fill fails by key, before any window matrix exists."""
+        rows = split.initial_labels.shape[0] + split.stream_labels.shape[0]
+        config = small_config("ensemble6", ld1_window=100_000_000)
+        with pytest.raises(ValueError, match=rf"ld1_window = 100000000 .* {rows} rows"):
+            StreamRunner(config, 14, split)
+        fits = small_config("ensemble6", ld1_window=rows, ld2_window=rows)
+        assert StreamRunner(fits, 14, split).window.capacity == rows + 1
+
     def test_initial_accuracy_from_seed_pool(self, split):
         runner = StreamRunner(small_config("rs"), 11, split)
         assert 0.0 <= runner.test_accuracy() <= 1.0

@@ -1,6 +1,7 @@
 """Tests for the deterministic logistic-regression base learner."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from streamacq.learner import (
     L1_SOFT_THRESHOLD,
     LearnerConfig,
     LogisticModel,
+    _STOP_BLOCK,
     fit_logistic,
     loss_gradient,
     loss_value,
@@ -251,10 +253,14 @@ def reference_fit(X, y, config, loss_trace):
     return w, b
 
 
-def augmented_reference_fit(X, y, config, loss_trace):
-    """The descent of :func:`fit_logistic` on the augmented design, one fresh
-    array per operation: the bias is the last entry of ``theta``, and the step
-    and the 1/n ride in the transposed design."""
+def augmented_reference_fit(X, y, config, loss_trace, grad_norms=None):
+    """The descent of :func:`fit_logistic` on the sign-folded design, one fresh
+    array per operation and the stop test after every iteration: the bias is
+    the last entry of ``theta``, the rows of positive labels are negated so
+    the residual is ``expit`` alone, and the step and the 1/n ride in the
+    transposed design. ``grad_norms``, when given, receives the norm of each
+    iteration's move divided by the step, the quantity the stop test compares
+    with ``grad_tol``."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
@@ -262,16 +268,19 @@ def augmented_reference_fit(X, y, config, loss_trace):
     if config.penalty == "l2":
         lipschitz += config.strength
     step = 0.1 / (1.0 + lipschitz)
-    F = np.column_stack([X, np.ones(n)])
+    F = np.column_stack([X, np.ones(n)]) * (1.0 - 2.0 * y)[:, None]
     theta = np.zeros(p + 1)
     for _ in range(config.max_iter):
         loss_trace.append(loss_value(theta[:p], theta[p], X, y, config))
-        move = (expit(F @ theta) - y) @ (F * (step / n))
+        move = expit(F @ theta) @ (F * (step / n))
         if config.penalty == "l2":
             move[:p] = move[:p] + (step * config.strength) * theta[:p]
         elif config.penalty == "l1":
             move[:p] = move[:p] + (step * config.strength) * np.sign(theta[:p])
-        if float(np.sqrt(move @ move)) < step * config.grad_tol:
+        norm = float(np.sqrt(move @ move))
+        if grad_norms is not None:
+            grad_norms.append(norm / step)
+        if norm < step * config.grad_tol:
             break
         theta = theta - move
         if config.penalty == "l1":
@@ -283,7 +292,7 @@ def augmented_reference_fit(X, y, config, loss_trace):
 
 
 def assert_fits_reference(X, y, config):
-    """Traced and untraced fits both equal the augmented reference bit for bit."""
+    """Traced and untraced fits both equal the sign-folded reference bit for bit."""
     expected_trace = []
     w, b = augmented_reference_fit(X, y, config, expected_trace)
     gw, gb = reference_gradient(w, b, X, np.asarray(y, dtype=float), config)
@@ -374,3 +383,41 @@ class TestFitMatchesAllocatingReference:
         kept = first.weights.copy()
         fit_logistic(X[::-1].copy(), 1 - y)
         np.testing.assert_array_equal(first.weights, kept)
+
+
+def grad_tol_stopping_at(X, y, config, iteration):
+    """A ``grad_tol`` under which the descent stops at ``iteration``: midway
+    between that iteration's gradient norm and the smallest one before it."""
+    norms = []
+    augmented_reference_fit(X, y, replace(config, grad_tol=0.0, max_iter=iteration + 1),
+                            [], norms)
+    earlier = min(norms[:iteration], default=2.0 * norms[iteration] + 1.0)
+    assert norms[iteration] < earlier * (1.0 - 1e-6), "no grad_tol stops at this iteration"
+    return 0.5 * (norms[iteration] + earlier)
+
+
+class TestBlockStopTest:
+    """The once-per-block stop test stops where a test after every iteration
+    would, on either side of a block boundary, with and without a penalty."""
+
+    @pytest.mark.parametrize("penalty, strength", [("none", 0.0), ("l2", 0.1), ("l1", 0.01)])
+    @pytest.mark.parametrize("iteration", [0, _STOP_BLOCK - 1, _STOP_BLOCK, _STOP_BLOCK + 1,
+                                           None],
+                             ids=["first", "block-end", "next-block", "next-block-second",
+                                  "never"])
+    def test_stops_at_the_reference_iteration(self, penalty, strength, iteration):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(40, 3)) * 2.0
+        y = (X @ np.array([1.0, -0.5, 0.25]) + rng.normal(size=40) > 0).astype(int)
+        config = LearnerConfig(penalty=penalty, strength=strength, max_iter=3 * _STOP_BLOCK + 7)
+        if iteration is None:
+            config = replace(config, grad_tol=0.0)
+        else:
+            config = replace(config, grad_tol=grad_tol_stopping_at(X, y, config, iteration))
+        trace = assert_fits_reference(X, y, config)
+        if iteration is None:
+            assert len(trace) == config.max_iter + 1
+        else:
+            # the loss before each iteration up to the stop, then the final one again
+            assert len(trace) == iteration + 2
+            assert trace[-1] == trace[-2]

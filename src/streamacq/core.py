@@ -1,10 +1,11 @@
 """Shared primitives: feature vectors, labelled pools, and sliding windows.
 
-The sliding window keeps its members oldest first in a preallocated array,
-together with their pairwise distance matrix.  A push checks the new point,
-computes its one distance row and writes it into the matrix's last row and
-column; an eviction first shifts the points and the matrix down by one.  The
-stream runner pushes each sample before the agents vote, so
+The sliding window keeps its members oldest first in an array, together with
+their pairwise distance matrix; both double as members arrive, up to the
+window's capacity, so a long window costs only what it holds.  A push checks
+the new point, computes its one distance row and writes it into the matrix's
+last row and column; an eviction first shifts the points and the matrix down
+by one.  The stream runner pushes each sample before the agents vote, so
 :meth:`SlidingWindow.candidate` hands them the newest member's distance row
 and the distances among the members before it, read off the matrix.
 """
@@ -108,8 +109,11 @@ class SlidingWindow:
     Members are kept oldest first with their pairwise distance matrix, whose
     diagonal holds NaN.  :meth:`candidate` reads the newest member's distances
     to the ``k`` members before it, and the distances among those ``k``, so
-    agents of different window lengths share one window.
+    agents of different window lengths share one window.  The arrays start at
+    ``INITIAL_ROWS`` rows and double when full until they reach the capacity.
     """
+
+    INITIAL_ROWS = 32
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -117,14 +121,19 @@ class SlidingWindow:
         self.capacity = int(capacity)
         self._size = 0
         # allocated by _allocate once the first point fixes the dimension
-        self._points: Optional[np.ndarray] = None  # (capacity, dim), oldest first
-        self._dist: Optional[np.ndarray] = None  # (capacity, capacity) pairwise
+        self._points: Optional[np.ndarray] = None  # (rows, dim), oldest first
+        self._dist: Optional[np.ndarray] = None  # (rows, rows) pairwise
 
-    def _allocate(self, dim: int) -> None:
-        cap = self.capacity
-        self._points = np.zeros((cap, dim))
+    def _allocate(self, dim: int, rows: int) -> None:
+        """Room for ``rows`` members, the current ones copied over."""
+        n = self._size
+        points, dist = self._points, self._dist
+        self._points = np.zeros((rows, dim))
         # NaN fills the diagonal for good: an eviction shifts it along itself
-        self._dist = np.full((cap, cap), math.nan)
+        self._dist = np.full((rows, rows), math.nan)
+        if n:
+            self._points[:n] = points[:n]
+            self._dist[:n, :n] = dist[:n, :n]
 
     @classmethod
     def from_points(cls, points, capacity: Optional[int] = None) -> "SlidingWindow":
@@ -140,7 +149,7 @@ class SlidingWindow:
             raise ValueError(f"{m} points exceed capacity {win.capacity}")
         if m == 0:
             return win
-        win._allocate(pts.shape[1])
+        win._allocate(pts.shape[1], win.capacity)
         win._points[:m] = pts
         win._size = m
         sq = (pts * pts).sum(axis=1)
@@ -180,29 +189,34 @@ class SlidingWindow:
     def push(self, x) -> None:
         """Append ``x``, evicting the oldest member when at capacity.
 
-        An eviction shifts the points and the distance matrix down by one;
-        the new point's distance row then fills the last row and column.
+        Full arrays below the capacity double first.  An eviction shifts the
+        points and the distance matrix down by one; the new point's distance
+        row then fills the last row and column.
         """
         v = as_feature_vector(x)
         if self._points is None:
-            self._allocate(v.size)
+            self._allocate(v.size, min(self.INITIAL_ROWS, self.capacity))
         elif v.size != self.dim:
             raise ValueError(
                 f"dimension mismatch: window holds {self.dim}-d points, got {v.size}"
             )
         points, dist = self._points, self._dist
         n = self._size
-        if n == self.capacity:
-            n -= 1
-            points[:n] = points[1:]
-            # Moving the flat buffer back by capacity + 1 entries moves the
-            # matrix up a row and left a column; numpy copies a 1-d overlap
-            # in place, where the 2-d shift would go through a temporary.
-            # Only the last row and column come out stale, and the new row
-            # rewrites them; the NaN corner is not moved.
-            flat = dist.reshape(-1)
-            flat[:flat.size - self.capacity - 1] = flat[self.capacity + 1:]
-            self._size = n
+        if n == len(points):
+            if n < self.capacity:
+                self._allocate(v.size, min(2 * n, self.capacity))
+                points, dist = self._points, self._dist
+            else:
+                n -= 1
+                points[:n] = points[1:]
+                # Moving the flat buffer back by capacity + 1 entries moves the
+                # matrix up a row and left a column; numpy copies a 1-d overlap
+                # in place, where the 2-d shift would go through a temporary.
+                # Only the last row and column come out stale, and the new row
+                # rewrites them; the NaN corner is not moved.
+                flat = dist.reshape(-1)
+                flat[:flat.size - self.capacity - 1] = flat[self.capacity + 1:]
+                self._size = n
         diff = points[:n] - v
         d = np.sqrt((diff * diff).sum(axis=1))
         points[n] = v

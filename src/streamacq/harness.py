@@ -152,15 +152,11 @@ class ExperimentConfig:
             "us": lambda: UncertaintyBaseline(self.us_threshold, name="us"),
         }
 
-    def window_lengths(self) -> dict[str, int]:
-        """The window length of each window agent in the roster, by config key."""
-        return {f"{name}_window": getattr(self, f"{name}_window")
-                for name in _ROSTERS[self.strategy] if hasattr(self, f"{name}_window")}
-
     def build_window(self) -> SlidingWindow | None:
         """The run's window, one longer than the roster's longest window length
         to hold the sample under vote; None without a window agent."""
-        lengths = self.window_lengths().values()
+        lengths = [getattr(self, f"{name}_window") for name in _ROSTERS[self.strategy]
+                   if hasattr(self, f"{name}_window")]
         return SlidingWindow(max(lengths) + 1) if lengths else None
 
     def build_agents(self, budget: int, stream_len: int,
@@ -211,23 +207,13 @@ class StreamRunner:
     """Drives one model, one agent roster, and one solver down a stream."""
 
     def __init__(self, config: ExperimentConfig, seed: int, split: ScenarioSplit):
-        # the window allocates a capacity-square distance matrix at its first
-        # push, so a length no run can fill must fail here, by name
-        stream_len = split.stream_labels.shape[0]
-        rows = split.initial_labels.shape[0] + stream_len
-        lengths = config.window_lengths()
-        if lengths:
-            key = max(lengths, key=lengths.get)
-            if lengths[key] > rows:
-                raise ValueError(
-                    f"{key} = {lengths[key]} exceeds the {rows} rows this run pushes "
-                    f"(initial pool plus stream)")
         self.config = config
         self.split = split
         self.pool = LabeledPool()
         for row, label in zip(split.initial_features, split.initial_labels):
             self.pool.append(row, int(label))
         self.model = fit_logistic(self.pool.features, self.pool.labels, config.learner)
+        stream_len = split.stream_labels.shape[0]
         self.window = config.build_window()
         self.agents = config.build_agents(split.budget, stream_len, self.window)
         if self.window is not None:

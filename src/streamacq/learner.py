@@ -17,12 +17,15 @@ included) and ``theta -= move``; a penalty adds its term to the weight part
 of the move, and under L1 the soft threshold follows the step.
 
 The gradient-norm stop is tested once per block of iterations: each
-iteration writes its move into one row of a block buffer, one ``einsum``
-then gives every row's squared norm, and if row j is below the tolerance the
-block is replayed from its starting ``theta`` through the moves before j.
-That stops at the same iteration with the same bits as a test after every
-iteration; only a norm within the last bit of the tolerance, where ``einsum``
-and a per-row ``dot`` may round apart, could move the stop.
+iteration writes its move into one row of a block buffer, and one ``einsum``
+then gives every row's squared norm.  ``einsum`` may round a sum an ulp
+apart from a row's ``dot``, so it only nominates the rows near or under the
+tolerance; the first nominated row j whose ``math.sqrt(move.dot(move))`` is
+under it, the test a per-iteration loop makes, stops the fit, and the block
+is replayed from its starting ``theta`` through the moves before j.  The fit
+stops at the same iteration with the same bits as a test after every
+iteration, at the price of finishing the block: a fit that stops runs up to
+one block more iterations than it keeps.
 
 The negated rows compute the residual of a positive label as ``expit(-z)``
 rather than ``expit(z) - 1`` and group the floating-point operations
@@ -215,14 +218,17 @@ def fit_logistic(X, y, config: LearnerConfig = LearnerConfig(),
     rows = list(moves)
     l2, l1 = config.penalty == "l2", config.penalty == "l1"
     tracing = loss_trace is not None
+    traced = len(loss_trace) if tracing else 0
     shrink = step * config.strength
     tol = step * config.grad_tol
-    done = 0
-    while done < config.max_iter:
+    # einsum may round a squared norm an ulp apart from the per-row dot, so it
+    # only nominates rows, against a bound a hair above the tolerance
+    nominate = (tol * (1.0 + 1e-9)) ** 2
+    for done in range(0, config.max_iter, _STOP_BLOCK):
         count = min(_STOP_BLOCK, config.max_iter - done)
+        block = rows[:count]
         np.copyto(start, theta)
-        traced = len(loss_trace) if tracing else 0
-        for move in rows[:count]:
+        for move in block:
             if tracing:
                 loss_trace.append(_loss(w, theta[p], X, y, config))
             forward.dot(theta, out=z)
@@ -238,20 +244,19 @@ def fit_logistic(X, y, config: LearnerConfig = LearnerConfig(),
             theta -= move
             if l1:
                 _soft_threshold(w, scratch)
-        block = moves[:count]
-        below = np.flatnonzero(np.sqrt(np.einsum("ij,ij->i", block, block)) < tol)
-        if below.size:
+        squares = np.einsum("ij,ij->i", moves[:count], moves[:count])
+        stop = next((j for j in np.flatnonzero(squares <= nominate)
+                     if math.sqrt(block[j].dot(block[j])) < tol), None)
+        if stop is not None:
             # replay the block up to the first move under the tolerance
-            stop = int(below[0])
             np.copyto(theta, start)
-            for move in rows[:stop]:
+            for move in block[:stop]:
                 theta -= move
                 if l1:
                     _soft_threshold(w, scratch)
             if tracing:
-                del loss_trace[traced + stop + 1:]
+                del loss_trace[traced + done + stop + 1:]
             break
-        done += count
     b = float(theta[p])
     if tracing:
         loss_trace.append(_loss(w, b, X, y, config))

@@ -201,6 +201,26 @@ class TestSlidingWindow:
                 np.testing.assert_allclose(got_row, row, err_msg=f"trial {trial}")
                 np.testing.assert_allclose(got_block, block, err_msg=f"trial {trial}")
 
+    def test_arrays_grow_up_to_the_capacity(self):
+        """Pushes past the initial rows double the arrays, and evictions
+        start once the capacity is reached, with every candidate exact."""
+        rng = np.random.default_rng(7)
+        capacity = 3 * SlidingWindow.INITIAL_ROWS + 5
+        win = SlidingWindow(capacity)
+        pushed = rng.normal(size=(capacity + 10, 2))
+        for m, v in enumerate(pushed, start=1):
+            win.push(v)
+            np.testing.assert_array_equal(win.points_matrix(), pushed[max(0, m - capacity):m])
+            assert_candidate_close(win, *brute_force_candidate(win.points_matrix()))
+
+    def test_long_capacity_costs_only_its_members(self):
+        """A capacity no stream fills allocates room for the members pushed,
+        not a capacity-square matrix."""
+        win = SlidingWindow(100_000_000)
+        for v in ([0.0, 0.0], [3.0, 4.0], [0.0, 4.0]):
+            win.push(v)
+        np.testing.assert_array_equal(win.candidate()[0], [4.0, 3.0])
+
     def test_duplicate_points_supported(self):
         win = SlidingWindow(4)
         for _ in range(3):

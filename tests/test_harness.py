@@ -378,14 +378,15 @@ class TestStreamRunner:
         np.testing.assert_array_equal(runner.window.points_matrix(),
                                       seen[-runner.window.capacity:])
 
-    def test_window_longer_than_the_run_rejected_before_allocating(self, split):
-        """A length no run can fill fails by key, before any window matrix exists."""
-        rows = split.initial_labels.shape[0] + split.stream_labels.shape[0]
-        config = small_config("ensemble6", ld1_window=100_000_000)
-        with pytest.raises(ValueError, match=rf"ld1_window = 100000000 .* {rows} rows"):
-            StreamRunner(config, 14, split)
-        fits = small_config("ensemble6", ld1_window=rows, ld2_window=rows)
-        assert StreamRunner(fits, 14, split).window.capacity == rows + 1
+    def test_window_longer_than_the_run_holds_only_its_rows(self, split):
+        """A window length no run fills still runs: the window's arrays grow
+        with its members, so the run allocates for the rows it pushes."""
+        runner = StreamRunner(small_config("ensemble6", ld1_window=100_000_000), 14, split)
+        assert runner.window.capacity == 100_000_001
+        metrics = runner.run()
+        assert metrics.acquired > 0
+        np.testing.assert_array_equal(runner.window.points_matrix()[:len(split.initial_features)],
+                                      split.initial_features)
 
     def test_initial_accuracy_from_seed_pool(self, split):
         runner = StreamRunner(small_config("rs"), 11, split)
@@ -505,6 +506,15 @@ class TestCsvStreamIO:
         path.write_text("f1,label\n1.0,2\n", encoding="utf-8")
         with pytest.raises(ValueError, match="label must be 0 or 1"):
             load_csv_stream(str(path))
+
+    def test_default_roster_runs_on_a_short_csv(self, tmp_path):
+        """The default ensemble6 windows (up to 150) outlast a 100-row
+        case study, whose run pushes only the 67 training rows."""
+        data = generate(GeneratorConfig(n=100, p=3, seed=5))
+        path = str(tmp_path / "data.csv")
+        write_dataset_csv(Dataset(data.features, data.labels), path)
+        metrics = run_experiment(ExperimentConfig(dataset=path), 4)
+        assert metrics.n_experts == 6 and metrics.acquired > 0
 
 
 class TestCaseStudySplit:

@@ -253,21 +253,26 @@ def reference_fit(X, y, config, loss_trace):
     return w, b
 
 
-def augmented_reference_fit(X, y, config, loss_trace, grad_norms=None):
+def descent_step(X, config):
+    """The fixed step of :func:`fit_logistic`: 0.1 / (1 + Lipschitz bound)."""
+    n = X.shape[0]
+    lipschitz = (float((X * X).sum()) + n) / (4.0 * n)
+    if config.penalty == "l2":
+        lipschitz += config.strength
+    return 0.1 / (1.0 + lipschitz)
+
+
+def augmented_reference_fit(X, y, config, loss_trace, move_norms=None):
     """The descent of :func:`fit_logistic` on the sign-folded design, one fresh
     array per operation and the stop test after every iteration: the bias is
     the last entry of ``theta``, the rows of positive labels are negated so
     the residual is ``expit`` alone, and the step and the 1/n ride in the
-    transposed design. ``grad_norms``, when given, receives the norm of each
-    iteration's move divided by the step, the quantity the stop test compares
-    with ``grad_tol``."""
+    transposed design. ``move_norms``, when given, receives the norm of each
+    iteration's move, which the stop test compares with ``step * grad_tol``."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
-    lipschitz = (float((X * X).sum()) + n) / (4.0 * n)
-    if config.penalty == "l2":
-        lipschitz += config.strength
-    step = 0.1 / (1.0 + lipschitz)
+    step = descent_step(X, config)
     F = np.column_stack([X, np.ones(n)]) * (1.0 - 2.0 * y)[:, None]
     theta = np.zeros(p + 1)
     for _ in range(config.max_iter):
@@ -278,8 +283,8 @@ def augmented_reference_fit(X, y, config, loss_trace, grad_norms=None):
         elif config.penalty == "l1":
             move[:p] = move[:p] + (step * config.strength) * np.sign(theta[:p])
         norm = float(np.sqrt(move @ move))
-        if grad_norms is not None:
-            grad_norms.append(norm / step)
+        if move_norms is not None:
+            move_norms.append(norm)
         if norm < step * config.grad_tol:
             break
         theta = theta - move
@@ -393,7 +398,14 @@ def grad_tol_stopping_at(X, y, config, iteration):
                             [], norms)
     earlier = min(norms[:iteration], default=2.0 * norms[iteration] + 1.0)
     assert norms[iteration] < earlier * (1.0 - 1e-6), "no grad_tol stops at this iteration"
-    return 0.5 * (norms[iteration] + earlier)
+    return 0.5 * (norms[iteration] + earlier) / descent_step(X, config)
+
+
+def stop_test_pool():
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(40, 3)) * 2.0
+    y = (X @ np.array([1.0, -0.5, 0.25]) + rng.normal(size=40) > 0).astype(int)
+    return X, y
 
 
 class TestBlockStopTest:
@@ -406,9 +418,7 @@ class TestBlockStopTest:
                              ids=["first", "block-end", "next-block", "next-block-second",
                                   "never"])
     def test_stops_at_the_reference_iteration(self, penalty, strength, iteration):
-        rng = np.random.default_rng(13)
-        X = rng.normal(size=(40, 3)) * 2.0
-        y = (X @ np.array([1.0, -0.5, 0.25]) + rng.normal(size=40) > 0).astype(int)
+        X, y = stop_test_pool()
         config = LearnerConfig(penalty=penalty, strength=strength, max_iter=3 * _STOP_BLOCK + 7)
         if iteration is None:
             config = replace(config, grad_tol=0.0)
@@ -421,3 +431,22 @@ class TestBlockStopTest:
             # the loss before each iteration up to the stop, then the final one again
             assert len(trace) == iteration + 2
             assert trace[-1] == trace[-2]
+
+    @pytest.mark.parametrize("penalty, strength", [("none", 0.0), ("l2", 0.1), ("l1", 0.01)])
+    def test_a_norm_on_the_tolerance_stops_with_the_reference(self, penalty, strength):
+        """Tolerances exactly on, and one ulp above, each move norm of the
+        second block: the block's einsum can round a squared norm apart from
+        the per-row dot, and the per-row dot must decide, as in the reference."""
+        X, y = stop_test_pool()
+        config = LearnerConfig(penalty=penalty, strength=strength, max_iter=2 * _STOP_BLOCK)
+        step = descent_step(X, config)
+        norms = []
+        augmented_reference_fit(X, y, replace(config, grad_tol=0.0), [], norms)
+        checked = 0
+        for norm in norms[_STOP_BLOCK:]:
+            for tol in (norm, float(np.nextafter(norm, math.inf))):
+                grad_tol = tol / step
+                if step * grad_tol == tol:
+                    assert_fits_reference(X, y, replace(config, grad_tol=grad_tol))
+                    checked += 1
+        assert checked >= _STOP_BLOCK

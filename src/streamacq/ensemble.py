@@ -36,6 +36,9 @@ N_ARMS = 2
 WEIGHT_FLOOR = 1e-6
 
 _LIMIT_WIDTH_CAP = 1e300
+# far below overflow: one update multiplies a weight by at most
+# e^((1 + exploration_bonus) / 2)
+_RESCALE_ABOVE = 2.0 ** 512
 
 
 @dataclass(frozen=True)
@@ -155,19 +158,13 @@ class WeightedEnsemble:
             raise ValueError("votes must be finite and lie in [0, 1]")
         return np.column_stack([v, 1.0 - v])
 
-    def arm_probabilities(self, votes) -> np.ndarray:
-        """Weight-mixed arm distribution with the exploration floor."""
-        return self._mix(self.advice_matrix(votes))
-
-    def _mix(self, advice: np.ndarray) -> np.ndarray:
+    def decide(self, votes, rng: np.random.Generator) -> JointDecision:
+        """Sample one arm via inverse CDF from the weight-mixed arm
+        distribution with the exploration floor."""
+        advice = self.advice_matrix(votes)
         mix = self.weights @ advice / self.weights.sum()
         p_min = self.config.resolved_p_min
-        return (1.0 - N_ARMS * p_min) * mix + p_min
-
-    def decide(self, votes, rng: np.random.Generator) -> JointDecision:
-        """Sample one arm from the mixed distribution via inverse CDF."""
-        advice = self.advice_matrix(votes)
-        probs = self._mix(advice)
+        probs = (1.0 - N_ARMS * p_min) * mix + p_min
         u = float(rng.random())
         arm = ARM_ACQUIRE if u < probs[ARM_ACQUIRE] else ARM_PASS
         return JointDecision(probs=probs, arm=arm, advice=advice)
@@ -193,7 +190,12 @@ class WeightedEnsemble:
         # in the last bit on about a quarter of random inputs, which would
         # move the exported weights
         self.weights *= [math.exp(x) for x in exponent.tolist()]
-        if not (0.0 < self.weights.min() and self.weights.max() < math.inf):
+        top = float(self.weights.max())
+        if top > _RESCALE_ABOVE:
+            # weights only grow between reflections; scaling them all by one
+            # power of two is exact, so ratios and every export keep their bits
+            np.ldexp(self.weights, -math.frexp(top)[1], out=self.weights)
+        if not (0.0 < self.weights.min() and top < math.inf):
             raise FloatingPointError("expert weight left (0, inf)")
 
     # -- monitoring ---------------------------------------------------------

@@ -371,7 +371,7 @@ def load_csv_stream(path: str, label_column: str = "label"):
 
     Returns (features, labels). Parse problems name the offending data row.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # -sig drops a leading BOM
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -593,5 +593,5 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # -sig drops a leading BOM
         return parse_config_text(fh.read())

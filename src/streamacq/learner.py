@@ -13,19 +13,17 @@ every row is ``expit(forward . theta)`` and the labels drop out of the loop;
 1/n of the mean loss into the transposed product. An iteration is then four
 numpy calls on buffers allocated once per fit: ``forward.dot(theta)``,
 ``expit``, the product with ``backward`` (the step-scaled gradient, bias
-included) and ``theta -= move``; a penalty adds its term to the weight part
-of the move, and under L1 the soft threshold follows the step.
+included) and ``theta - move`` into the next iterate; a penalty adds its
+term to the move's weights, and under L1 the soft threshold follows.
 
-The gradient-norm stop is tested once per block of iterations: each
-iteration writes its move into one row of a block buffer, and one ``einsum``
-then gives every row's squared norm.  ``einsum`` may round a sum an ulp
-apart from a row's ``dot``, so it only nominates the rows near or under the
-tolerance; the first nominated row j whose ``math.sqrt(move.dot(move))`` is
-under it, the test a per-iteration loop makes, stops the fit, and the block
-is replayed from its starting ``theta`` through the moves before j.  The fit
-stops at the same iteration with the same bits as a test after every
-iteration, at the price of finishing the block: a fit that stops runs up to
-one block more iterations than it keeps.
+The gradient-norm stop is tested once per block of iterations on the
+block's kept moves and iterates: row i of the iterate buffer holds the
+parameters before the block's i-th move.  One ``einsum`` gives every move's
+squared norm; it may round a sum an ulp apart from a row's ``dot``, so it
+only nominates rows near the tolerance, and the first nominated move j whose
+``math.sqrt(move.dot(move))`` is under it, the per-iteration test, ends the
+fit at iterate j, with the same bits and ``n_iter`` as a test after every
+iteration.  A fit that stops computes up to one block more than it keeps.
 
 The negated rows compute the residual of a positive label as ``expit(-z)``
 rather than ``expit(z) - 1`` and group the floating-point operations
@@ -90,13 +88,15 @@ class LogisticModel:
     """Fitted model; ``degenerate_class`` is set when the pool had one class only.
 
     ``grad_norm`` is the norm of the loss gradient at the fitted parameters,
-    set by :func:`fit_logistic` when it iterated.
+    set by :func:`fit_logistic` when it iterated; ``n_iter`` is the number of
+    descent moves the fit applied, ``max_iter`` when it never stopped.
     """
 
     weights: np.ndarray
     bias: float
     degenerate_class: Optional[int] = None
     grad_norm: Optional[float] = None
+    n_iter: int = 0
 
     def predict_proba(self, x) -> np.ndarray:
         """Class probabilities of one sample; the batch path on a one-row batch."""
@@ -150,13 +150,8 @@ def _validated_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
 def loss_value(weights, bias, X, y, config: LearnerConfig) -> float:
     """Mean negative log-likelihood plus the configured penalty (bias unpenalized)."""
     X, y = _validated_xy(X, y)
-    return _loss(np.asarray(weights, dtype=float), bias, X, y, config)
-
-
-def _loss(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray,
-          config: LearnerConfig) -> float:
-    """The arithmetic of :func:`loss_value` on already-validated float arrays."""
-    z = X @ w + b
+    w = np.asarray(weights, dtype=float)
+    z = X @ w + bias
     nll = float(np.mean(np.logaddexp(0.0, z) - y * z))
     if config.penalty == "l2":
         nll += 0.5 * config.strength * float(w @ w)
@@ -190,12 +185,10 @@ def _soft_threshold(w: np.ndarray, scratch: np.ndarray) -> None:
     w *= scratch
 
 
-def fit_logistic(X, y, config: LearnerConfig = LearnerConfig(),
-                 loss_trace: Optional[list] = None) -> LogisticModel:
+def fit_logistic(X, y, config: LearnerConfig = LearnerConfig()) -> LogisticModel:
     """Fit from scratch.  A single-class pool yields a constant degenerate model.
 
-    The inputs are validated here, once; the loop iterates on the sign-folded
-    design in buffers allocated once per fit.
+    The inputs are validated here, once; the loop runs in buffers allocated once per fit.
     """
     X, y = _validated_xy(X, y)
     n, p = X.shape
@@ -211,56 +204,43 @@ def fit_logistic(X, y, config: LearnerConfig = LearnerConfig(),
     np.multiply(X, signs[:, None], out=forward[:, :p])
     forward[:, p] = signs
     backward = forward * (step / n)
-    theta = np.zeros(p + 1)
-    w = theta[:p]
-    z, start, scratch = np.empty(n), np.empty(p + 1), np.empty(p)
+    z, scratch = np.empty(n), np.empty(p)
+    iterates = np.zeros((_STOP_BLOCK + 1, p + 1))
     moves = np.empty((_STOP_BLOCK, p + 1))
-    rows = list(moves)
+    # move i of a block turns iterate row i into row i + 1
+    rows = list(iterates)
+    slots = list(zip(rows, moves, rows[1:]))
     l2, l1 = config.penalty == "l2", config.penalty == "l1"
-    tracing = loss_trace is not None
-    traced = len(loss_trace) if tracing else 0
+    subtract = np.subtract  # a local name: the loop calls it 500 times per fit
     shrink = step * config.strength
     tol = step * config.grad_tol
-    # einsum may round a squared norm an ulp apart from the per-row dot, so it
-    # only nominates rows, against a bound a hair above the tolerance
+    # einsum only nominates rows, against a bound a hair above the tolerance
     nominate = (tol * (1.0 + 1e-9)) ** 2
     for done in range(0, config.max_iter, _STOP_BLOCK):
         count = min(_STOP_BLOCK, config.max_iter - done)
-        block = rows[:count]
-        np.copyto(start, theta)
-        for move in block:
-            if tracing:
-                loss_trace.append(_loss(w, theta[p], X, y, config))
+        for theta, move, after in slots[:count]:
             forward.dot(theta, out=z)
             expit(z, out=z)
             z.dot(backward, out=move)
             if l2:
-                np.multiply(w, shrink, out=scratch)
+                np.multiply(theta[:p], shrink, out=scratch)
                 move[:p] += scratch
             elif l1:
-                np.sign(w, out=scratch)
+                np.sign(theta[:p], out=scratch)
                 scratch *= shrink
                 move[:p] += scratch
-            theta -= move
+            subtract(theta, move, after)
             if l1:
-                _soft_threshold(w, scratch)
+                _soft_threshold(after[:p], scratch)
         squares = np.einsum("ij,ij->i", moves[:count], moves[:count])
         stop = next((j for j in np.flatnonzero(squares <= nominate)
-                     if math.sqrt(block[j].dot(block[j])) < tol), None)
-        if stop is not None:
-            # replay the block up to the first move under the tolerance
-            np.copyto(theta, start)
-            for move in block[:stop]:
-                theta -= move
-                if l1:
-                    _soft_threshold(w, scratch)
-            if tracing:
-                del loss_trace[traced + done + stop + 1:]
+                     if math.sqrt(moves[j].dot(moves[j])) < tol), count)
+        if stop < count:
             break
-    b = float(theta[p])
-    if tracing:
-        loss_trace.append(_loss(w, b, X, y, config))
+        iterates[0] = iterates[count]
+    w, b = iterates[stop, :p], float(iterates[stop, p])
     # through the public entry point, so the perfbench trace, which counts
     # loss_gradient calls, still sees the final gradient of every iterating fit
     gw, gb = loss_gradient(w, b, X, y, config)
-    return LogisticModel(w, b, grad_norm=math.sqrt(float(gw.dot(gw)) + gb * gb))
+    return LogisticModel(w, b, grad_norm=math.sqrt(float(gw.dot(gw)) + gb * gb),
+                         n_iter=done + stop)

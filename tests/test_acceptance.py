@@ -168,7 +168,7 @@ def test_criterion_5_invariant_suite(toy_runs, scenario_runs, tmp_path):
         ensemble = WeightedEnsemble(SolverConfig(n_experts=n))
         ensemble.weights = np.array([rng.uniform(0.01, 10.0) for _ in range(n)])
         floor = ensemble.config.resolved_p_min
-        probs = ensemble.arm_probabilities(rng.random(n))
+        probs = ensemble.decide(rng.random(n), StubGenerator(0.0)).probs
         probs_ok &= bool(np.all(probs >= floor - 1e-12))
         probs_ok &= bool(np.all(probs <= 1.0 - floor + 1e-12))
         probs_ok &= abs(float(probs.sum()) - 1.0) <= 1e-9

@@ -116,12 +116,12 @@ class TestChartVariance:
 class TestDecide:
     def test_symmetric_experts_split_evenly(self):
         ens = make_ensemble(2, p_min=0.1)
-        probs = ens.arm_probabilities([1.0, 0.0])
+        probs = ens.decide([1.0, 0.0], StubGenerator()).probs
         np.testing.assert_allclose(probs, [0.5, 0.5])
 
     def test_weighted_mixture_hand_value(self):
         ens = make_ensemble(2, weights=[3.0, 1.0], p_min=0.1)
-        probs = ens.arm_probabilities([1.0, 0.0])
+        probs = ens.decide([1.0, 0.0], StubGenerator()).probs
         np.testing.assert_allclose(probs, [0.7, 0.3])
 
     def test_consensus_without_floor(self):
@@ -141,7 +141,7 @@ class TestDecide:
             n = int(rng.integers(1, 8))
             ens = make_ensemble(n, weights=rng.uniform(0.01, 100.0, size=n))
             p_min = ens.config.resolved_p_min
-            probs = ens.arm_probabilities(rng.uniform(0.0, 1.0, size=n))
+            probs = ens.decide(rng.uniform(0.0, 1.0, size=n), StubGenerator()).probs
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(probs >= p_min - 1e-15)
             assert np.all(probs <= 1.0 - p_min + 1e-15)
@@ -149,11 +149,11 @@ class TestDecide:
     def test_vote_validation(self):
         ens = make_ensemble(2)
         with pytest.raises(ValueError):
-            ens.arm_probabilities([0.5])
+            ens.decide([0.5], StubGenerator())
         with pytest.raises(ValueError):
-            ens.arm_probabilities([0.5, 1.5])
+            ens.decide([0.5, 1.5], StubGenerator())
         with pytest.raises(ValueError):
-            ens.arm_probabilities([0.5, float("nan")])
+            ens.decide([0.5, float("nan")], StubGenerator())
 
 
 class TestUpdateWeights:
@@ -198,6 +198,28 @@ class TestUpdateWeights:
             ens.ewma_step()
             assert np.all(ens.weights > 0.0)
             assert np.all(np.isfinite(ens.weights))
+
+    def test_long_stream_at_horizon_one_keeps_its_bits(self):
+        """At ``horizon=1`` a weight can grow by e^0.8 per step, which would
+        overflow within a few thousand steps; the weights are rescaled by
+        powers of two instead, so an ensemble started at weights 2^-600
+        lower, which rescales at other steps, exports the same bits at every
+        step."""
+        rng = np.random.default_rng(31)
+        ens = make_ensemble(2, horizon=1)
+        low = make_ensemble(2, weights=[2.0 ** -600] * 2, horizon=1)
+        for _ in range(4000):
+            votes = rng.uniform(0.0, 1.0, size=2)
+            u = float(rng.random())
+            decisions = [e.decide(votes, StubGenerator(u)) for e in (ens, low)]
+            assert_same_bits(decisions[1].probs, decisions[0].probs)
+            reward = float(rng.random()) if decisions[0].acquired else 0.0
+            for e, decision in zip((ens, low), decisions):
+                e.update_weights(decision, reward)
+                e.ewma_step()
+            assert np.all(np.isfinite(ens.weights))
+            assert_same_bits(low.standardized_weights(), ens.standardized_weights())
+        assert ens.weights.max() < 2.0 ** 600
 
 
 class TestEwmaChart:

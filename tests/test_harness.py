@@ -221,6 +221,14 @@ class TestConfigParsing:
         assert cfg.strategy == "ld1"
         assert cfg.generator.n == 600
 
+    def test_load_from_a_file_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("strategy = ld1\nn = 600\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        cfg = load_experiment_config(str(path))
+        assert cfg.strategy == "ld1"
+        assert cfg.generator.n == 600
+
 
 class TestExperimentConfig:
     def test_unknown_strategy_rejected(self):
@@ -449,6 +457,15 @@ class TestCsvStreamIO:
         path.write_text("label,x1,x2\n1,0.5,2.0\n0,1.5,3.0\n", encoding="utf-8")
         features, labels = load_csv_stream(str(path))
         np.testing.assert_array_equal(features, [[0.5, 2.0], [1.5, 3.0]])
+        np.testing.assert_array_equal(labels, [1, 0])
+
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        """Spreadsheet "CSV UTF-8" exports start with a byte order mark."""
+        path = tmp_path / "data.csv"
+        path.write_text("label,x1\n1,0.5\n0,1.5\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        features, labels = load_csv_stream(str(path))
+        np.testing.assert_array_equal(features, [[0.5], [1.5]])
         np.testing.assert_array_equal(labels, [1, 0])
 
     def test_empty_file_rejected(self, tmp_path):

@@ -167,10 +167,8 @@ class TestFit:
         for penalty, strength in (("none", 0.0), ("l2", 0.1)):
             X = rng.normal(size=(30, 3))
             y = rng.integers(0, 2, size=30)
-            trace = []
-            fit_logistic(X, y, LearnerConfig(penalty=penalty, strength=strength),
-                         loss_trace=trace)
-            diffs = np.diff(np.asarray(trace))
+            losses = prefix_losses(X, y, LearnerConfig(penalty=penalty, strength=strength))
+            diffs = np.diff(losses)
             assert np.all(diffs <= 1e-12), f"loss rose under {penalty}"
 
     def test_l1_descent_trends_down(self):
@@ -179,12 +177,10 @@ class TestFit:
         rng = np.random.default_rng(21)
         X = rng.normal(size=(30, 3))
         y = rng.integers(0, 2, size=30)
-        trace = []
-        fit_logistic(X, y, LearnerConfig(penalty="l1", strength=0.05),
-                     loss_trace=trace)
-        diffs = np.diff(np.asarray(trace))
+        losses = prefix_losses(X, y, LearnerConfig(penalty="l1", strength=0.05))
+        diffs = np.diff(losses)
         assert np.all(diffs <= 1e-3)
-        assert trace[-1] < trace[0]
+        assert losses[-1] < losses[0]
 
     def test_parameters_finite(self):
         rng = np.random.default_rng(33)
@@ -229,8 +225,19 @@ def reference_gradient(w, b, X, y, config):
     return gw, gb
 
 
-def reference_fit(X, y, config, loss_trace):
-    """The descent of :func:`fit_logistic`, one fresh array per operation."""
+def prefix_losses(X, y, config):
+    """The loss at the zero start and after each of the first ``max_iter``
+    moves, each read off a fit capped at that many moves."""
+    p = X.shape[1]
+    return np.array([loss_value(np.zeros(p), 0.0, X, y, config)] + [
+        loss_value(model.weights, model.bias, X, y, config)
+        for model in (fit_logistic(X, y, replace(config, max_iter=k))
+                      for k in range(1, config.max_iter + 1))])
+
+
+def reference_fit(X, y, config):
+    """The descent of :func:`fit_logistic`, one fresh array per operation;
+    returns the parameters and the number of moves applied."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
@@ -240,17 +247,15 @@ def reference_fit(X, y, config, loss_trace):
     if config.penalty == "l2":
         lipschitz += config.strength
     step = 0.1 / (1.0 + lipschitz)
-    for _ in range(config.max_iter):
-        loss_trace.append(loss_value(w, b, X, y, config))
+    for moved in range(config.max_iter):
         gw, gb = reference_gradient(w, b, X, y, config)
         if float(np.sqrt(gw @ gw + gb * gb)) < config.grad_tol:
-            break
+            return w, b, moved
         w = w - step * gw
         b = b - step * gb
         if config.penalty == "l1":
             w = np.sign(w) * np.maximum(np.abs(w) - L1_SOFT_THRESHOLD, 0.0)
-    loss_trace.append(loss_value(w, b, X, y, config))
-    return w, b
+    return w, b, config.max_iter
 
 
 def descent_step(X, config):
@@ -262,21 +267,25 @@ def descent_step(X, config):
     return 0.1 / (1.0 + lipschitz)
 
 
-def augmented_reference_fit(X, y, config, loss_trace, move_norms=None):
+def augmented_reference_fit(X, y, config, path=None, move_norms=None):
     """The descent of :func:`fit_logistic` on the sign-folded design, one fresh
     array per operation and the stop test after every iteration: the bias is
     the last entry of ``theta``, the rows of positive labels are negated so
     the residual is ``expit`` alone, and the step and the 1/n ride in the
-    transposed design. ``move_norms``, when given, receives the norm of each
-    iteration's move, which the stop test compares with ``step * grad_tol``."""
+    transposed design. Returns the parameters and the number of moves
+    applied. ``path``, when given, receives ``theta`` at the start and after
+    each move; ``move_norms`` receives the norm of each iteration's move,
+    which the stop test compares with ``step * grad_tol``."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     step = descent_step(X, config)
     F = np.column_stack([X, np.ones(n)]) * (1.0 - 2.0 * y)[:, None]
     theta = np.zeros(p + 1)
-    for _ in range(config.max_iter):
-        loss_trace.append(loss_value(theta[:p], theta[p], X, y, config))
+    moved = 0
+    while moved < config.max_iter:
+        if path is not None:
+            path.append(theta.copy())
         move = expit(F @ theta) @ (F * (step / n))
         if config.penalty == "l2":
             move[:p] = move[:p] + (step * config.strength) * theta[:p]
@@ -291,23 +300,23 @@ def augmented_reference_fit(X, y, config, loss_trace, move_norms=None):
         if config.penalty == "l1":
             w = theta[:p]
             theta[:p] = np.sign(w) * np.maximum(np.abs(w) - L1_SOFT_THRESHOLD, 0.0)
-    w, b = theta[:p], float(theta[p])
-    loss_trace.append(loss_value(w, b, X, y, config))
-    return w, b
+        moved += 1
+    if path is not None and moved == config.max_iter:
+        path.append(theta.copy())
+    return theta[:p], float(theta[p]), moved
 
 
-def assert_fits_reference(X, y, config):
-    """Traced and untraced fits both equal the sign-folded reference bit for bit."""
-    expected_trace = []
-    w, b = augmented_reference_fit(X, y, config, expected_trace)
+def assert_fits_reference(X, y, config, path=None):
+    """The fit equals the sign-folded reference bit for bit, parameters,
+    gradient norm and number of moves."""
+    w, b, moved = augmented_reference_fit(X, y, config, path)
     gw, gb = reference_gradient(w, b, X, np.asarray(y, dtype=float), config)
-    trace = []
-    for model in (fit_logistic(X, y, config, loss_trace=trace), fit_logistic(X, y, config)):
-        assert np.array_equal(model.weights, w)
-        assert model.bias == b
-        assert model.grad_norm == float(np.sqrt(gw @ gw + gb * gb))
-    assert trace == expected_trace
-    return trace
+    model = fit_logistic(X, y, config)
+    assert np.array_equal(model.weights, w)
+    assert model.bias == b
+    assert model.grad_norm == float(np.sqrt(gw @ gw + gb * gb))
+    assert model.n_iter == moved
+    return model
 
 
 @st.composite
@@ -326,19 +335,24 @@ def pools(draw):
 
 class TestFitMatchesAllocatingReference:
     @settings(max_examples=60, deadline=None)
-    @given(pools())
-    def test_bit_identical_to_the_allocating_loop(self, pool):
+    @given(pools(), st.integers(1, LearnerConfig().max_iter))
+    def test_bit_identical_to_the_allocating_loop(self, pool, cap):
         X, y, config = pool
         if np.unique(y).size == 1:
-            trace = []
-            model = fit_logistic(X, y, config, loss_trace=trace)
+            model = fit_logistic(X, y, config)
             assert model.degenerate_class == int(y[0])
             assert model.grad_norm is None
-            assert trace == []
+            assert model.n_iter == 0
             return
-        trace = assert_fits_reference(X, y, config)
+        path = []
+        model = assert_fits_reference(X, y, config, path)
+        # a fit capped at `cap` moves keeps the first moves of the full one
+        capped = fit_logistic(X, y, replace(config, max_iter=cap))
+        assert capped.n_iter == min(cap, model.n_iter)
+        assert np.array_equal(np.append(capped.weights, capped.bias), path[capped.n_iter])
         if config.penalty != "l1":
-            assert np.all(np.diff(np.asarray(trace)) <= 1e-12)
+            losses = [loss_value(theta[:-1], theta[-1], X, y, config) for theta in path]
+            assert np.all(np.diff(losses) <= 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(pools(), st.floats(-5.0, 5.0))
@@ -358,14 +372,12 @@ class TestFitMatchesAllocatingReference:
         X, y, config = pool
         if np.unique(y).size == 1:
             return
-        expected_trace = []
-        w, b = reference_fit(X, y, config, expected_trace)
-        trace = []
-        model = fit_logistic(X, y, config, loss_trace=trace)
+        w, b, moved = reference_fit(X, y, config)
+        model = fit_logistic(X, y, config)
         expected = np.append(w, b)
         got = np.append(model.weights, model.bias)
         assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
-        assert len(trace) == len(expected_trace)
+        assert model.n_iter == moved
 
     def test_strong_ridge_stops_at_the_gradient_tolerance(self):
         """The iteration where the loop breaks is the mean-gradient reference's."""
@@ -373,12 +385,10 @@ class TestFitMatchesAllocatingReference:
         X = rng.normal(size=(40, 3))
         y = rng.integers(0, 2, size=40)
         config = LearnerConfig(penalty="l2", strength=5.0, grad_tol=1e-2)
-        trace = assert_fits_reference(X, y, config)
-        mean_gradient_trace = []
-        reference_fit(X, y, config, mean_gradient_trace)
-        assert len(trace) == len(mean_gradient_trace)
-        assert len(trace) - 1 < config.max_iter
-        assert fit_logistic(X, y, config).grad_norm < config.grad_tol
+        model = assert_fits_reference(X, y, config)
+        assert model.n_iter == reference_fit(X, y, config)[2]
+        assert model.n_iter < config.max_iter
+        assert model.grad_norm < config.grad_tol
 
     def test_fits_share_no_buffer(self):
         rng = np.random.default_rng(8)
@@ -395,7 +405,7 @@ def grad_tol_stopping_at(X, y, config, iteration):
     between that iteration's gradient norm and the smallest one before it."""
     norms = []
     augmented_reference_fit(X, y, replace(config, grad_tol=0.0, max_iter=iteration + 1),
-                            [], norms)
+                            move_norms=norms)
     earlier = min(norms[:iteration], default=2.0 * norms[iteration] + 1.0)
     assert norms[iteration] < earlier * (1.0 - 1e-6), "no grad_tol stops at this iteration"
     return 0.5 * (norms[iteration] + earlier) / descent_step(X, config)
@@ -424,13 +434,28 @@ class TestBlockStopTest:
             config = replace(config, grad_tol=0.0)
         else:
             config = replace(config, grad_tol=grad_tol_stopping_at(X, y, config, iteration))
-        trace = assert_fits_reference(X, y, config)
-        if iteration is None:
-            assert len(trace) == config.max_iter + 1
-        else:
-            # the loss before each iteration up to the stop, then the final one again
-            assert len(trace) == iteration + 2
-            assert trace[-1] == trace[-2]
+        model = assert_fits_reference(X, y, config)
+        assert model.n_iter == (config.max_iter if iteration is None else iteration)
+
+    @pytest.mark.parametrize("penalty, strength", [("none", 0.0), ("l2", 0.1), ("l1", 0.01)])
+    @pytest.mark.parametrize("stops", [False, True], ids=["never-stops", "stops"])
+    def test_a_capped_fit_keeps_the_first_moves_of_a_longer_one(self, penalty, strength,
+                                                                 stops):
+        """``max_iter=k`` gives the longer fit's parameters after its first k
+        moves, on both sides of a block boundary; past the longer fit's stop,
+        it gives the stopped fit."""
+        X, y = stop_test_pool()
+        config = LearnerConfig(penalty=penalty, strength=strength, max_iter=2 * _STOP_BLOCK + 2,
+                               grad_tol=0.0)
+        if stops:
+            config = replace(config, grad_tol=grad_tol_stopping_at(X, y, config, _STOP_BLOCK + 1))
+        path = []
+        full = assert_fits_reference(X, y, config, path)
+        for cap in (1, 2, _STOP_BLOCK - 1, _STOP_BLOCK, _STOP_BLOCK + 1, _STOP_BLOCK + 2,
+                    2 * _STOP_BLOCK, 2 * _STOP_BLOCK + 1):
+            capped = fit_logistic(X, y, replace(config, max_iter=cap))
+            assert capped.n_iter == min(cap, full.n_iter)
+            assert np.array_equal(np.append(capped.weights, capped.bias), path[capped.n_iter])
 
     @pytest.mark.parametrize("penalty, strength", [("none", 0.0), ("l2", 0.1), ("l1", 0.01)])
     def test_a_norm_on_the_tolerance_stops_with_the_reference(self, penalty, strength):
@@ -441,7 +466,7 @@ class TestBlockStopTest:
         config = LearnerConfig(penalty=penalty, strength=strength, max_iter=2 * _STOP_BLOCK)
         step = descent_step(X, config)
         norms = []
-        augmented_reference_fit(X, y, replace(config, grad_tol=0.0), [], norms)
+        augmented_reference_fit(X, y, replace(config, grad_tol=0.0), move_norms=norms)
         checked = 0
         for norm in norms[_STOP_BLOCK:]:
             for tol in (norm, float(np.nextafter(norm, math.inf))):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ import numpy as np
 from .datagen import GeneratorConfig, generate
 from .harness import (
     ExperimentConfig,
+    _atomic_write,
     export_results,
     load_experiment_config,
     run_experiment,
@@ -38,6 +40,11 @@ def _seed(text: str) -> int:
 def _seed_list(text: str) -> list[int]:
     """Comma-separated seeds, each checked like ``--seed``; blanks are skipped."""
     return [_seed(s) for s in text.split(",") if s.strip() != ""]
+
+
+def _make_out_parent(path: str) -> None:
+    """Create the directory a file ``--out`` goes into, before any work runs."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,6 +98,7 @@ def _cmd_gen(args) -> int:
         class_sep=args.class_sep,
         seed=args.seed,
     )
+    _make_out_parent(args.out)
     data = generate(config)
     write_dataset_csv(data, args.out)
     print(f"wrote {data.labels.shape[0]} rows x {data.features.shape[1]} features "
@@ -115,10 +123,9 @@ def _cmd_bench(args) -> int:
                   if args.strategies else [config.strategy])
     # every config is built first, so a bad strategy fails before any seed runs
     configs = [replace(config, strategy=name) for name in strategies]
-    summaries = [run_replications(c, args.seeds) for c in configs]
-    table = summary_table(summaries)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(table)
+    _make_out_parent(args.out)
+    table = summary_table([run_replications(c, args.seeds) for c in configs])
+    _atomic_write(args.out, table)
     print(table, end="")
     print(f"wrote {args.out}")
     return 0
@@ -132,7 +139,8 @@ def _cmd_verify_theory(args) -> int:
         raise ValueError(f"--grid-max must be nonnegative and finite, got {args.grid_max}")
     grid = np.linspace(0.0, args.grid_max, args.grid_points)
     base = TheoryParams(draws=args.draws, seed=args.seed)
-    rows = []
+    _make_out_parent(args.out)
+    lines = ["center_dist_sq,closed_form,mc_mean,mc_se,within_tol"]
     all_ok = True
     closed_values = []
     for dist_sq in grid:
@@ -143,16 +151,13 @@ def _cmd_verify_theory(args) -> int:
         ok = abs(closed - estimate.mean) <= tolerance
         all_ok &= ok
         closed_values.append(closed)
-        rows.append((float(dist_sq), closed, estimate.mean, estimate.se, ok))
+        lines.append(f"{repr(float(dist_sq))},{repr(closed)},{repr(estimate.mean)},"
+                     f"{repr(estimate.se)},{1 if ok else 0}")
         print(f"center_dist_sq={dist_sq:7.3f} closed={closed:7.4f} "
               f"mc={estimate.mean:7.4f} se={estimate.se:.4f} "
               f"{'ok' if ok else 'OUT OF TOLERANCE'}")
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("center_dist_sq,closed_form,mc_mean,mc_se,within_tol\n")
-        for dist_sq, closed, mc_mean, mc_se, ok in rows:
-            fh.write(f"{repr(dist_sq)},{repr(closed)},{repr(mc_mean)},"
-                     f"{repr(mc_se)},{1 if ok else 0}\n")
+    _atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out}")
 
     diffs = np.diff(closed_values)

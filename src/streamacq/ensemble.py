@@ -5,7 +5,8 @@ advice vectors. Expert weights grow with importance-weighted reward plus an
 exploration bonus, and an EWMA chart over the standardized weights reflects
 them across the uniform level whenever one expert drifts out of its limits.
 
-The solver keeps its per-expert state as arrays of length ``n_experts``. A
+The solver keeps its per-expert state as arrays of length ``n_experts``, the
+roster size it is built with, which is not a :class:`SolverConfig` setting. A
 step builds and checks the advice matrix once, in :meth:`WeightedEnsemble.decide`;
 the :class:`JointDecision` carries it to :meth:`WeightedEnsemble.update_weights`.
 """
@@ -79,7 +80,6 @@ def step_reward(acquired: bool, predicted: int, label: int,
 class SolverConfig:
     """Knobs for the bandit solver and the weight monitor."""
 
-    n_experts: int
     horizon: int = 2000
     p_min: float | None = None
     ewma_weight: float = 0.3
@@ -88,8 +88,6 @@ class SolverConfig:
     monitor: bool = True
 
     def __post_init__(self):
-        if self.n_experts < 1:
-            raise ValueError("need at least one expert")
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
         if self.p_min is not None and not 0.0 <= self.p_min <= 1.0 / N_ARMS:
@@ -100,18 +98,6 @@ class SolverConfig:
             raise ValueError(f"limit width must be positive and finite, got {self.limit_width}")
         if self.flip_warmup < 2:
             raise ValueError("flip warm-up needs at least two observations")
-
-    @property
-    def resolved_p_min(self) -> float:
-        """Exploration floor; the default vanishes for a single expert."""
-        if self.p_min is not None:
-            return self.p_min
-        return min(self.exploration_bonus, 1.0 / N_ARMS)
-
-    @property
-    def exploration_bonus(self) -> float:
-        """Variance bonus multiplier in the weight update exponent."""
-        return math.sqrt(math.log(self.n_experts) / (N_ARMS * self.horizon))
 
 
 @dataclass(frozen=True)
@@ -133,12 +119,18 @@ class WeightedEnsemble:
 
     ``obs_mean`` and ``obs_m2`` are the chart's running (Welford) moments of
     the standardized weights. Every :meth:`ewma_step` records every expert
-    once, so ``steps`` is also each expert's record count.
+    once, so ``steps`` is also each expert's record count. The exploration
+    floor ``p_min`` defaults to the update's ``exploration_bonus``, capped at 1/2.
     """
 
-    def __init__(self, config: SolverConfig):
+    def __init__(self, config: SolverConfig, n_experts: int):
+        if n_experts < 1:
+            raise ValueError("need at least one expert")
         self.config = config
-        n = config.n_experts
+        self.n_experts = n = n_experts
+        self.exploration_bonus = math.sqrt(math.log(n) / (N_ARMS * config.horizon))
+        self.p_min = (config.p_min if config.p_min is not None
+                      else min(self.exploration_bonus, 1.0 / N_ARMS))
         self.weights = np.ones(n)
         self.ewma = np.full(n, 1.0 / n)
         self.obs_mean = np.zeros(n)
@@ -152,8 +144,8 @@ class WeightedEnsemble:
     def advice_matrix(self, votes) -> np.ndarray:
         """Per-expert advice over both arms from acquire-votes in [0, 1]."""
         v = np.asarray(votes, dtype=float)
-        if v.shape != (self.config.n_experts,):
-            raise ValueError(f"expected {self.config.n_experts} votes, got shape {v.shape}")
+        if v.shape != (self.n_experts,):
+            raise ValueError(f"expected {self.n_experts} votes, got shape {v.shape}")
         if not (0.0 <= v.min() and v.max() <= 1.0):  # NaN fails both tests
             raise ValueError("votes must be finite and lie in [0, 1]")
         return np.column_stack([v, 1.0 - v])
@@ -163,8 +155,7 @@ class WeightedEnsemble:
         distribution with the exploration floor."""
         advice = self.advice_matrix(votes)
         mix = self.weights @ advice / self.weights.sum()
-        p_min = self.config.resolved_p_min
-        probs = (1.0 - N_ARMS * p_min) * mix + p_min
+        probs = (1.0 - N_ARMS * self.p_min) * mix + self.p_min
         u = float(rng.random())
         arm = ARM_ACQUIRE if u < probs[ARM_ACQUIRE] else ARM_PASS
         return JointDecision(probs=probs, arm=arm, advice=advice)
@@ -179,13 +170,12 @@ class WeightedEnsemble:
         """
         if not 0.0 <= reward <= 1.0:
             raise ValueError(f"reward must lie in [0, 1], got {reward}")
-        if self.config.resolved_p_min == 0.0:
+        if self.p_min == 0.0:
             return  # exponent scale is p_min/2, so the update is exactly neutral
         advice, probs, arm = decision.advice, decision.probs, decision.arm
         gain = advice[:, arm] * (reward / probs[arm])  # importance-weighted reward
         spread = (advice / probs).sum(axis=1)
-        exponent = self.config.resolved_p_min / 2.0 * (
-            gain + spread * self.config.exploration_bonus)
+        exponent = self.p_min / 2.0 * (gain + spread * self.exploration_bonus)
         # math.exp per expert, not np.exp: numpy's SIMD exp differs from libm's
         # in the last bit on about a quarter of random inputs, which would
         # move the exported weights
@@ -208,7 +198,7 @@ class WeightedEnsemble:
         """Sample variance of each expert's recorded standardized weights;
         zero below two records."""
         if self.steps < 2:
-            return np.zeros(self.config.n_experts)
+            return np.zeros(self.n_experts)
         return self.obs_m2 / (self.steps - 1)
 
     def ewma_step(self) -> bool:
@@ -220,7 +210,7 @@ class WeightedEnsemble:
         reflects all standardized weights across the uniform level.
         """
         cfg = self.config
-        level = 1.0 / cfg.n_experts
+        level = 1.0 / self.n_experts
         lam = cfg.ewma_weight
         standardized = self.standardized_weights()
 

@@ -5,8 +5,8 @@ single agent, or a baseline; every choice runs through the same monitored
 controller, which degenerates gracefully for one expert. Runs are driven by
 a flat key=value config plus a seed and export plot-ready CSV/JSON files.
 A config key is the name of a scalar ``ExperimentConfig`` field, or a flat
-name in ``_NESTED_KEYS`` for a field of the generator, reward or learner
-config; its value is parsed by the type the field declares.
+name in ``_NESTED_KEYS`` for a field of the generator, reward, learner or
+solver config; its value is parsed by the type the field declares.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .learner import LearnerConfig, fit_logistic, predicted_class
 __all__ = [
     "STRATEGIES",
     "CASE_STUDY_POOL_SIZE",
+    "CONFIG_KEYS",
     "ExperimentConfig",
     "StepRecord",
     "RunMetrics",
@@ -93,12 +94,7 @@ class ExperimentConfig:
     label_column: str = "label"
     budget_fraction: float = 0.10
     eval_every: int = 25
-    horizon: int = 2000
-    p_min: float | None = None
-    ewma_weight: float = 0.3
-    limit_width: float = 5.0
-    flip_warmup: int = 10
-    monitor: bool = True
+    solver: SolverConfig = SolverConfig()
     epsilon: float = 0.01
     rewards: RewardSpec = RewardSpec()
     learner: LearnerConfig = LearnerConfig()
@@ -123,11 +119,9 @@ class ExperimentConfig:
             raise ValueError("budget fraction must lie in (0, 1]")
         if self.eval_every < 1:
             raise ValueError("evaluation period must be at least 1")
-        # Build the solver and every configured agent once, whatever the
-        # strategy: `bench` swaps the strategy after parsing, so a bad setting
-        # must fail here rather than when a run first builds it. The expert
-        # count enters no solver check.
-        self.solver_config(1)
+        # Build every configured agent once, whatever the strategy: `bench`
+        # swaps the strategy after parsing, so a bad setting must fail here
+        # rather than when a run first builds it.
         window = SlidingWindow(max(1, self.ld1_window, self.ld2_window, self.spf1_window) + 1)
         for name, make in self._agent_factories(window).items():
             try:
@@ -166,12 +160,6 @@ class ExperimentConfig:
         factories["rs"] = lambda: RandomBaseline(
             random_baseline_rate(budget, stream_len), name="rs")
         return [factories[name]() for name in _ROSTERS[self.strategy]]
-
-    def solver_config(self, n_experts: int) -> SolverConfig:
-        """The solver settings of this config, for ``n_experts`` experts."""
-        return SolverConfig(n_experts=n_experts, **{
-            f.name: getattr(self, f.name) for f in fields(SolverConfig)
-            if f.name != "n_experts"})
 
 
 @dataclass(frozen=True)
@@ -219,7 +207,7 @@ class StreamRunner:
         if self.window is not None:
             for row in split.initial_features:
                 self.window.push(row)
-        self.ensemble = WeightedEnsemble(config.solver_config(len(self.agents)))
+        self.ensemble = WeightedEnsemble(config.solver, len(self.agents))
         self.rng = np.random.default_rng([seed, STAGE_RUN])
         self.seed_value = seed
         self.budget_used = 0
@@ -334,10 +322,13 @@ def _mean_se(values) -> tuple[float, float]:
 
 
 def run_replications(config: ExperimentConfig, seeds) -> ReplicationSummary:
-    """Replicate one config across seeds and summarize as mean (se)."""
+    """Replicate one config across distinct seeds and summarize as mean (se)."""
     seeds = tuple(int(s) for s in seeds)
     if len(seeds) < 2:
         raise ValueError("replication needs at least two seeds")
+    repeated = sorted(s for s, count in Counter(seeds).items() if count > 1)
+    if repeated:
+        raise ValueError(f"replication needs distinct seeds; repeated: {repeated}")
     runs = tuple(run_experiment(config, s) for s in seeds)
     return ReplicationSummary(
         strategy=config.strategy,
@@ -508,6 +499,8 @@ def _atomic_write(path: str, text: str) -> None:
 # -- config files --------------------------------------------------------------
 
 # Flat config-file names of the nested-config fields: key -> (section, field).
+# Two fields have no key: GeneratorConfig.seed (a run's seed is given apart
+# from its config) and LearnerConfig.grad_tol (the pinned stop tolerance).
 _NESTED_KEYS = {
     **{name: ("generator", name) for name in (
         "n", "p", "positive_share", "flip_share", "noise_share", "class_sep")},
@@ -516,6 +509,8 @@ _NESTED_KEYS = {
     "penalty": ("learner", "penalty"),
     "penalty_strength": ("learner", "strength"),
     "max_iter": ("learner", "max_iter"),
+    **{name: ("solver", name) for name in (
+        "horizon", "p_min", "ewma_weight", "limit_width", "flip_warmup", "monitor")},
 }
 
 

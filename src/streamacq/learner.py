@@ -72,6 +72,9 @@ class LearnerConfig:
         if not (math.isfinite(self.strength) and self.strength >= 0):
             raise ValueError(
                 f"regularization strength must be finite and nonnegative, got {self.strength}")
+        if self.penalty == "none" and self.strength != 0.0:
+            raise ValueError(
+                f"penalty 'none' takes no regularization strength, got {self.strength}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if not self.grad_tol >= 0:

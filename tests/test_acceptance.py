@@ -165,16 +165,16 @@ def test_criterion_5_invariant_suite(toy_runs, scenario_runs, tmp_path):
     probs_ok = True
     for _ in range(200):
         n = int(rng.integers(1, 7))
-        ensemble = WeightedEnsemble(SolverConfig(n_experts=n))
+        ensemble = WeightedEnsemble(SolverConfig(), n)
         ensemble.weights = np.array([rng.uniform(0.01, 10.0) for _ in range(n)])
-        floor = ensemble.config.resolved_p_min
+        floor = ensemble.p_min
         probs = ensemble.decide(rng.random(n), StubGenerator(0.0)).probs
         probs_ok &= bool(np.all(probs >= floor - 1e-12))
         probs_ok &= bool(np.all(probs <= 1.0 - floor + 1e-12))
         probs_ok &= abs(float(probs.sum()) - 1.0) <= 1e-9
     checks["decision probabilities"] = probs_ok
 
-    ensemble = WeightedEnsemble(SolverConfig(n_experts=4))
+    ensemble = WeightedEnsemble(SolverConfig(), 4)
     positive_ok = True
     reflection_ok = True
     flips_seen = 0
@@ -272,7 +272,7 @@ def test_criterion_6_gradient_matches_finite_differences():
 
 def test_criterion_7_monitoring_flips_a_dominating_expert():
     def crafted_run(monitor: bool, steps: int = 300):
-        ensemble = WeightedEnsemble(SolverConfig(n_experts=2, monitor=monitor))
+        ensemble = WeightedEnsemble(SolverConfig(monitor=monitor), 2)
         stub = StubGenerator(0.0)  # uniform draw 0 always lands on acquire
         votes = [1.0, 0.0]
         favored = []

@@ -128,6 +128,15 @@ class TestBench:
         assert "agent spf1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_seed_exits_nonzero(self, tmp_path, capsys):
+        config = write_config(tmp_path, SMALL_CONFIG)
+        out = tmp_path / "table.csv"
+        code = main(["bench", "--config", config, "--seeds", "0,0,0",
+                     "--out", str(out)])
+        assert code == 1
+        assert "error: replication needs distinct seeds" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_seed_exits_nonzero(self, tmp_path, capsys):
         config = write_config(tmp_path, SMALL_CONFIG)
         code = main(["bench", "--config", config, "--seeds", "0",
@@ -173,6 +182,20 @@ class TestVerifyTheory:
         assert "theory verification passed" not in captured.out
         assert "center_dist_sq=" not in captured.out  # no grid point ran
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--n", "30", "--p", "2"],
+    ["bench", "--config", "exp.cfg", "--seeds", "0,1"],
+    ["verify-theory", "--draws", "2000", "--grid-points", "2"],
+])
+def test_out_file_goes_into_a_new_directory(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, SMALL_CONFIG)
+    out = tmp_path / "new" / "dir" / "out.csv"
+    assert main([*command, "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").count("\n") >= 2
+    assert [p.name for p in out.parent.iterdir()] == ["out.csv"]  # no temp file left
 
 
 class TestSeedFlags:

@@ -33,7 +33,7 @@ class StubGenerator:
 
 
 def make_ensemble(n_experts, weights=None, **kwargs):
-    ens = WeightedEnsemble(SolverConfig(n_experts=n_experts, **kwargs))
+    ens = WeightedEnsemble(SolverConfig(**kwargs), n_experts)
     if weights is not None:
         ens.weights = np.array(weights, dtype=float)
     return ens
@@ -69,28 +69,27 @@ class TestRewardSpec:
 
 class TestSolverConfig:
     def test_default_exploration_floor(self):
-        cfg = SolverConfig(n_experts=6)
-        assert cfg.resolved_p_min == pytest.approx(math.sqrt(math.log(6) / (2 * 2000)))
+        ens = make_ensemble(6)
+        assert ens.p_min == pytest.approx(math.sqrt(math.log(6) / (2 * 2000)))
 
     def test_single_expert_floor_vanishes(self):
-        assert SolverConfig(n_experts=1).resolved_p_min == 0.0
+        assert make_ensemble(1).p_min == 0.0
 
     def test_floor_capped_at_half(self):
-        cfg = SolverConfig(n_experts=50, horizon=1)
-        assert cfg.resolved_p_min == 0.5
+        assert make_ensemble(50, horizon=1).p_min == 0.5
 
     def test_explicit_floor_wins(self):
-        assert SolverConfig(n_experts=6, p_min=0.1).resolved_p_min == 0.1
+        assert make_ensemble(6, p_min=0.1).p_min == 0.1
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="at least one expert"):
+            WeightedEnsemble(SolverConfig(), 0)
         with pytest.raises(ValueError):
-            SolverConfig(n_experts=0)
+            SolverConfig(p_min=0.6)
         with pytest.raises(ValueError):
-            SolverConfig(n_experts=2, p_min=0.6)
+            SolverConfig(ewma_weight=0.0)
         with pytest.raises(ValueError):
-            SolverConfig(n_experts=2, ewma_weight=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(n_experts=2, flip_warmup=1)
+            SolverConfig(flip_warmup=1)
 
 
 class TestChartVariance:
@@ -140,7 +139,7 @@ class TestDecide:
         for _ in range(200):
             n = int(rng.integers(1, 8))
             ens = make_ensemble(n, weights=rng.uniform(0.01, 100.0, size=n))
-            p_min = ens.config.resolved_p_min
+            p_min = ens.p_min
             probs = ens.decide(rng.uniform(0.0, 1.0, size=n), StubGenerator()).probs
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(probs >= p_min - 1e-15)
@@ -341,10 +340,14 @@ class ReferenceEnsemble:
     per expert, a Welford record per expert, and a per-expert reflection.
     The array solver must reproduce it bit for bit."""
 
-    def __init__(self, config):
+    def __init__(self, config, n_experts):
         self.config = config
-        self.experts = [ReferenceExpert(weight=1.0, ewma=1.0 / config.n_experts)
-                        for _ in range(config.n_experts)]
+        self.n_experts = n_experts
+        self.bonus = math.sqrt(math.log(n_experts) / (N_ARMS * config.horizon))
+        self.p_min = (config.p_min if config.p_min is not None
+                      else min(self.bonus, 1.0 / N_ARMS))
+        self.experts = [ReferenceExpert(weight=1.0, ewma=1.0 / n_experts)
+                        for _ in range(n_experts)]
         self.limit_width = float(config.limit_width)
         self.steps = 0
         self.flips = 0
@@ -358,12 +361,11 @@ class ReferenceEnsemble:
         advice = np.column_stack([v, 1.0 - v])
         weights = np.array([e.weight for e in self.experts])
         mix = weights @ advice / weights.sum()
-        p_min = self.config.resolved_p_min
-        probs = (1.0 - N_ARMS * p_min) * mix + p_min
+        probs = (1.0 - N_ARMS * self.p_min) * mix + self.p_min
         return probs, (ARM_ACQUIRE if u < probs[ARM_ACQUIRE] else ARM_PASS)
 
     def update_weights(self, votes, probs, arm, reward):
-        if self.config.resolved_p_min == 0.0:
+        if self.p_min == 0.0:
             return
         v = np.asarray(votes, dtype=float)
         advice = np.column_stack([v, 1.0 - v])
@@ -371,14 +373,13 @@ class ReferenceEnsemble:
         reward_hat[arm] = reward / probs[arm]
         gain = advice @ reward_hat
         spread = (advice / probs).sum(axis=1)
-        bonus = self.config.exploration_bonus
-        scale = self.config.resolved_p_min / 2.0
+        scale = self.p_min / 2.0
         for expert, g, s in zip(self.experts, gain, spread):
-            expert.weight *= math.exp(scale * (g + s * bonus))
+            expert.weight *= math.exp(scale * (g + s * self.bonus))
 
     def ewma_step(self):
         cfg = self.config
-        level = 1.0 / cfg.n_experts
+        level = 1.0 / self.n_experts
         lam = cfg.ewma_weight
         standardized = self.standardized_weights()
         for expert, s in zip(self.experts, standardized):
@@ -411,10 +412,11 @@ def assert_same_bits(actual, expected):
     assert actual.tobytes() == expected.tobytes(), (actual, expected)
 
 
-def run_against_reference(config, votes, rewards, uniforms):
+def run_against_reference(config, n_experts, votes, rewards, uniforms):
     """Drive both solvers through the same steps, comparing every state bit;
     returns the number of flips."""
-    ens, ref = WeightedEnsemble(config), ReferenceEnsemble(config)
+    ens = WeightedEnsemble(config, n_experts)
+    ref = ReferenceEnsemble(config, n_experts)
     for step_votes, reward, u in zip(votes, rewards, uniforms):
         decision = ens.decide(step_votes, StubGenerator(u))
         probs, arm = ref.decide(step_votes, u)
@@ -438,7 +440,6 @@ def run_against_reference(config, votes, rewards, uniforms):
 def solver_runs(draw):
     n = draw(st.integers(1, 6))
     config = SolverConfig(
-        n_experts=n,
         horizon=draw(st.integers(1, 3000)),
         p_min=draw(st.one_of(st.none(), st.floats(1e-3, 0.5))),
         ewma_weight=draw(st.floats(0.05, 1.0)),
@@ -452,7 +453,7 @@ def solver_runs(draw):
     rewards = draw(hnp.arrays(np.float64, steps, elements=unit))
     uniforms = draw(hnp.arrays(np.float64, steps,
                                elements=st.floats(0.0, 1.0, exclude_max=True)))
-    return config, votes, rewards, uniforms
+    return config, n, votes, rewards, uniforms
 
 
 class TestArrayStateMatchesPerExpertReference:
@@ -468,6 +469,6 @@ class TestArrayStateMatchesPerExpertReference:
         rng = np.random.default_rng(n)
         steps = 2000
         flips = run_against_reference(
-            SolverConfig(n_experts=n), rng.random((steps, n)), rng.random(steps),
+            SolverConfig(), n, rng.random((steps, n)), rng.random(steps),
             rng.random(steps))
         assert flips > 0

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from streamacq.datagen import (
     scenario_split,
 )
 from streamacq.ensemble import SolverConfig
+import streamacq.harness as harness
 from streamacq.harness import (
     CASE_STUDY_POOL_SIZE,
     CONFIG_KEYS,
@@ -98,8 +100,8 @@ class TestConfigParsing:
         assert cfg.learner.penalty == "l2"
         assert cfg.learner.strength == 0.5
         assert cfg.learner.max_iter == 200
-        assert cfg.p_min == 0.05
-        assert cfg.monitor is False
+        assert cfg.solver.p_min == 0.05
+        assert cfg.solver.monitor is False
         assert cfg.ld1_window == 40
 
     @pytest.mark.parametrize("line", [
@@ -162,8 +164,21 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=message):
             parse_config_text(text)
 
+    def test_penalty_strength_without_a_penalty_rejected(self):
+        with pytest.raises(ValueError, match="penalty 'none' takes no regularization strength"):
+            parse_config_text("penalty_strength = 5\n")
+
+    def test_every_nested_setting_has_a_key(self):
+        """A setting added to a nested section cannot land without its flat key."""
+        base = ExperimentConfig()
+        settings = {(f.name, g.name) for f in fields(base)
+                    if is_dataclass(getattr(base, f.name))
+                    for g in fields(getattr(base, f.name))}
+        unkeyed = settings - set(harness._NESTED_KEYS.values())
+        assert unkeyed == {("generator", "seed"), ("learner", "grad_tol")}
+
     def test_p_min_auto_maps_to_none(self):
-        assert parse_config_text("p_min = auto").p_min is None
+        assert parse_config_text("p_min = auto").solver.p_min is None
 
     @pytest.mark.parametrize("text", ["windowsize = 10", "confidence = 0.1"])
     def test_unknown_key_rejected(self, text):
@@ -284,20 +299,13 @@ class TestExperimentConfig:
         assert isinstance(agent, UncertaintyBaseline)
         assert agent.threshold == 0.7
 
-    def test_solver_defaults_match_the_solver_config(self):
-        for n in (1, 6):
-            assert ExperimentConfig().solver_config(n) == SolverConfig(n_experts=n)
-
-    def test_every_solver_setting_reaches_the_solver(self):
+    def test_every_solver_setting_reaches_the_solver(self, split):
         cfg = parse_config_text("horizon = 60\np_min = 0.2\newma_weight = 0.5\n"
                                 "limit_width = 3\nflip_warmup = 4\nmonitor = off")
-        assert cfg.solver_config(2) == SolverConfig(
-            n_experts=2, horizon=60, p_min=0.2, ewma_weight=0.5, limit_width=3.0,
+        assert cfg.solver == SolverConfig(
+            horizon=60, p_min=0.2, ewma_weight=0.5, limit_width=3.0,
             flip_warmup=4, monitor=False)
-
-    def test_single_expert_solver_passes_votes_through(self):
-        solver = ExperimentConfig(strategy="ld1").solver_config(1)
-        assert solver.resolved_p_min == 0.0
+        assert StreamRunner(cfg, 0, split).ensemble.config is cfg.solver
 
 
 class TestStreamRunner:
@@ -365,7 +373,7 @@ class TestStreamRunner:
             assert sum(record.weights) == pytest.approx(1.0, abs=1e-9)
 
     def test_missing_oracle_label_raises(self, split):
-        config = small_config("rs", p_min=0.0)
+        config = small_config("rs", solver=SolverConfig(p_min=0.0))
         runner = StreamRunner(config, 10, split)
         runner.agents[0].rate = 1.0
         with pytest.raises(RuntimeError, match="no label"):
@@ -406,6 +414,14 @@ class TestReplication:
     def test_requires_two_seeds(self):
         with pytest.raises(ValueError, match="two seeds"):
             run_replications(small_config("rs"), [0])
+
+    def test_repeated_seed_rejected_before_any_run(self, monkeypatch):
+        def no_run(config, seed):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        with pytest.raises(ValueError, match=r"distinct seeds; repeated: \[0\]"):
+            run_replications(small_config("rs"), [0, 1, 0])
 
     def test_summary_means_match_individual_runs(self):
         config = small_config("rs")

@@ -64,6 +64,10 @@ class TestLearnerConfig:
         with pytest.raises(ValueError):
             LearnerConfig(max_iter=0)
 
+    def test_strength_without_a_penalty_rejected(self):
+        with pytest.raises(ValueError, match="penalty 'none' takes no regularization strength"):
+            LearnerConfig(penalty="none", strength=5.0)
+
     @pytest.mark.parametrize("kwargs", [
         {"strength": math.nan},
         {"strength": math.inf},

@@ -47,6 +47,7 @@ from .harness import (
     parse_config_text,
     run_experiment,
     run_replications,
+    strategy_configs,
     summary_table,
     write_dataset_csv,
 )
@@ -113,6 +114,7 @@ __all__ = [
     "solve_m2",
     "squared_distance_moments",
     "step_reward",
+    "strategy_configs",
     "summary_table",
     "uncertainty_vote",
     "write_dataset_csv",

@@ -18,6 +18,7 @@ from .harness import (
     load_experiment_config,
     run_experiment,
     run_replications,
+    strategy_configs,
     summary_table,
     write_dataset_csv,
 )
@@ -121,8 +122,9 @@ def _cmd_bench(args) -> int:
     config = load_experiment_config(args.config)
     strategies = ([s.strip() for s in args.strategies.split(",")]
                   if args.strategies else [config.strategy])
-    # every config is built first, so a bad strategy fails before any seed runs
-    configs = [replace(config, strategy=name) for name in strategies]
+    # every config is built first, so a bad or repeated strategy fails before
+    # any seed runs
+    configs = strategy_configs(config, strategies)
     _make_out_parent(args.out)
     table = summary_table([run_replications(c, args.seeds) for c in configs])
     _atomic_write(args.out, table)

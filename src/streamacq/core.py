@@ -32,7 +32,7 @@ def as_feature_vector(x) -> np.ndarray:
         raise ValueError(f"expected a 1-d feature vector, got shape {v.shape}")
     if v.size == 0:
         raise ValueError("feature vector is empty")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("feature vector has non-finite entries")
     return v
 

@@ -9,6 +9,14 @@ The solver keeps its per-expert state as arrays of length ``n_experts``, the
 roster size it is built with, which is not a :class:`SolverConfig` setting. A
 step builds and checks the advice matrix once, in :meth:`WeightedEnsemble.decide`;
 the :class:`JointDecision` carries it to :meth:`WeightedEnsemble.update_weights`.
+
+On arrays of a few entries numpy's per-call cost outweighs the arithmetic,
+so the per-expert updates run in one pass over Python floats and write the
+arrays back. Each float operation is the one the array expression
+``weights * exp(p_min / 2 * (gain + spread * bonus))`` or the chart's Welford
+and EWMA updates would do, in the same order, so the state keeps its bits.
+Only the mixture ``weights @ advice`` stays a numpy call: a sequential dot
+rounds differently from it.
 """
 
 from __future__ import annotations
@@ -146,19 +154,31 @@ class WeightedEnsemble:
         v = np.asarray(votes, dtype=float)
         if v.shape != (self.n_experts,):
             raise ValueError(f"expected {self.n_experts} votes, got shape {v.shape}")
-        if not (0.0 <= v.min() and v.max() <= 1.0):  # NaN fails both tests
+        if not all(0.0 <= x <= 1.0 for x in v.tolist()):  # NaN fails both tests
             raise ValueError("votes must be finite and lie in [0, 1]")
-        return np.column_stack([v, 1.0 - v])
+        advice = np.empty((self.n_experts, N_ARMS))
+        advice[:, ARM_ACQUIRE] = v
+        np.subtract(1.0, v, out=advice[:, ARM_PASS])
+        return advice
+
+    def _total(self, weights: list) -> float:
+        """``self.weights.sum()`` bit for bit, given ``self.weights.tolist()``.
+
+        numpy adds fewer than eight terms left to right, as ``sum`` does, and
+        more in pairwise blocks.
+        """
+        return sum(weights) if len(weights) < 8 else float(self.weights.sum())
 
     def decide(self, votes, rng: np.random.Generator) -> JointDecision:
         """Sample one arm via inverse CDF from the weight-mixed arm
         distribution with the exploration floor."""
         advice = self.advice_matrix(votes)
-        mix = self.weights @ advice / self.weights.sum()
-        probs = (1.0 - N_ARMS * self.p_min) * mix + self.p_min
+        total = self._total(self.weights.tolist())
+        keep, floor = 1.0 - N_ARMS * self.p_min, self.p_min
+        probs = [keep * (m / total) + floor for m in (self.weights @ advice).tolist()]
         u = float(rng.random())
         arm = ARM_ACQUIRE if u < probs[ARM_ACQUIRE] else ARM_PASS
-        return JointDecision(probs=probs, arm=arm, advice=advice)
+        return JointDecision(probs=np.array(probs), arm=arm, advice=advice)
 
     # -- learning -----------------------------------------------------------
 
@@ -172,20 +192,25 @@ class WeightedEnsemble:
             raise ValueError(f"reward must lie in [0, 1], got {reward}")
         if self.p_min == 0.0:
             return  # exponent scale is p_min/2, so the update is exactly neutral
-        advice, probs, arm = decision.advice, decision.probs, decision.arm
-        gain = advice[:, arm] * (reward / probs[arm])  # importance-weighted reward
-        spread = (advice / probs).sum(axis=1)
-        exponent = self.p_min / 2.0 * (gain + spread * self.exploration_bonus)
+        arm = decision.arm
+        p_acquire, p_pass = probs = decision.probs.tolist()
+        scale = reward / probs[arm]  # the played arm's importance-weighted reward
+        half, bonus = self.p_min / 2.0, self.exploration_bonus
         # math.exp per expert, not np.exp: numpy's SIMD exp differs from libm's
         # in the last bit on about a quarter of random inputs, which would
         # move the exported weights
-        self.weights *= [math.exp(x) for x in exponent.tolist()]
-        top = float(self.weights.max())
+        grown = []
+        for w, a in zip(self.weights.tolist(), decision.advice.tolist()):
+            spread = a[ARM_ACQUIRE] / p_acquire + a[ARM_PASS] / p_pass
+            grown.append(w * math.exp(half * (a[arm] * scale + spread * bonus)))
+        self.weights[:] = grown
+        top, low = max(grown), min(grown)
         if top > _RESCALE_ABOVE:
             # weights only grow between reflections; scaling them all by one
             # power of two is exact, so ratios and every export keep their bits
             np.ldexp(self.weights, -math.frexp(top)[1], out=self.weights)
-        if not (0.0 < self.weights.min() and top < math.inf):
+            low = float(self.weights.min())
+        if not (0.0 < low and top < math.inf):
             raise FloatingPointError("expert weight left (0, inf)")
 
     # -- monitoring ---------------------------------------------------------
@@ -212,30 +237,45 @@ class WeightedEnsemble:
         cfg = self.config
         level = 1.0 / self.n_experts
         lam = cfg.ewma_weight
-        standardized = self.standardized_weights()
+        keep = 1.0 - lam
+        weights = self.weights.tolist()
+        total = self._total(weights)
+        self.steps = steps = self.steps + 1
+        watch = cfg.monitor and steps >= cfg.flip_warmup
+        # the limits are half_width times each expert's sample variance
+        half_width = self.limit_width * (lam / (2.0 - lam))
 
-        self.steps += 1
-        delta = standardized - self.obs_mean
-        self.obs_mean += delta / self.steps
-        self.obs_m2 += delta * (standardized - self.obs_mean)
-        self.ewma = lam * standardized + (1.0 - lam) * self.ewma
+        standardized, means, m2s, ewmas = [], [], [], []
+        out_of_limits = False
+        for w, mean, m2, ewma in zip(weights, self.obs_mean.tolist(),
+                                     self.obs_m2.tolist(), self.ewma.tolist()):
+            s = w / total
+            delta = s - mean
+            mean += delta / steps
+            m2 += delta * (s - mean)
+            ewma = lam * s + keep * ewma
+            if watch and abs(ewma - level) > half_width * (m2 / (steps - 1)):
+                out_of_limits = True
+            standardized.append(s)
+            means.append(mean)
+            m2s.append(m2)
+            ewmas.append(ewma)
+        self.obs_mean[:] = means
+        self.obs_m2[:] = m2s
+        self.ewma = np.array(ewmas)
 
-        flipped = False
-        if cfg.monitor and self.steps >= cfg.flip_warmup:
-            half_width = self.limit_width * (lam / (2.0 - lam))
-            if np.any(np.abs(self.ewma - level) > half_width * self.variance):
-                self._reflect(standardized, level)
-                flipped = True
-                self.flips += 1
+        if out_of_limits:
+            self._reflect(np.array(standardized), level)
+            self.flips += 1
 
-        growth = self.steps / cfg.horizon
+        growth = steps / cfg.horizon
         if growth >= math.log(_LIMIT_WIDTH_CAP):
             self.limit_width = _LIMIT_WIDTH_CAP
         else:
             self.limit_width = min(
                 self.limit_width * math.exp(growth), _LIMIT_WIDTH_CAP
             )
-        return flipped
+        return out_of_limits
 
     def _reflect(self, standardized: np.ndarray, level: float) -> None:
         """Mirror standardized weights across the uniform level and reseed EWMA."""

@@ -7,6 +7,9 @@ a flat key=value config plus a seed and export plot-ready CSV/JSON files.
 A config key is the name of a scalar ``ExperimentConfig`` field, or a flat
 name in ``_NESTED_KEYS`` for a field of the generator, reward, learner or
 solver config; its value is parsed by the type the field declares.
+
+A stream step checks its row once, before any state moves, and scores it
+with the model's scalar one-row probability.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .agents import (
     UncertaintyBaseline,
     random_baseline_rate,
 )
-from .core import LabeledPool, SlidingWindow
+from .core import LabeledPool, SlidingWindow, as_feature_vector
 from .datagen import (
     Dataset,
     GeneratorConfig,
@@ -43,7 +46,7 @@ from .datagen import (
     scenario_split,
 )
 from .ensemble import RewardSpec, SolverConfig, WeightedEnsemble, step_reward
-from .learner import LearnerConfig, fit_logistic, predicted_class
+from .learner import LearnerConfig, fit_logistic
 
 __all__ = [
     "STRATEGIES",
@@ -56,6 +59,7 @@ __all__ = [
     "StreamRunner",
     "run_experiment",
     "run_replications",
+    "strategy_configs",
     "load_csv_stream",
     "case_study_split",
     "export_results",
@@ -219,14 +223,22 @@ class StreamRunner:
         return float((predictions == self.split.test_labels).mean())
 
     def step(self, features: np.ndarray, label, evaluate: bool = False) -> StepRecord:
-        """Advance one stream sample; ``label`` is the oracle answer if asked."""
+        """Advance one stream sample; ``label`` is the oracle answer if asked.
+
+        The row is checked once, here, before anything moves: a rejected row
+        leaves the runner as it was, whether or not budget is left.
+        """
+        v = as_feature_vector(features)
+        if v.size != self.model.weights.size:
+            raise ValueError(f"expected a feature vector of {self.model.weights.size} "
+                             f"values, got {v.size}")
         self.t += 1
         reward, acquired, flipped = 0.0, False, False
         if self.budget_used < self.split.budget:
-            proba = self.model.predict_proba(features)
-            predicted = int(predicted_class(proba))
-            ctx = AcquisitionContext(features=np.asarray(features, dtype=float),
-                                     certainty=float(proba.max()))
+            p1 = self.model.positive_proba(v)
+            p0 = 1.0 - p1
+            predicted = int(p1 > p0)  # predicted_class: a tie goes to class 0
+            ctx = AcquisitionContext(features=v, certainty=max(p0, p1))
             if self.window is not None:
                 self.window.push(ctx.features)
             votes = [agent.propose(ctx) for agent in self.agents]
@@ -339,6 +351,15 @@ def run_replications(config: ExperimentConfig, seeds) -> ReplicationSummary:
         cumulative_reward=_mean_se([r.cumulative_reward for r in runs]),
         runs=runs,
     )
+
+
+def strategy_configs(config: ExperimentConfig, strategies) -> list[ExperimentConfig]:
+    """``config`` once per distinct strategy, every one built before any run."""
+    strategies = tuple(strategies)
+    repeated = sorted(s for s, count in Counter(strategies).items() if count > 1)
+    if repeated:
+        raise ValueError(f"bench needs distinct strategies; repeated: {repeated}")
+    return [replace(config, strategy=name) for name in strategies]
 
 
 def summary_table(summaries) -> str:

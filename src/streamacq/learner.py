@@ -31,6 +31,10 @@ differently from the mean gradient of :func:`loss_gradient`, so the fitted
 parameters agree with that descent to rounding, not bit for bit. After the
 loop, one public :func:`loss_gradient` call (which checks the inputs a
 second time) reports the gradient norm at the fitted parameters.
+
+A test set is scored by :meth:`LogisticModel.predict_proba_batch`; one row is
+scored in scalar math by :meth:`LogisticModel.positive_proba`, with the same
+floating-point operations as the batch row, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ __all__ = [
 PROBA_CLIP = 1e-12  # keep probabilities strictly inside (0, 1)
 DEGENERATE_CONFIDENCE = 1e-3  # one-class pools predict the seen class at 1 - this
 L1_SOFT_THRESHOLD = 1e-8
+_EXPIT_ZERO_BELOW = -700.0  # math.exp(-z) stays finite above this
 _STOP_BLOCK = 50  # descent iterations between gradient-norm stop tests
 
 PENALTIES = ("none", "l1", "l2")
@@ -101,13 +106,34 @@ class LogisticModel:
     grad_norm: Optional[float] = None
     n_iter: int = 0
 
+    def positive_proba(self, v: np.ndarray) -> float:
+        """Class-1 probability of one checked row: a finite 1-d float array of
+        the model's dimension.
+
+        Scalar math with the bits of the row :meth:`predict_proba_batch` gives:
+        the 1-d ``v @ weights`` rounds as the one-row product does, and
+        ``1 / (1 + exp(-z))`` is scipy's ``expit`` with libm's ``exp``.
+        """
+        if self.degenerate_class is not None:
+            return (1.0 - DEGENERATE_CONFIDENCE if self.degenerate_class == 1
+                    else DEGENERATE_CONFIDENCE)
+        z = float(v @ self.weights) + self.bias
+        # exp(-z) overflows near z = -709.8, where expit is 0; any z below
+        # about -27.6 clips to PROBA_CLIP either way
+        p1 = 0.0 if z < _EXPIT_ZERO_BELOW else 1.0 / (1.0 + math.exp(-z))
+        # p1 first: a NaN stays NaN, as np.maximum/np.minimum keep it
+        return min(max(p1, PROBA_CLIP), 1.0 - PROBA_CLIP)
+
     def predict_proba(self, x) -> np.ndarray:
-        """Class probabilities of one sample; the batch path on a one-row batch."""
+        """Class probabilities of one sample, through :meth:`positive_proba`."""
         v = np.asarray(x, dtype=float)
         if v.ndim != 1 or v.size != self.weights.size:
             raise ValueError(f"expected a 1-d feature vector of {self.weights.size} values, "
                              f"got shape {v.shape}")
-        return self.predict_proba_batch(v[None, :])[0]
+        if not np.isfinite(v).all():
+            raise ValueError("inputs have non-finite entries")
+        p1 = self.positive_proba(v)
+        return np.array([1.0 - p1, p1])
 
     def predict_proba_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)

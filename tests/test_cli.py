@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import streamacq
+import streamacq.harness as harness
 from streamacq.cli import main
 from streamacq.harness import load_csv_stream
 
@@ -135,6 +136,19 @@ class TestBench:
                      "--out", str(out)])
         assert code == 1
         assert "error: replication needs distinct seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_strategy_fails_before_any_seed_runs(self, tmp_path, capsys, monkeypatch):
+        def no_run(config, seed):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        config = write_config(tmp_path, SMALL_CONFIG)
+        out = tmp_path / "table.csv"
+        code = main(["bench", "--config", config, "--seeds", "0,1",
+                     "--strategies", "rs,us,rs", "--out", str(out)])
+        assert code == 1
+        assert "error: bench needs distinct strategies; repeated: ['rs']" in capsys.readouterr().err
         assert not out.exists()
 
     def test_single_seed_exits_nonzero(self, tmp_path, capsys):

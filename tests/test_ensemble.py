@@ -472,3 +472,117 @@ class TestArrayStateMatchesPerExpertReference:
             SolverConfig(), n, rng.random((steps, n)), rng.random(steps),
             rng.random(steps))
         assert flips > 0
+
+
+def array_update_weights(ens, decision, reward):
+    """:meth:`WeightedEnsemble.update_weights` as array expressions, the form
+    the float pass must match bit for bit; returns whether it rescaled."""
+    if ens.p_min == 0.0:
+        return False
+    advice, probs, arm = decision.advice, decision.probs, decision.arm
+    gain = advice[:, arm] * (reward / probs[arm])
+    spread = (advice / probs).sum(axis=1)
+    exponent = ens.p_min / 2.0 * (gain + spread * ens.exploration_bonus)
+    ens.weights *= [math.exp(x) for x in exponent.tolist()]
+    top = float(ens.weights.max())
+    if top > 2.0 ** 512:
+        np.ldexp(ens.weights, -math.frexp(top)[1], out=ens.weights)
+        return True
+    return False
+
+
+def array_ewma_step(ens):
+    """:meth:`WeightedEnsemble.ewma_step` as array expressions."""
+    cfg = ens.config
+    level = 1.0 / ens.n_experts
+    lam = cfg.ewma_weight
+    standardized = ens.weights / ens.weights.sum()
+    ens.steps += 1
+    delta = standardized - ens.obs_mean
+    ens.obs_mean += delta / ens.steps
+    ens.obs_m2 += delta * (standardized - ens.obs_mean)
+    ens.ewma = lam * standardized + (1.0 - lam) * ens.ewma
+    flipped = False
+    if cfg.monitor and ens.steps >= cfg.flip_warmup:
+        half_width = ens.limit_width * (lam / (2.0 - lam))
+        if np.any(np.abs(ens.ewma - level) > half_width * (ens.obs_m2 / (ens.steps - 1))):
+            mirrored = np.maximum(2.0 * level - standardized, WEIGHT_FLOOR)
+            mirrored /= mirrored.sum()
+            ens.weights = mirrored * ens.weights.sum()
+            ens.ewma = mirrored
+            flipped = True
+            ens.flips += 1
+    growth = ens.steps / cfg.horizon
+    if growth >= math.log(1e300):
+        ens.limit_width = 1e300
+    else:
+        ens.limit_width = min(ens.limit_width * math.exp(growth), 1e300)
+    return flipped
+
+
+def run_against_arrays(config, weights, steps):
+    """Drive the solver and a copy running :func:`array_update_weights` and
+    :func:`array_ewma_step` through the same ``(votes, acquire_prob, arm,
+    reward)`` steps, comparing every state bit; returns (flips, rescales)."""
+    n = len(weights)
+    ens, ref = WeightedEnsemble(config, n), WeightedEnsemble(config, n)
+    ens.weights, ref.weights = np.array(weights), np.array(weights)
+    rescales = 0
+    for votes, acquire_prob, arm, reward in steps:
+        advice = ens.advice_matrix(votes)
+        decision = JointDecision(probs=np.array([acquire_prob, 1.0 - acquire_prob]),
+                                 arm=arm, advice=advice)
+        ens.update_weights(decision, reward)
+        rescales += array_update_weights(ref, decision, reward)
+        assert_same_bits(ens.weights, ref.weights)
+        assert ens.ewma_step() == array_ewma_step(ref)
+        for name in ("weights", "ewma", "obs_mean", "obs_m2"):
+            assert_same_bits(getattr(ens, name), getattr(ref, name))
+        assert (ens.steps, ens.flips, ens.limit_width) == (ref.steps, ref.flips, ref.limit_width)
+    return ens.flips, rescales
+
+
+@st.composite
+def float_solver_runs(draw):
+    n = draw(st.integers(1, 8))
+    config = SolverConfig(
+        horizon=draw(st.integers(1, 3000)),
+        p_min=draw(st.one_of(st.none(), st.floats(1e-3, 0.5))),
+        ewma_weight=draw(st.floats(0.05, 1.0)),
+        limit_width=draw(st.floats(1e-3, 10.0)),
+        flip_warmup=draw(st.integers(2, 6)),
+        monitor=draw(st.booleans()),
+    )
+    # powers of two up to just below the rescale level, so a step can cross it
+    weights = [2.0 ** e for e in draw(st.lists(st.floats(-40.0, 511.9), min_size=n,
+                                               max_size=n))]
+    unit = st.floats(0.0, 1.0)
+    steps = draw(st.lists(st.tuples(st.lists(unit, min_size=n, max_size=n),
+                                    st.floats(0.01, 0.99), st.sampled_from([ARM_ACQUIRE, ARM_PASS]),
+                                    unit),
+                          min_size=1, max_size=30))
+    return config, weights, steps
+
+
+class TestFloatPassMatchesArrayExpressions:
+    """The per-expert float pass of update_weights and ewma_step keeps the
+    bits of the array expressions it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(float_solver_runs())
+    def test_bit_identical_over_random_states(self, run):
+        run_against_arrays(*run)
+
+    @pytest.mark.parametrize("monitor", [True, False], ids=["monitor", "no-monitor"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bit_identical_through_reflections_and_rescales(self, n, monitor):
+        """At ``horizon = 1`` weights started near 2^512 cross the rescale
+        level; a narrow chart on top flips often."""
+        rng = np.random.default_rng(100 + n)
+        config = SolverConfig(horizon=1, limit_width=0.01, flip_warmup=2, monitor=monitor)
+        weights = (2.0 ** rng.uniform(500.0, 511.9, size=n)).tolist()
+        steps = [(rng.random(n).tolist(), float(rng.uniform(0.05, 0.95)),
+                  int(rng.integers(2)), float(rng.random())) for _ in range(200)]
+        flips, rescales = run_against_arrays(config, weights, steps)
+        assert rescales > 0
+        assert (flips > 0) == monitor

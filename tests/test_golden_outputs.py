@@ -6,8 +6,12 @@ benchmark's stream seeds. Seed 0 was recorded from the allocating learner and
 list-backed pool that preceded the in-place refit loop, seeds 1 and 2 from the
 mean-gradient descent that preceded the augmented-design loop, and seeds 3-9
 from the augmented-design loop that preceded the sign-folded one. All twenty
-equal the digests of the same seeds in ``perfbench/baseline.json``. One more
-digest pins the grid CSV of ``streamacq verify-theory`` on a small grid. A
+equal the digests of the same seeds in ``perfbench/baseline.json``. Seed 0
+of four more rosters, recorded from the array-expression solver and the
+one-row batch prediction that preceded the scalar pass step, pins the
+paths those workloads miss: the one-expert solver without a window (``rs``,
+``us`` on the scenario problem, ``ral1`` on the toy problem) and a
+four-expert roster (``ensemble4``). One more digest pins the grid CSV of ``streamacq verify-theory`` on a small grid. A
 change that moves any exported number, even in its last bit, fails here.
 """
 
@@ -106,6 +110,24 @@ GOLDEN = {
         "f66bbbe58af2e4cf054e7a356a6f7a6cf87d180fec6ace5ccc2304cf78a33a45",
     ),
 }
+ROSTERS = {
+    ("rs", SCENARIO, 0): (
+        "db9d64b44f6a08ad194fb43d5990e4acb8493ee45e309ff6a296e8953a692567",
+        "41ed61ef6206f591ad3836c46e6d41946731cece6822b32e2310df22d69e8728",
+    ),
+    ("us", SCENARIO, 0): (
+        "ec498ebfad20233da86c5763a6abd0436dfebd5b747ffda80bf70fedefe18da8",
+        "41ed61ef6206f591ad3836c46e6d41946731cece6822b32e2310df22d69e8728",
+    ),
+    ("ensemble4", SCENARIO, 0): (
+        "579a14ba108a09784d5e8b8d6683ce211587c0c6c464d0dcf62b0a11dc35c4a9",
+        "e2ea9870d988c5577209ed6ecd725fb19f81d02124cd70b37fdbf2fd278d2730",
+    ),
+    ("ral1", TOY, 0): (
+        "32d549d13e3d978e56f34013b2366d7ce82fc62dfdefd2d21cae65ebb8fc423c",
+        "ccdbb40f7ec83cb158485e6b6de94007b1ec021d7f21deec9ca9d7789d0d6853",
+    ),
+}
 THEORY_GRID = "08750729dbc7db81551265f295a51d380746ef267ddfb2c2a2d9474a6af212ec"
 SEED_ZERO = [key for key in GOLDEN if key[2] == 0]
 LATER_SEEDS = [key for key in GOLDEN if key[2] != 0]
@@ -128,6 +150,12 @@ def test_seed_zero_exports_match_the_recorded_digests(tmp_path, strategy, genera
                               for strategy, _, seed in LATER_SEEDS])
 def test_later_seed_exports_match_the_recorded_digests(tmp_path, strategy, generator, seed):
     assert export_digests(tmp_path, strategy, generator, seed) == GOLDEN[(strategy, generator, seed)]
+
+
+@pytest.mark.parametrize("strategy, generator, seed", ROSTERS,
+                         ids=["rs-scenario", "us-scenario", "ensemble4-scenario", "ral1-toy"])
+def test_other_roster_exports_match_the_recorded_digests(tmp_path, strategy, generator, seed):
+    assert export_digests(tmp_path, strategy, generator, seed) == ROSTERS[(strategy, generator, seed)]
 
 
 def test_theory_grid_csv_matches_the_recorded_digest(tmp_path):

@@ -40,6 +40,7 @@ from streamacq.harness import (
     parse_config_text,
     run_experiment,
     run_replications,
+    strategy_configs,
     summary_table,
     write_dataset_csv,
 )
@@ -379,6 +380,34 @@ class TestStreamRunner:
         with pytest.raises(RuntimeError, match="no label"):
             runner.step(split.stream_features[0], None)
 
+    @pytest.mark.parametrize("budget_left", [True, False], ids=["budget-left", "budget-spent"])
+    @pytest.mark.parametrize("strategy", ["rs", "ensemble2"], ids=["no-window", "window"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "short"])
+    def test_rejected_row_leaves_the_runner_as_it_was(self, split, strategy, budget_left, bad):
+        """A bad row fails before the step counter, the rng, the weights, the
+        pool or the window move, whether or not budget is left."""
+        runner = StreamRunner(small_config(strategy), 15, split)
+        for i in range(5):
+            runner.step(split.stream_features[i], int(split.stream_labels[i]))
+        if not budget_left:
+            runner.budget_used = split.budget
+        row = split.stream_features[5].copy()
+        if bad == "short":
+            row = row[:-1]
+        else:
+            row[1] = np.nan if bad == "nan" else np.inf
+
+        def state():
+            window = None if runner.window is None else runner.window.points_matrix()
+            return (runner.t, runner.budget_used, runner.rng.bit_generator.state,
+                    runner.ensemble.weights.tobytes(), len(runner.pool),
+                    None if window is None else window.tobytes())
+
+        before = state()
+        with pytest.raises(ValueError, match="non-finite" if bad != "short" else "expected"):
+            runner.step(row, int(split.stream_labels[5]))
+        assert state() == before
+
     def test_roster_without_window_agent_builds_no_window(self, split):
         assert StreamRunner(small_config("rs"), 12, split).window is None
 
@@ -422,6 +451,12 @@ class TestReplication:
         monkeypatch.setattr(harness, "run_experiment", no_run)
         with pytest.raises(ValueError, match=r"distinct seeds; repeated: \[0\]"):
             run_replications(small_config("rs"), [0, 1, 0])
+
+    def test_repeated_strategy_rejected(self):
+        with pytest.raises(ValueError, match=r"distinct strategies; repeated: \['rs'\]"):
+            strategy_configs(small_config("rs"), ["rs", "us", "rs"])
+        configs = strategy_configs(small_config("rs"), ["us", "rs"])
+        assert [c.strategy for c in configs] == ["us", "rs"]
 
     def test_summary_means_match_individual_runs(self):
         config = small_config("rs")

@@ -127,6 +127,39 @@ class TestPrediction:
             model.predict([1.0])
 
 
+@st.composite
+def one_row_models(draw):
+    """A model and a row of dimension 1-16. The bias puts the log-odds near a
+    drawn target: anywhere in [-800, 800], around either clip edge
+    (|z| = 27.63, where expit meets 1e-12), or past exp's overflow at -709.8.
+    One draw in eight is a one-class model of either class."""
+    p = draw(st.integers(1, 16))
+    v = draw(hnp.arrays(np.float64, p, elements=st.floats(-100.0, 100.0)))
+    w = draw(hnp.arrays(np.float64, p, elements=st.floats(-10.0, 10.0)))
+    if draw(st.integers(0, 7)) == 0:
+        return LogisticModel(np.zeros(p), 0.0, degenerate_class=draw(st.integers(0, 1))), v
+    target = draw(st.one_of(st.floats(-800.0, 800.0), st.floats(-27.7, -27.55),
+                            st.floats(27.55, 27.7), st.floats(-712.0, -698.0)))
+    return LogisticModel(w, target - float(v @ w)), v
+
+
+class TestOneRowPrediction:
+    @settings(max_examples=1000, deadline=None)
+    @given(one_row_models())
+    def test_scalar_row_has_the_bits_of_the_batch_row(self, drawn):
+        model, v = drawn
+        batch = model.predict_proba_batch(v[None, :])[0]
+        assert model.positive_proba(v) == batch[1]
+        assert model.predict_proba(v).tobytes() == batch.tobytes()
+
+    def test_clip_edges_and_overflow(self):
+        model = LogisticModel(np.ones(1), 0.0)
+        for z, p1 in [(-800.0, 1e-12), (-28.0, 1e-12), (28.0, 1.0 - 1e-12),
+                      (800.0, 1.0 - 1e-12), (-math.inf, 1e-12), (math.inf, 1.0 - 1e-12)]:
+            model.bias = z
+            assert model.positive_proba(np.zeros(1)) == p1
+
+
 class TestFit:
     def test_separable_pair_is_learned(self):
         X = np.array([[-1.0], [1.0]])

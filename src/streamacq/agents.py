@@ -50,11 +50,11 @@ def local_sparsity(window: SlidingWindow, k: int | None = None) -> int:
     in a region the window covers sparsely.
     """
     to_new, block = window.candidate(k)
-    # fmax skips NaN: the diagonal, and the initial value that lets an empty
-    # block reduce.  The block is symmetric, so the column reduction, numpy's
-    # faster loop over a row-major block, gives each member's farthest.
-    far = np.fmax.reduce(block, axis=0, initial=math.nan)
-    far = np.where(np.isnan(far), 0.0, far)  # a lone member has no co-members
+    # fmax skips the NaN diagonal.  Distances are never negative, so starting
+    # from 0 changes no farthest distance and gives a lone member, which has
+    # no co-members, 0.  The block is symmetric, so the column reduction,
+    # numpy's faster loop over a row-major block, gives each member's farthest.
+    far = np.fmax.reduce(block, axis=0, initial=0.0)
     return int(np.count_nonzero(far < to_new))
 
 

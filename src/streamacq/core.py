@@ -3,9 +3,11 @@
 The sliding window keeps its members oldest first in an array, together with
 their pairwise distance matrix; both double as members arrive, up to the
 window's capacity, so a long window costs only what it holds.  A push checks
-the new point, computes its one distance row and writes it into the matrix's
-last row and column; an eviction first shifts the points and the matrix down
-by one.  The stream runner pushes each sample before the agents vote, so
+the new point, computes its one distance row and writes it into the row and
+column after the newest member's.  The first eviction adds a few spare rows;
+an eviction then only advances the row the members start at, and once the
+spare rows are used up, one block copy moves the members back to the front.
+The stream runner pushes each sample before the agents vote, so
 :meth:`SlidingWindow.candidate` hands them the newest member's distance row
 and the distances among the members before it, read off the matrix.
 """
@@ -32,7 +34,7 @@ def as_feature_vector(x) -> np.ndarray:
         raise ValueError(f"expected a 1-d feature vector, got shape {v.shape}")
     if v.size == 0:
         raise ValueError("feature vector is empty")
-    if not np.isfinite(v).all():
+    if np.count_nonzero(np.isfinite(v)) != v.size:  # cheaper than .all() on a few values
         raise ValueError("feature vector has non-finite entries")
     return v
 
@@ -110,7 +112,12 @@ class SlidingWindow:
     diagonal holds NaN.  :meth:`candidate` reads the newest member's distances
     to the ``k`` members before it, and the distances among those ``k``, so
     agents of different window lengths share one window.  The arrays start at
-    ``INITIAL_ROWS`` rows and double when full until they reach the capacity.
+    ``INITIAL_ROWS`` rows and double when full until they reach the capacity;
+    the first eviction adds ``INITIAL_ROWS`` spare rows.  The members occupy
+    rows ``start .. start + len - 1``: an eviction advances ``start``, and
+    when the last row is taken one block copy moves the members back to row
+    0, so the matrix moves once every ``INITIAL_ROWS`` pushes, not on every
+    eviction.
     """
 
     INITIAL_ROWS = 32
@@ -120,20 +127,43 @@ class SlidingWindow:
             raise ValueError("window capacity must be >= 1")
         self.capacity = int(capacity)
         self._size = 0
+        self._start = 0  # row of the oldest member
         # allocated by _allocate once the first point fixes the dimension
-        self._points: Optional[np.ndarray] = None  # (rows, dim), oldest first
+        self._points: Optional[np.ndarray] = None  # (rows, dim)
         self._dist: Optional[np.ndarray] = None  # (rows, rows) pairwise
 
     def _allocate(self, dim: int, rows: int) -> None:
-        """Room for ``rows`` members, the current ones copied over."""
-        n = self._size
+        """Room for ``rows`` rows, the current members copied to the front."""
+        n, start = self._size, self._start
         points, dist = self._points, self._dist
         self._points = np.zeros((rows, dim))
-        # NaN fills the diagonal for good: an eviction shifts it along itself
+        # NaN fills the diagonal for good: no write lands on it, and a
+        # compaction moves it along itself
         self._dist = np.full((rows, rows), math.nan)
         if n:
-            self._points[:n] = points[:n]
-            self._dist[:n, :n] = dist[:n, :n]
+            self._points[:n] = points[start:start + n]
+            self._dist[:n, :n] = dist[start:start + n, start:start + n]
+        self._start = 0
+
+    def _compact(self) -> None:
+        """Move the members from row ``start`` back to row 0."""
+        n, start = self._size, self._start
+        self._start = 0
+        if n == 0:
+            return
+        # Flat 1-d copies, which numpy runs in place on a forward overlap
+        # where a 2-d one would go through a temporary.  Moving the matrix's
+        # flat buffer back by start * (rows + 1) entries moves the member
+        # block up and left by start; the entries it drags along outside the
+        # block are rewritten by later pushes before any read.
+        dim = self._points.shape[1]
+        points = self._points.reshape(-1)
+        points[:n * dim] = points[start * dim:(start + n) * dim]
+        rows = len(self._dist)
+        flat = self._dist.reshape(-1)
+        span = (n - 1) * rows + n
+        shift = start * (rows + 1)
+        flat[:span] = flat[shift:shift + span]
 
     @classmethod
     def from_points(cls, points, capacity: Optional[int] = None) -> "SlidingWindow":
@@ -170,7 +200,7 @@ class SlidingWindow:
         """Members as an (m, dim) array, oldest first."""
         if self._points is None:
             return np.empty(0)
-        return self._points[:self._size].copy()
+        return self._points[self._start:self._start + self._size].copy()
 
     def candidate(self, k: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
         """The newest member's distances and the distances among the members before it.
@@ -183,15 +213,19 @@ class SlidingWindow:
         n = self._size
         if n == 0:
             raise ValueError("the window is empty; push the candidate first")
-        lo = 0 if k is None else max(n - 1 - k, 0)
-        return self._dist[n - 1, lo:n - 1], self._dist[lo:n - 1, lo:n - 1]
+        start = self._start
+        new = start + n - 1
+        lo = start if k is None else max(new - k, start)
+        return self._dist[new, lo:new], self._dist[lo:new, lo:new]
 
     def push(self, x) -> None:
         """Append ``x``, evicting the oldest member when at capacity.
 
-        Full arrays below the capacity double first.  An eviction shifts the
-        points and the distance matrix down by one; the new point's distance
-        row then fills the last row and column.
+        Full arrays below the capacity double first.  The first eviction
+        adds the spare rows; every eviction then only advances the oldest
+        member's row, and when no row is left after the members, they move
+        back to row 0.  The new point's distance row then fills the next row
+        and column.
         """
         v = as_feature_vector(x)
         if self._points is None:
@@ -200,26 +234,20 @@ class SlidingWindow:
             raise ValueError(
                 f"dimension mismatch: window holds {self.dim}-d points, got {v.size}"
             )
-        points, dist = self._points, self._dist
-        n = self._size
-        if n == len(points):
-            if n < self.capacity:
-                self._allocate(v.size, min(2 * n, self.capacity))
-                points, dist = self._points, self._dist
-            else:
-                n -= 1
-                points[:n] = points[1:]
-                # Moving the flat buffer back by capacity + 1 entries moves the
-                # matrix up a row and left a column; numpy copies a 1-d overlap
-                # in place, where the 2-d shift would go through a temporary.
-                # Only the last row and column come out stale, and the new row
-                # rewrites them; the NaN corner is not moved.
-                flat = dist.reshape(-1)
-                flat[:flat.size - self.capacity - 1] = flat[self.capacity + 1:]
-                self._size = n
-        diff = points[:n] - v
+        if self._size == self.capacity:
+            if len(self._points) == self.capacity:  # the first eviction
+                self._allocate(v.size, self.capacity + self.INITIAL_ROWS)
+            self._start += 1
+            self._size -= 1
+            if self._start + self._size == len(self._points):
+                self._compact()
+        elif self._size == len(self._points):
+            self._allocate(v.size, min(2 * self._size, self.capacity))
+        start, n = self._start, self._size
+        new = start + n
+        diff = self._points[start:new] - v
         d = np.sqrt((diff * diff).sum(axis=1))
-        points[n] = v
-        dist[n, :n] = d
-        dist[:n, n] = d
+        self._points[new] = v
+        self._dist[new, start:new] = d
+        self._dist[start:new, new] = d
         self._size = n + 1

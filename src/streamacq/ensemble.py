@@ -5,17 +5,20 @@ advice vectors. Expert weights grow with importance-weighted reward plus an
 exploration bonus, and an EWMA chart over the standardized weights reflects
 them across the uniform level whenever one expert drifts out of its limits.
 
-The solver keeps its per-expert state as arrays of length ``n_experts``, the
-roster size it is built with, which is not a :class:`SolverConfig` setting. A
-step builds and checks the advice matrix once, in :meth:`WeightedEnsemble.decide`;
-the :class:`JointDecision` carries it to :meth:`WeightedEnsemble.update_weights`.
+The solver keeps one value per expert for each of its weights, EWMA
+statistics and Welford moments, ``n_experts`` values in all, the roster size
+it is built with, which is not a :class:`SolverConfig` setting. A step builds
+and checks the advice matrix once, in :meth:`WeightedEnsemble.decide`; the
+:class:`JointDecision` carries it to :meth:`WeightedEnsemble.update_weights`.
 
-On arrays of a few entries numpy's per-call cost outweighs the arithmetic,
-so the per-expert updates run in one pass over Python floats and write the
-arrays back. Each float operation is the one the array expression
+On a few experts numpy's per-call cost outweighs the arithmetic, so the
+per-expert state lives in lists of Python floats, and the updates run one
+pass over them. The attributes ``weights``, ``ewma``, ``obs_mean`` and
+``obs_m2`` read the lists as fresh read-only arrays and assign arrays back.
+Each float operation is the one the array expression
 ``weights * exp(p_min / 2 * (gain + spread * bonus))`` or the chart's Welford
 and EWMA updates would do, in the same order, so the state keeps its bits.
-Only the mixture ``weights @ advice`` stays a numpy call: a sequential dot
+Only the mixture ``weights @ advice`` is a numpy call: a sequential dot
 rounds differently from it.
 """
 
@@ -122,6 +125,38 @@ class JointDecision:
         return self.arm == ARM_ACQUIRE
 
 
+class _ExpertValues:
+    """A per-expert state kept as a list of floats in ``_<name>``; read as a
+    fresh read-only array, assigned from anything of ``n_experts`` floats."""
+
+    def __set_name__(self, owner, name):
+        self.name, self.key = name, "_" + name
+
+    def __get__(self, ensemble, owner=None):
+        if ensemble is None:
+            return self
+        values = np.array(getattr(ensemble, self.key))
+        values.flags.writeable = False
+        return values
+
+    def _floats(self, ensemble, values) -> list:
+        v = np.asarray(values, dtype=float)
+        if v.shape != (ensemble.n_experts,):
+            raise ValueError(f"{self.name} needs {ensemble.n_experts} values, "
+                             f"got shape {v.shape}")
+        return v.tolist()
+
+    def __set__(self, ensemble, values):
+        setattr(ensemble, self.key, self._floats(ensemble, values))
+
+
+class _Weights(_ExpertValues):
+    """The expert weights; assigning them refreshes their standardized shares."""
+
+    def __set__(self, ensemble, values):
+        ensemble._adopt(self._floats(ensemble, values))
+
+
 class WeightedEnsemble:
     """Combines expert acquire-votes into one monitored joint policy.
 
@@ -129,7 +164,14 @@ class WeightedEnsemble:
     the standardized weights. Every :meth:`ewma_step` records every expert
     once, so ``steps`` is also each expert's record count. The exploration
     floor ``p_min`` defaults to the update's ``exploration_bonus``, capped at 1/2.
+    :attr:`standardized` holds ``weights / weights.sum()`` as floats, refreshed
+    whenever the weights change, so a step record reads it without arithmetic.
     """
+
+    weights = _Weights()
+    ewma = _ExpertValues()
+    obs_mean = _ExpertValues()
+    obs_m2 = _ExpertValues()
 
     def __init__(self, config: SolverConfig, n_experts: int):
         if n_experts < 1:
@@ -139,43 +181,57 @@ class WeightedEnsemble:
         self.exploration_bonus = math.sqrt(math.log(n) / (N_ARMS * config.horizon))
         self.p_min = (config.p_min if config.p_min is not None
                       else min(self.exploration_bonus, 1.0 / N_ARMS))
-        self.weights = np.ones(n)
-        self.ewma = np.full(n, 1.0 / n)
-        self.obs_mean = np.zeros(n)
-        self.obs_m2 = np.zeros(n)
+        self._adopt([1.0] * n)
+        self._ewma = [1.0 / n] * n
+        self._obs_mean = [0.0] * n
+        self._obs_m2 = [0.0] * n
         self.limit_width = float(config.limit_width)
         self.steps = 0
         self.flips = 0
 
-    # -- decision -----------------------------------------------------------
-
-    def advice_matrix(self, votes) -> np.ndarray:
-        """Per-expert advice over both arms from acquire-votes in [0, 1]."""
-        v = np.asarray(votes, dtype=float)
-        if v.shape != (self.n_experts,):
-            raise ValueError(f"expected {self.n_experts} votes, got shape {v.shape}")
-        if not all(0.0 <= x <= 1.0 for x in v.tolist()):  # NaN fails both tests
-            raise ValueError("votes must be finite and lie in [0, 1]")
-        advice = np.empty((self.n_experts, N_ARMS))
-        advice[:, ARM_ACQUIRE] = v
-        np.subtract(1.0, v, out=advice[:, ARM_PASS])
-        return advice
-
     def _total(self, weights: list) -> float:
-        """``self.weights.sum()`` bit for bit, given ``self.weights.tolist()``.
+        """``np.array(weights).sum()`` bit for bit.
 
         numpy adds fewer than eight terms left to right, as ``sum`` does, and
         more in pairwise blocks.
         """
-        return sum(weights) if len(weights) < 8 else float(self.weights.sum())
+        return sum(weights) if len(weights) < 8 else float(np.array(weights).sum())
+
+    def _adopt(self, weights: list) -> None:
+        """Take ``weights`` as the expert weights, and their standardized shares."""
+        total = self._total(weights)
+        self._weights = weights
+        self._standardized = tuple([w / total for w in weights])
+
+    @property
+    def standardized(self) -> tuple:
+        """``weights / weights.sum()`` as a tuple of floats, bit for bit; kept
+        up to date by every change of the weights."""
+        return self._standardized
+
+    # -- decision -----------------------------------------------------------
+
+    def advice_matrix(self, votes) -> np.ndarray:
+        """Per-expert advice over both arms from acquire-votes in [0, 1],
+        checked and laid out in one pass, then made an array in one call."""
+        flat = []
+        for x in votes:
+            if not 0.0 <= x <= 1.0:  # NaN fails both tests
+                raise ValueError("votes must be finite and lie in [0, 1]")
+            flat += (x, 1.0 - x)
+        advice = np.array(flat, dtype=float)
+        if advice.shape != (N_ARMS * self.n_experts,):
+            raise ValueError(f"expected {self.n_experts} votes, got shape {np.shape(votes)}")
+        return advice.reshape(self.n_experts, N_ARMS)
 
     def decide(self, votes, rng: np.random.Generator) -> JointDecision:
         """Sample one arm via inverse CDF from the weight-mixed arm
         distribution with the exploration floor."""
         advice = self.advice_matrix(votes)
-        total = self._total(self.weights.tolist())
+        total = self._total(self._weights)
         keep, floor = 1.0 - N_ARMS * self.p_min, self.p_min
-        probs = [keep * (m / total) + floor for m in (self.weights @ advice).tolist()]
+        mix = (np.array(self._weights) @ advice).tolist()
+        probs = [keep * (m / total) + floor for m in mix]
         u = float(rng.random())
         arm = ARM_ACQUIRE if u < probs[ARM_ACQUIRE] else ARM_PASS
         return JointDecision(probs=np.array(probs), arm=arm, advice=advice)
@@ -200,23 +256,25 @@ class WeightedEnsemble:
         # in the last bit on about a quarter of random inputs, which would
         # move the exported weights
         grown = []
-        for w, a in zip(self.weights.tolist(), decision.advice.tolist()):
+        for w, a in zip(self._weights, decision.advice.tolist()):
             spread = a[ARM_ACQUIRE] / p_acquire + a[ARM_PASS] / p_pass
             grown.append(w * math.exp(half * (a[arm] * scale + spread * bonus)))
-        self.weights[:] = grown
         top, low = max(grown), min(grown)
         if top > _RESCALE_ABOVE:
             # weights only grow between reflections; scaling them all by one
             # power of two is exact, so ratios and every export keep their bits
-            np.ldexp(self.weights, -math.frexp(top)[1], out=self.weights)
-            low = float(self.weights.min())
+            shift = -math.frexp(top)[1]
+            grown = [math.ldexp(w, shift) for w in grown]
+            low = min(grown)
         if not (0.0 < low and top < math.inf):
             raise FloatingPointError("expert weight left (0, inf)")
+        self._adopt(grown)
 
     # -- monitoring ---------------------------------------------------------
 
     def standardized_weights(self) -> np.ndarray:
-        return self.weights / self.weights.sum()
+        """``weights / weights.sum()``: :attr:`standardized` as an array."""
+        return np.array(self._standardized)
 
     @property
     def variance(self) -> np.ndarray:
@@ -238,34 +296,28 @@ class WeightedEnsemble:
         level = 1.0 / self.n_experts
         lam = cfg.ewma_weight
         keep = 1.0 - lam
-        weights = self.weights.tolist()
-        total = self._total(weights)
         self.steps = steps = self.steps + 1
         watch = cfg.monitor and steps >= cfg.flip_warmup
         # the limits are half_width times each expert's sample variance
         half_width = self.limit_width * (lam / (2.0 - lam))
 
-        standardized, means, m2s, ewmas = [], [], [], []
+        means, m2s, ewmas = [], [], []
         out_of_limits = False
-        for w, mean, m2, ewma in zip(weights, self.obs_mean.tolist(),
-                                     self.obs_m2.tolist(), self.ewma.tolist()):
-            s = w / total
+        for s, mean, m2, ewma in zip(self._standardized, self._obs_mean,
+                                     self._obs_m2, self._ewma):
             delta = s - mean
             mean += delta / steps
             m2 += delta * (s - mean)
             ewma = lam * s + keep * ewma
             if watch and abs(ewma - level) > half_width * (m2 / (steps - 1)):
                 out_of_limits = True
-            standardized.append(s)
             means.append(mean)
             m2s.append(m2)
             ewmas.append(ewma)
-        self.obs_mean[:] = means
-        self.obs_m2[:] = m2s
-        self.ewma = np.array(ewmas)
+        self._obs_mean, self._obs_m2, self._ewma = means, m2s, ewmas
 
         if out_of_limits:
-            self._reflect(np.array(standardized), level)
+            self._reflect(level)
             self.flips += 1
 
         growth = steps / cfg.horizon
@@ -277,9 +329,9 @@ class WeightedEnsemble:
             )
         return out_of_limits
 
-    def _reflect(self, standardized: np.ndarray, level: float) -> None:
+    def _reflect(self, level: float) -> None:
         """Mirror standardized weights across the uniform level and reseed EWMA."""
-        mirrored = np.maximum(2.0 * level - standardized, WEIGHT_FLOOR)
+        mirrored = np.maximum(2.0 * level - np.array(self._standardized), WEIGHT_FLOOR)
         mirrored /= mirrored.sum()
-        self.weights = mirrored * self.weights.sum()
-        self.ewma = mirrored
+        self._adopt((mirrored * self._total(self._weights)).tolist())
+        self._ewma = mirrored.tolist()

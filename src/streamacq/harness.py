@@ -8,8 +8,11 @@ A config key is the name of a scalar ``ExperimentConfig`` field, or a flat
 name in ``_NESTED_KEYS`` for a field of the generator, reward, learner or
 solver config; its value is parsed by the type the field declares.
 
-A stream step checks its row once, before any state moves, and scores it
-with the model's scalar one-row probability.
+A stream step checks its row and its label once, before any state moves,
+and scores the row with the model's scalar one-row probability. Its record
+carries the solver's standardized weights as Python floats, which change only
+on active steps. The test set is scored once per model: an evaluation while
+the model has not changed since the last one reuses its accuracy.
 """
 
 from __future__ import annotations
@@ -217,21 +220,33 @@ class StreamRunner:
         self.budget_used = 0
         self.acquired_positive = 0
         self.t = 0
+        self._scored = None  # the model self._accuracy was scored from
+        self._accuracy = math.nan
 
     def test_accuracy(self) -> float:
-        predictions = self.model.predict_batch(self.split.test_features)
-        return float((predictions == self.split.test_labels).mean())
+        """The model's share of correct test-set predictions; the last share
+        while the model is the one it was computed from."""
+        if self._scored is not self.model:
+            predictions = self.model.predict_batch(self.split.test_features)
+            # an exact count over n has the bits of the boolean mean
+            self._accuracy = (np.count_nonzero(predictions == self.split.test_labels)
+                              / predictions.size)
+            self._scored = self.model
+        return self._accuracy
 
     def step(self, features: np.ndarray, label, evaluate: bool = False) -> StepRecord:
         """Advance one stream sample; ``label`` is the oracle answer if asked.
 
-        The row is checked once, here, before anything moves: a rejected row
-        leaves the runner as it was, whether or not budget is left.
+        The row and the label are checked once, here, before anything moves:
+        a rejected one leaves the runner as it was, whether or not budget is
+        left.  A label is None (no answer) or equal to 0 or 1.
         """
         v = as_feature_vector(features)
         if v.size != self.model.weights.size:
             raise ValueError(f"expected a feature vector of {self.model.weights.size} "
                              f"values, got {v.size}")
+        if label is not None and label not in (0, 1):
+            raise ValueError(f"label must be 0, 1 or None, got {label!r}")
         self.t += 1
         reward, acquired, flipped = 0.0, False, False
         if self.budget_used < self.split.budget:
@@ -245,7 +260,6 @@ class StreamRunner:
             decision = self.ensemble.decide(votes, self.rng)
             acquired = decision.acquired
 
-            truth = None
             if acquired:
                 if label is None:
                     raise RuntimeError(f"oracle returned no label at step {self.t}")
@@ -260,17 +274,18 @@ class StreamRunner:
 
             self.ensemble.update_weights(decision, reward)
             flipped = self.ensemble.ewma_step()
-            for agent, vote in zip(self.agents, votes):
-                if acquired and vote >= 0.5:
-                    signed = (self.config.rewards.informative if predicted != truth
-                              else self.config.rewards.signed_redundant)
-                    agent.reinforce(signed)
+            if acquired:
+                rewards = self.config.rewards
+                signed = rewards.informative if predicted != truth else rewards.signed_redundant
+                for agent, vote in zip(self.agents, votes):
+                    if vote >= 0.5:
+                        agent.reinforce(signed)
 
         return StepRecord(
             t=self.t, action=int(acquired), reward=reward,
             budget_used=self.budget_used,
             accuracy=self.test_accuracy() if evaluate else None,
-            weights=tuple(self.ensemble.standardized_weights()),
+            weights=self.ensemble.standardized,
             flipped=flipped,
         )
 

@@ -67,6 +67,25 @@ class TestLocalSparsity:
                     expected += 1
             assert local_sparsity(win) == expected
 
+    def test_one_reduction_matches_the_two_step_formula(self):
+        """The count equals the NaN-initialised reduction with lone members
+        set to 0, for every k, empty and singleton blocks included, on
+        windows with duplicate points and tied distances."""
+        def two_step(win, k):
+            to_new, block = win.candidate(k)
+            far = np.fmax.reduce(block, axis=0, initial=np.nan)
+            far = np.where(np.isnan(far), 0.0, far)
+            return int(np.count_nonzero(far < to_new))
+
+        rng = np.random.default_rng(15)
+        for trial in range(40):
+            capacity = int(rng.integers(1, 12))
+            win = SlidingWindow(capacity)
+            for _ in range(int(rng.integers(1, 3 * capacity + 2))):
+                win.push(np.round(rng.normal(size=2), int(rng.integers(0, 2))))
+                for k in [None, *range(capacity)]:
+                    assert local_sparsity(win, k) == two_step(win, k), trial
+
 
 class TestHelpers:
     def test_random_baseline_rate(self):

@@ -383,3 +383,91 @@ class TestRingProperties:
                 _, block = win.candidate()
                 np.testing.assert_array_equal(
                     np.fmax.reduce(block, axis=0, initial=math.nan)[1:], block[0, 1:])
+
+
+class ShiftingWindow:
+    """The window as it was before evictions stopped moving the matrix: the
+    members from row 0, arrays doubling up to the capacity, and every
+    eviction shifting the points and the flat distance buffer down by one."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.size = 0
+        self.points = None
+        self.dist = None
+
+    def allocate(self, dim, rows):
+        n, points, dist = self.size, self.points, self.dist
+        self.points = np.zeros((rows, dim))
+        self.dist = np.full((rows, rows), math.nan)
+        if n:
+            self.points[:n] = points[:n]
+            self.dist[:n, :n] = dist[:n, :n]
+
+    def push(self, v):
+        if self.points is None:
+            self.allocate(v.size, min(SlidingWindow.INITIAL_ROWS, self.capacity))
+        points, dist = self.points, self.dist
+        n = self.size
+        if n == len(points):
+            if n < self.capacity:
+                self.allocate(v.size, min(2 * n, self.capacity))
+                points, dist = self.points, self.dist
+            else:
+                n -= 1
+                points[:n] = points[1:]
+                flat = dist.reshape(-1)
+                flat[:flat.size - self.capacity - 1] = flat[self.capacity + 1:]
+                self.size = n
+        diff = points[:n] - v
+        d = np.sqrt((diff * diff).sum(axis=1))
+        points[n] = v
+        dist[n, :n] = d
+        dist[:n, n] = d
+        self.size = n + 1
+
+    def candidate(self, k=None):
+        n = self.size
+        lo = 0 if k is None else max(n - 1 - k, 0)
+        return self.dist[n - 1, lo:n - 1], self.dist[lo:n - 1, lo:n - 1]
+
+
+@st.composite
+def window_runs(draw):
+    capacity = draw(st.integers(1, 80))
+    dim = draw(st.integers(1, 4))
+    # past the growth and through several compactions of the spare rows
+    n_pushes = draw(st.integers(1, capacity + 4 * SlidingWindow.INITIAL_ROWS + 3))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n_pushes, dim))
+    if draw(st.booleans()):  # coarse grid: duplicate points and tied distances
+        points = np.round(points)
+    return capacity, points
+
+
+class TestSpareRowsMatchTheShiftingWindow:
+    @settings(max_examples=60, deadline=None)
+    @given(window_runs())
+    def test_every_view_keeps_its_bits_after_every_push(self, run):
+        """After every push, ``points_matrix()`` and ``candidate(k)`` for every
+        k equal the shifting window's, bit for bit, NaN diagonal included."""
+        capacity, points = run
+        win, ref = SlidingWindow(capacity), ShiftingWindow(capacity)
+        for v in points:
+            win.push(v)
+            ref.push(v)
+            assert np.array_equal(win.points_matrix(), ref.points[:ref.size])
+            for k in [None, *range(capacity + 1)]:
+                row, block = win.candidate(k)
+                ref_row, ref_block = ref.candidate(k)
+                assert np.array_equal(row, ref_row)
+                assert np.array_equal(block, ref_block, equal_nan=True)
+
+    def test_arrays_stop_at_the_capacity_plus_the_spare_rows(self):
+        """The first eviction adds INITIAL_ROWS spare rows, and no more."""
+        capacity = 3 * SlidingWindow.INITIAL_ROWS + 5
+        win = SlidingWindow(capacity)
+        for v in np.random.default_rng(3).normal(size=(5 * capacity, 2)):
+            win.push(v)
+        assert win._dist.shape == (capacity + SlidingWindow.INITIAL_ROWS,) * 2

@@ -155,6 +155,40 @@ class TestDecide:
             ens.decide([0.5, float("nan")], StubGenerator())
 
 
+class TestStateAttributes:
+    @pytest.mark.parametrize("name", ["weights", "ewma", "obs_mean", "obs_m2"])
+    def test_reads_are_read_only_copies_and_assignments_are_checked(self, name):
+        ens = make_ensemble(3)
+        values = getattr(ens, name)
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.25
+        setattr(ens, name, [0.5, 0.25, 0.125])
+        assert_same_bits(getattr(ens, name), [0.5, 0.25, 0.125])
+        with pytest.raises(ValueError, match=f"{name} needs 3 values"):
+            setattr(ens, name, [0.5, 0.25])
+
+    def test_standardized_follows_every_weight_change(self):
+        """After an assignment, an update, a rescale and a reflection,
+        ``standardized`` holds ``weights / weights.sum()`` bit for bit."""
+        ens = make_ensemble(3, weights=[2.0 ** 511, 1.0, 3.0], horizon=1,
+                            limit_width=0.01, flip_warmup=2)
+
+        def check():
+            weights = ens.weights
+            assert all(type(s) is float for s in ens.standardized)
+            assert_same_bits(ens.standardized, weights / weights.sum())
+            assert_same_bits(ens.standardized_weights(), weights / weights.sum())
+
+        check()
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            ens.update_weights(ens.decide(rng.random(3).tolist(), rng), float(rng.random()))
+            check()
+            ens.ewma_step()
+            check()
+        assert ens.flips > 0 and max(ens.weights) < 2.0 ** 511
+
+
 class TestUpdateWeights:
     def test_importance_weighted_gain_hand_value(self):
         """Full credit at even odds multiplies the weight by e^0.1."""
@@ -231,7 +265,7 @@ class TestEwmaChart:
     def test_out_of_limits_reflects_all_weights(self):
         ens = make_ensemble(2, weights=[9.0, 1.0], flip_warmup=2)
         ens.steps = 10  # pretend warm-up already passed
-        ens.obs_m2[:] = 9 * 0.01  # running variance 0.01
+        ens.obs_m2 = [9 * 0.01] * 2  # running variance 0.01
         flipped = ens.ewma_step()
         assert flipped
         assert ens.flips == 1
@@ -245,7 +279,7 @@ class TestEwmaChart:
     def test_inside_limits_changes_nothing(self):
         ens = make_ensemble(2, weights=[1.02, 0.98], flip_warmup=2)
         ens.steps = 10
-        ens.obs_m2[:] = 9 * 1.0  # huge variance, huge limits
+        ens.obs_m2 = [9 * 1.0] * 2  # huge variance, huge limits
         assert not ens.ewma_step()
         np.testing.assert_allclose(ens.standardized_weights(), [0.51, 0.49])
 
@@ -265,7 +299,7 @@ class TestEwmaChart:
         weights = [0.5, 0.1, 0.1, 0.1, 0.1, 0.1]
         ens = make_ensemble(6, weights=weights, flip_warmup=2)
         ens.steps = 10
-        ens.obs_m2[:] = 0.0  # zero variance, zero-width limits
+        ens.obs_m2 = [0.0] * 6  # zero variance, zero-width limits
         assert ens.ewma_step()
         standardized = ens.standardized_weights()
         assert standardized.sum() == pytest.approx(1.0, abs=1e-12)
@@ -483,10 +517,10 @@ def array_update_weights(ens, decision, reward):
     gain = advice[:, arm] * (reward / probs[arm])
     spread = (advice / probs).sum(axis=1)
     exponent = ens.p_min / 2.0 * (gain + spread * ens.exploration_bonus)
-    ens.weights *= [math.exp(x) for x in exponent.tolist()]
+    ens.weights = ens.weights * [math.exp(x) for x in exponent.tolist()]
     top = float(ens.weights.max())
     if top > 2.0 ** 512:
-        np.ldexp(ens.weights, -math.frexp(top)[1], out=ens.weights)
+        ens.weights = np.ldexp(ens.weights, -math.frexp(top)[1])
         return True
     return False
 
@@ -499,8 +533,8 @@ def array_ewma_step(ens):
     standardized = ens.weights / ens.weights.sum()
     ens.steps += 1
     delta = standardized - ens.obs_mean
-    ens.obs_mean += delta / ens.steps
-    ens.obs_m2 += delta * (standardized - ens.obs_mean)
+    ens.obs_mean = ens.obs_mean + delta / ens.steps
+    ens.obs_m2 = ens.obs_m2 + delta * (standardized - ens.obs_mean)
     ens.ewma = lam * standardized + (1.0 - lam) * ens.ewma
     flipped = False
     if cfg.monitor and ens.steps >= cfg.flip_warmup:

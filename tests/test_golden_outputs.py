@@ -11,7 +11,12 @@ of four more rosters, recorded from the array-expression solver and the
 one-row batch prediction that preceded the scalar pass step, pins the
 paths those workloads miss: the one-expert solver without a window (``rs``,
 ``us`` on the scenario problem, ``ral1`` on the toy problem) and a
-four-expert roster (``ensemble4``). One more digest pins the grid CSV of ``streamacq verify-theory`` on a small grid. A
+four-expert roster (``ensemble4``). Seeds 0 and 1 of ``ensemble6`` with
+short windows (``ld1_window = 3``, ``ld2_window = 40``, ``spf1_window = 2``)
+on the scenario problem, recorded from the window that shifted its matrix on
+every eviction, pin a 41-member window through many compactions and the
+one- and two-member blocks of the short agents. One more digest pins the
+grid CSV of ``streamacq verify-theory`` on a small grid. A
 change that moves any exported number, even in its last bit, fails here.
 """
 
@@ -128,13 +133,25 @@ ROSTERS = {
         "ccdbb40f7ec83cb158485e6b6de94007b1ec021d7f21deec9ca9d7789d0d6853",
     ),
 }
+SMALL_WINDOWS = dict(ld1_window=3, ld2_window=40, spf1_window=2)
+SMALL_WINDOW_SEEDS = {
+    0: (
+        "18722fbd457184b2f1afb44478f22c1f799d592572848d14344c5b672b2d9bbc",
+        "f3e5ef0809d03b010e4fc74879e903594153d24551ac7c270860afe1b5d3cedc",
+    ),
+    1: (
+        "4600e4a70c9b4e78d0dc120f6cf2f6e7351b6f6176653cdd76905c10b56053c4",
+        "1589a14d3daec38a30664fee19fa3579e20d4e75a64ece7a8f544a0d118e16af",
+    ),
+}
 THEORY_GRID = "08750729dbc7db81551265f295a51d380746ef267ddfb2c2a2d9474a6af212ec"
 SEED_ZERO = [key for key in GOLDEN if key[2] == 0]
 LATER_SEEDS = [key for key in GOLDEN if key[2] != 0]
 
 
-def export_digests(tmp_path, strategy, generator, seed):
-    config = ExperimentConfig(strategy=strategy, generator=generator, budget_fraction=0.10)
+def export_digests(tmp_path, strategy, generator, seed, **settings):
+    config = ExperimentConfig(strategy=strategy, generator=generator, budget_fraction=0.10,
+                              **settings)
     paths = export_results(run_experiment(config, seed), str(tmp_path))
     return tuple(hashlib.sha256(Path(paths[name]).read_bytes()).hexdigest()
                  for name in ("metrics", "trajectory"))
@@ -156,6 +173,12 @@ def test_later_seed_exports_match_the_recorded_digests(tmp_path, strategy, gener
                          ids=["rs-scenario", "us-scenario", "ensemble4-scenario", "ral1-toy"])
 def test_other_roster_exports_match_the_recorded_digests(tmp_path, strategy, generator, seed):
     assert export_digests(tmp_path, strategy, generator, seed) == ROSTERS[(strategy, generator, seed)]
+
+
+@pytest.mark.parametrize("seed", SMALL_WINDOW_SEEDS)
+def test_short_window_exports_match_the_recorded_digests(tmp_path, seed):
+    assert (export_digests(tmp_path, "ensemble6", SCENARIO, seed, **SMALL_WINDOWS)
+            == SMALL_WINDOW_SEEDS[seed])
 
 
 def test_theory_grid_csv_matches_the_recorded_digest(tmp_path):

@@ -44,7 +44,7 @@ from streamacq.harness import (
     summary_table,
     write_dataset_csv,
 )
-from streamacq.learner import LearnerConfig
+from streamacq.learner import LearnerConfig, LogisticModel, fit_logistic
 
 SMALL_GEN = GeneratorConfig(n=500, p=5, seed=0)
 
@@ -382,18 +382,23 @@ class TestStreamRunner:
 
     @pytest.mark.parametrize("budget_left", [True, False], ids=["budget-left", "budget-spent"])
     @pytest.mark.parametrize("strategy", ["rs", "ensemble2"], ids=["no-window", "window"])
-    @pytest.mark.parametrize("bad", ["nan", "inf", "short"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "short", "label-0.7", "label-2",
+                                     "label-nan"])
     def test_rejected_row_leaves_the_runner_as_it_was(self, split, strategy, budget_left, bad):
-        """A bad row fails before the step counter, the rng, the weights, the
-        pool or the window move, whether or not budget is left."""
-        runner = StreamRunner(small_config(strategy), 15, split)
+        """A bad row or label fails before the step counter, the rng, the
+        weights, the pool or the window move, whether or not budget is left;
+        with every label bought, a bad label would otherwise be pooled."""
+        runner = StreamRunner(small_config(strategy, budget_fraction=1.0), 15, split)
         for i in range(5):
             runner.step(split.stream_features[i], int(split.stream_labels[i]))
         if not budget_left:
             runner.budget_used = split.budget
         row = split.stream_features[5].copy()
+        label = int(split.stream_labels[5])
         if bad == "short":
             row = row[:-1]
+        elif bad.startswith("label"):
+            label = float(bad.removeprefix("label-"))
         else:
             row[1] = np.nan if bad == "nan" else np.inf
 
@@ -404,9 +409,41 @@ class TestStreamRunner:
                     None if window is None else window.tobytes())
 
         before = state()
-        with pytest.raises(ValueError, match="non-finite" if bad != "short" else "expected"):
-            runner.step(row, int(split.stream_labels[5]))
+        message = {"short": "expected", "nan": "non-finite", "inf": "non-finite"}
+        with pytest.raises(ValueError, match=message.get(bad, "label must be 0, 1 or None")):
+            runner.step(row, label)
         assert state() == before
+
+    @pytest.mark.parametrize("label", [0, 1, 0.0, 1.0, True, np.int64(1)])
+    def test_labels_equal_to_0_or_1_are_pooled_as_ints(self, split, label):
+        runner = StreamRunner(small_config("rs", budget_fraction=1.0), 15, split)
+        runner.agents[0].rate = 1.0
+        pooled = len(runner.pool)
+        while len(runner.pool) == pooled:
+            runner.step(split.stream_features[0], label)
+        assert runner.pool.labels[-1] == int(label)
+
+    def test_records_carry_the_standardized_weights_bit_for_bit(self, split):
+        """Every record's weights are ``weights / weights.sum()`` of the solver
+        after the step, bit for bit, through flips, a 2^512 rescale at
+        ``horizon = 1`` and the steps after the budget ran out."""
+        solver = SolverConfig(horizon=1, limit_width=0.01, flip_warmup=2)
+        runner = StreamRunner(small_config("ensemble2", solver=solver,
+                                           budget_fraction=0.3), 16, split)
+        runner.ensemble.weights = [2.0 ** 511, 2.0 ** 510]
+        rescaled = flipped = after_budget = 0
+        for i, (row, label) in enumerate(zip(split.stream_features, split.stream_labels)):
+            total = float(runner.ensemble.weights.sum())
+            active = runner.budget_used < split.budget
+            record = runner.step(row, int(label))
+            weights = runner.ensemble.weights
+            expected = (weights / weights.sum()).tolist()
+            assert all(type(w) is float for w in record.weights)
+            assert np.array(record.weights).tobytes() == np.array(expected).tobytes(), i
+            rescaled += float(weights.sum()) < total * 2.0 ** -400
+            flipped += record.flipped
+            after_budget += not active
+        assert rescaled and flipped and after_budget
 
     def test_roster_without_window_agent_builds_no_window(self, split):
         assert StreamRunner(small_config("rs"), 12, split).window is None
@@ -432,6 +469,28 @@ class TestStreamRunner:
         assert metrics.acquired > 0
         np.testing.assert_array_equal(runner.window.points_matrix()[:len(split.initial_features)],
                                       split.initial_features)
+
+    def test_test_set_is_scored_once_per_model(self, split, monkeypatch):
+        """An evaluation reuses the last accuracy while the model is the one it
+        was scored from; each accuracy has the bits of the boolean mean."""
+        scored = []
+        predict_batch = LogisticModel.predict_batch
+
+        def counting(model, X):
+            scored.append(model)
+            return predict_batch(model, X)
+
+        monkeypatch.setattr(LogisticModel, "predict_batch", counting)
+        runner = StreamRunner(small_config("ensemble2"), 17, split)
+        metrics = runner.run()
+        evaluations = sum(r.accuracy is not None for r in metrics.records) + 1
+        assert len({id(model) for model in scored}) == len(scored) < evaluations
+        expected = float((predict_batch(runner.model, split.test_features)
+                          == split.test_labels).mean())
+        assert metrics.final_accuracy.hex() == expected.hex()
+        runner.model = fit_logistic(runner.pool.features, runner.pool.labels)
+        runner.test_accuracy()
+        assert scored[-1] is runner.model
 
     def test_initial_accuracy_from_seed_pool(self, split):
         runner = StreamRunner(small_config("rs"), 11, split)

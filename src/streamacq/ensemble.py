@@ -5,21 +5,21 @@ advice vectors. Expert weights grow with importance-weighted reward plus an
 exploration bonus, and an EWMA chart over the standardized weights reflects
 them across the uniform level whenever one expert drifts out of its limits.
 
-The solver keeps one value per expert for each of its weights, EWMA
+The solver keeps one Python float per expert for each of its weights, EWMA
 statistics and Welford moments, ``n_experts`` values in all, the roster size
-it is built with, which is not a :class:`SolverConfig` setting. A step builds
-and checks the advice matrix once, in :meth:`WeightedEnsemble.decide`; the
-:class:`JointDecision` carries it to :meth:`WeightedEnsemble.update_weights`.
+it is built with, which is not a :class:`SolverConfig` setting. On a few
+experts numpy's per-call cost outweighs the arithmetic, so each update is one
+pass over the floats. A step checks the votes once, in
+:meth:`WeightedEnsemble.decide`; the :class:`JointDecision` carries them to
+:meth:`WeightedEnsemble.update_weights`, which rebuilds each expert's advice
+``(vote, 1 - vote)`` from them.
 
-On a few experts numpy's per-call cost outweighs the arithmetic, so the
-per-expert state lives in lists of Python floats, and the updates run one
-pass over them. The attributes ``weights``, ``ewma``, ``obs_mean`` and
-``obs_m2`` read the lists as fresh read-only arrays and assign arrays back.
 Each float operation is the one the array expression
-``weights * exp(p_min / 2 * (gain + spread * bonus))`` or the chart's Welford
-and EWMA updates would do, in the same order, so the state keeps its bits.
-Only the mixture ``weights @ advice`` is a numpy call: a sequential dot
-rounds differently from it.
+``weights * exp(p_min / 2 * (gain + spread * bonus))``, the chart's Welford
+and EWMA updates or the reflection would do, in the same order, so the state
+keeps its bits. numpy is called twice only, where a sequential sum rounds
+differently: the mixture ``weights @ advice``, and a weight total over eight
+or more experts.
 """
 
 from __future__ import annotations
@@ -114,64 +114,37 @@ class SolverConfig:
 @dataclass(frozen=True)
 class JointDecision:
     """Mixture probabilities over the two arms, the sampled arm, and the
-    per-expert advice matrix the probabilities were mixed from."""
+    checked acquire-votes the probabilities were mixed from."""
 
-    probs: np.ndarray
+    probs: tuple
     arm: int
-    advice: np.ndarray
+    votes: tuple
 
     @property
     def acquired(self) -> bool:
         return self.arm == ARM_ACQUIRE
 
 
-class _ExpertValues:
-    """A per-expert state kept as a list of floats in ``_<name>``; read as a
-    fresh read-only array, assigned from anything of ``n_experts`` floats."""
+def _total(values) -> float:
+    """``np.array(values).sum()`` bit for bit.
 
-    def __set_name__(self, owner, name):
-        self.name, self.key = name, "_" + name
-
-    def __get__(self, ensemble, owner=None):
-        if ensemble is None:
-            return self
-        values = np.array(getattr(ensemble, self.key))
-        values.flags.writeable = False
-        return values
-
-    def _floats(self, ensemble, values) -> list:
-        v = np.asarray(values, dtype=float)
-        if v.shape != (ensemble.n_experts,):
-            raise ValueError(f"{self.name} needs {ensemble.n_experts} values, "
-                             f"got shape {v.shape}")
-        return v.tolist()
-
-    def __set__(self, ensemble, values):
-        setattr(ensemble, self.key, self._floats(ensemble, values))
-
-
-class _Weights(_ExpertValues):
-    """The expert weights; assigning them refreshes their standardized shares."""
-
-    def __set__(self, ensemble, values):
-        ensemble._adopt(self._floats(ensemble, values))
+    numpy adds fewer than eight terms left to right, as ``sum`` does, and
+    more in pairwise blocks.
+    """
+    return sum(values) if len(values) < 8 else float(np.array(values).sum())
 
 
 class WeightedEnsemble:
     """Combines expert acquire-votes into one monitored joint policy.
 
-    ``obs_mean`` and ``obs_m2`` are the chart's running (Welford) moments of
-    the standardized weights. Every :meth:`ewma_step` records every expert
-    once, so ``steps`` is also each expert's record count. The exploration
-    floor ``p_min`` defaults to the update's ``exploration_bonus``, capped at 1/2.
-    :attr:`standardized` holds ``weights / weights.sum()`` as floats, refreshed
-    whenever the weights change, so a step record reads it without arithmetic.
+    ``ewma``, ``obs_mean`` and ``obs_m2`` hold each expert's EWMA statistic
+    and the chart's running (Welford) moments of the standardized weights.
+    Every :meth:`ewma_step` records every expert once, so ``steps`` is also
+    each expert's record count. The exploration floor ``p_min`` defaults to
+    the update's ``exploration_bonus``, capped at 1/2. :meth:`set_weights` is
+    the one writer of the read-only :attr:`weights`; it refreshes
+    :attr:`standardized` too, so a step record reads it without arithmetic.
     """
-
-    weights = _Weights()
-    ewma = _ExpertValues()
-    obs_mean = _ExpertValues()
-    obs_m2 = _ExpertValues()
 
     def __init__(self, config: SolverConfig, n_experts: int):
         if n_experts < 1:
@@ -181,108 +154,96 @@ class WeightedEnsemble:
         self.exploration_bonus = math.sqrt(math.log(n) / (N_ARMS * config.horizon))
         self.p_min = (config.p_min if config.p_min is not None
                       else min(self.exploration_bonus, 1.0 / N_ARMS))
-        self._adopt([1.0] * n)
-        self._ewma = [1.0 / n] * n
-        self._obs_mean = [0.0] * n
-        self._obs_m2 = [0.0] * n
+        self.set_weights([1.0] * n)
+        self.ewma = [1.0 / n] * n
+        self.obs_mean = [0.0] * n
+        self.obs_m2 = [0.0] * n
         self.limit_width = float(config.limit_width)
         self.steps = 0
         self.flips = 0
 
-    def _total(self, weights: list) -> float:
-        """``np.array(weights).sum()`` bit for bit.
-
-        numpy adds fewer than eight terms left to right, as ``sum`` does, and
-        more in pairwise blocks.
-        """
-        return sum(weights) if len(weights) < 8 else float(np.array(weights).sum())
-
-    def _adopt(self, weights: list) -> None:
-        """Take ``weights`` as the expert weights, and their standardized shares."""
-        total = self._total(weights)
-        self._weights = weights
-        self._standardized = tuple([w / total for w in weights])
+    @property
+    def weights(self) -> tuple:
+        """The expert weights as a tuple of floats."""
+        return self._weights
 
     @property
     def standardized(self) -> tuple:
-        """``weights / weights.sum()`` as a tuple of floats, bit for bit; kept
-        up to date by every change of the weights."""
+        """``weights / weights.sum()`` as a tuple of floats, bit for bit."""
         return self._standardized
+
+    def set_weights(self, weights) -> None:
+        """Take ``n_experts`` positive, finite weights with a finite sum."""
+        weights = tuple(map(float, weights))
+        if len(weights) != self.n_experts:
+            raise ValueError(f"expected {self.n_experts} weights, got {len(weights)}")
+        total = _total(weights)
+        # a NaN or infinite weight makes the total NaN or infinite
+        if not (0.0 < min(weights) and total < math.inf):
+            raise ValueError(f"weights must be positive and finite with a finite sum, "
+                             f"got {weights}")
+        self._weights = weights
+        self._standardized = tuple([w / total for w in weights])
 
     # -- decision -----------------------------------------------------------
 
-    def advice_matrix(self, votes) -> np.ndarray:
-        """Per-expert advice over both arms from acquire-votes in [0, 1],
-        checked and laid out in one pass, then made an array in one call."""
-        flat = []
+    def decide(self, votes, rng: np.random.Generator) -> JointDecision:
+        """Sample one arm via inverse CDF from the weight-mixed arm
+        distribution with the exploration floor; ``votes`` are the experts'
+        acquire-votes in [0, 1]."""
+        votes = tuple(votes)
+        if len(votes) != self.n_experts:
+            raise ValueError(f"expected {self.n_experts} votes, got {len(votes)}")
+        advice = []
         for x in votes:
             if not 0.0 <= x <= 1.0:  # NaN fails both tests
                 raise ValueError("votes must be finite and lie in [0, 1]")
-            flat += (x, 1.0 - x)
-        advice = np.array(flat, dtype=float)
-        if advice.shape != (N_ARMS * self.n_experts,):
-            raise ValueError(f"expected {self.n_experts} votes, got shape {np.shape(votes)}")
-        return advice.reshape(self.n_experts, N_ARMS)
-
-    def decide(self, votes, rng: np.random.Generator) -> JointDecision:
-        """Sample one arm via inverse CDF from the weight-mixed arm
-        distribution with the exploration floor."""
-        advice = self.advice_matrix(votes)
-        total = self._total(self._weights)
+            advice += (x, 1.0 - x)
+        mix = (np.array(self._weights)
+               @ np.array(advice).reshape(self.n_experts, N_ARMS)).tolist()
+        total = _total(self._weights)
         keep, floor = 1.0 - N_ARMS * self.p_min, self.p_min
-        mix = (np.array(self._weights) @ advice).tolist()
-        probs = [keep * (m / total) + floor for m in mix]
+        probs = tuple([keep * (m / total) + floor for m in mix])
         u = float(rng.random())
         arm = ARM_ACQUIRE if u < probs[ARM_ACQUIRE] else ARM_PASS
-        return JointDecision(probs=np.array(probs), arm=arm, advice=advice)
+        return JointDecision(probs=probs, arm=arm, votes=votes)
 
     # -- learning -----------------------------------------------------------
 
     def update_weights(self, decision: JointDecision, reward: float) -> None:
         """Exponential update from importance-weighted reward plus variance bonus.
 
-        Reads the advice the decision was drawn from, so the votes are built
-        and checked once per step, in :meth:`decide`.
+        Reads the votes the decision was drawn from, so they are checked once
+        per step, in :meth:`decide`.
         """
+        if len(decision.votes) != self.n_experts:
+            raise ValueError(f"decision carries {len(decision.votes)} votes, "
+                             f"the ensemble has {self.n_experts} experts")
         if not 0.0 <= reward <= 1.0:
             raise ValueError(f"reward must lie in [0, 1], got {reward}")
         if self.p_min == 0.0:
             return  # exponent scale is p_min/2, so the update is exactly neutral
         arm = decision.arm
-        p_acquire, p_pass = probs = decision.probs.tolist()
+        p_acquire, p_pass = probs = decision.probs
         scale = reward / probs[arm]  # the played arm's importance-weighted reward
         half, bonus = self.p_min / 2.0, self.exploration_bonus
         # math.exp per expert, not np.exp: numpy's SIMD exp differs from libm's
         # in the last bit on about a quarter of random inputs, which would
         # move the exported weights
         grown = []
-        for w, a in zip(self._weights, decision.advice.tolist()):
+        for w, x in zip(self._weights, decision.votes):
+            a = (x, 1.0 - x)  # the expert's advice over both arms
             spread = a[ARM_ACQUIRE] / p_acquire + a[ARM_PASS] / p_pass
             grown.append(w * math.exp(half * (a[arm] * scale + spread * bonus)))
-        top, low = max(grown), min(grown)
+        top = max(grown)
         if top > _RESCALE_ABOVE:
             # weights only grow between reflections; scaling them all by one
             # power of two is exact, so ratios and every export keep their bits
             shift = -math.frexp(top)[1]
             grown = [math.ldexp(w, shift) for w in grown]
-            low = min(grown)
-        if not (0.0 < low and top < math.inf):
-            raise FloatingPointError("expert weight left (0, inf)")
-        self._adopt(grown)
+        self.set_weights(grown)
 
     # -- monitoring ---------------------------------------------------------
-
-    def standardized_weights(self) -> np.ndarray:
-        """``weights / weights.sum()``: :attr:`standardized` as an array."""
-        return np.array(self._standardized)
-
-    @property
-    def variance(self) -> np.ndarray:
-        """Sample variance of each expert's recorded standardized weights;
-        zero below two records."""
-        if self.steps < 2:
-            return np.zeros(self.n_experts)
-        return self.obs_m2 / (self.steps - 1)
 
     def ewma_step(self) -> bool:
         """One chart update; returns True when the weights were reflected.
@@ -303,8 +264,8 @@ class WeightedEnsemble:
 
         means, m2s, ewmas = [], [], []
         out_of_limits = False
-        for s, mean, m2, ewma in zip(self._standardized, self._obs_mean,
-                                     self._obs_m2, self._ewma):
+        for s, mean, m2, ewma in zip(self._standardized, self.obs_mean,
+                                     self.obs_m2, self.ewma):
             delta = s - mean
             mean += delta / steps
             m2 += delta * (s - mean)
@@ -314,7 +275,7 @@ class WeightedEnsemble:
             means.append(mean)
             m2s.append(m2)
             ewmas.append(ewma)
-        self._obs_mean, self._obs_m2, self._ewma = means, m2s, ewmas
+        self.obs_mean, self.obs_m2, self.ewma = means, m2s, ewmas
 
         if out_of_limits:
             self._reflect(level)
@@ -324,14 +285,13 @@ class WeightedEnsemble:
         if growth >= math.log(_LIMIT_WIDTH_CAP):
             self.limit_width = _LIMIT_WIDTH_CAP
         else:
-            self.limit_width = min(
-                self.limit_width * math.exp(growth), _LIMIT_WIDTH_CAP
-            )
+            self.limit_width = min(self.limit_width * math.exp(growth), _LIMIT_WIDTH_CAP)
         return out_of_limits
 
     def _reflect(self, level: float) -> None:
         """Mirror standardized weights across the uniform level and reseed EWMA."""
-        mirrored = np.maximum(2.0 * level - np.array(self._standardized), WEIGHT_FLOOR)
-        mirrored /= mirrored.sum()
-        self._adopt((mirrored * self._total(self._weights)).tolist())
-        self._ewma = mirrored.tolist()
+        mirrored = [max(2.0 * level - s, WEIGHT_FLOOR) for s in self._standardized]
+        share = _total(mirrored)
+        self.ewma = [m / share for m in mirrored]
+        total = _total(self._weights)
+        self.set_weights([m * total for m in self.ewma])

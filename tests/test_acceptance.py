@@ -166,9 +166,9 @@ def test_criterion_5_invariant_suite(toy_runs, scenario_runs, tmp_path):
     for _ in range(200):
         n = int(rng.integers(1, 7))
         ensemble = WeightedEnsemble(SolverConfig(), n)
-        ensemble.weights = np.array([rng.uniform(0.01, 10.0) for _ in range(n)])
+        ensemble.set_weights([rng.uniform(0.01, 10.0) for _ in range(n)])
         floor = ensemble.p_min
-        probs = ensemble.decide(rng.random(n), StubGenerator(0.0)).probs
+        probs = np.array(ensemble.decide(rng.random(n), StubGenerator(0.0)).probs)
         probs_ok &= bool(np.all(probs >= floor - 1e-12))
         probs_ok &= bool(np.all(probs <= 1.0 - floor + 1e-12))
         probs_ok &= abs(float(probs.sum()) - 1.0) <= 1e-9
@@ -183,10 +183,10 @@ def test_criterion_5_invariant_suite(toy_runs, scenario_runs, tmp_path):
         decision = ensemble.decide(votes, rng)
         ensemble.update_weights(decision, float(rng.random()))
         flipped = ensemble.ewma_step()
-        positive_ok &= bool(np.all(ensemble.weights > 0))
+        positive_ok &= bool(np.all(np.array(ensemble.weights) > 0))
         if flipped:
             flips_seen += 1
-            total = float(ensemble.standardized_weights().sum())
+            total = float(np.array(ensemble.standardized).sum())
             reflection_ok &= abs(total - 1.0) <= 1e-12
     checks["weights positive over 10000 steps"] = positive_ok
     checks["reflection preserves weight sum"] = reflection_ok and flips_seen > 0
@@ -281,7 +281,7 @@ def test_criterion_7_monitoring_flips_a_dominating_expert():
             assert decision.acquired
             ensemble.update_weights(decision, 1.0)
             ensemble.ewma_step()
-            favored.append(float(ensemble.standardized_weights()[0]))
+            favored.append(float(ensemble.standardized[0]))
         return ensemble.flips, np.asarray(favored)
 
     flips_on, _ = crafted_run(monitor=True)

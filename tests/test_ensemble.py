@@ -35,14 +35,21 @@ class StubGenerator:
 def make_ensemble(n_experts, weights=None, **kwargs):
     ens = WeightedEnsemble(SolverConfig(**kwargs), n_experts)
     if weights is not None:
-        ens.weights = np.array(weights, dtype=float)
+        ens.set_weights(weights)
     return ens
 
 
-def even_odds_acquire(ens, votes):
+def even_odds_acquire(votes):
     """An acquire decision at probabilities (0.5, 0.5) on the given votes."""
-    return JointDecision(probs=np.array([0.5, 0.5]), arm=ARM_ACQUIRE,
-                         advice=ens.advice_matrix(votes))
+    return JointDecision(probs=(0.5, 0.5), arm=ARM_ACQUIRE, votes=tuple(votes))
+
+
+def chart_variance(ens):
+    """Sample variance of each expert's recorded standardized weights, from
+    the chart's Welford moments; zero below two records."""
+    if ens.steps < 2:
+        return np.zeros(ens.n_experts)
+    return np.array(ens.obs_m2) / (ens.steps - 1)
 
 
 class TestRewardSpec:
@@ -98,18 +105,19 @@ class TestChartVariance:
         ens = make_ensemble(3, monitor=False)
         recorded = []
         for _ in range(40):
-            ens.weights = rng.uniform(0.01, 10.0, size=3)
-            recorded.append(ens.standardized_weights())
+            ens.set_weights(rng.uniform(0.01, 10.0, size=3))
+            recorded.append(np.array(ens.standardized))
             ens.ewma_step()
         assert ens.steps == 40
-        np.testing.assert_allclose(ens.variance, np.var(recorded, axis=0, ddof=1),
+        np.testing.assert_allclose(chart_variance(ens), np.var(recorded, axis=0, ddof=1),
                                    rtol=1e-12)
 
     def test_variance_zero_below_two_records(self):
+        """One record leaves the chart's M2 at exactly zero."""
         ens = make_ensemble(2, weights=[3.0, 1.0], monitor=False)
-        np.testing.assert_array_equal(ens.variance, [0.0, 0.0])
+        np.testing.assert_array_equal(ens.obs_m2, [0.0, 0.0])
         ens.ewma_step()
-        np.testing.assert_array_equal(ens.variance, [0.0, 0.0])
+        np.testing.assert_array_equal(ens.obs_m2, [0.0, 0.0])
 
 
 class TestDecide:
@@ -140,7 +148,7 @@ class TestDecide:
             n = int(rng.integers(1, 8))
             ens = make_ensemble(n, weights=rng.uniform(0.01, 100.0, size=n))
             p_min = ens.p_min
-            probs = ens.decide(rng.uniform(0.0, 1.0, size=n), StubGenerator()).probs
+            probs = np.array(ens.decide(rng.uniform(0.0, 1.0, size=n), StubGenerator()).probs)
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(probs >= p_min - 1e-15)
             assert np.all(probs <= 1.0 - p_min + 1e-15)
@@ -156,16 +164,28 @@ class TestDecide:
 
 
 class TestStateAttributes:
-    @pytest.mark.parametrize("name", ["weights", "ewma", "obs_mean", "obs_m2"])
-    def test_reads_are_read_only_copies_and_assignments_are_checked(self, name):
+    def test_weight_assignments_are_checked(self):
         ens = make_ensemble(3)
-        values = getattr(ens, name)
-        with pytest.raises(ValueError, match="read-only"):
-            values[0] = 0.25
-        setattr(ens, name, [0.5, 0.25, 0.125])
-        assert_same_bits(getattr(ens, name), [0.5, 0.25, 0.125])
-        with pytest.raises(ValueError, match=f"{name} needs 3 values"):
-            setattr(ens, name, [0.5, 0.25])
+        ens.set_weights([0.5, 0.25, 0.125])
+        assert_same_bits(ens.weights, [0.5, 0.25, 0.125])
+        assert all(type(w) is float for w in ens.weights)
+        with pytest.raises(ValueError, match="expected 3 weights, got 2"):
+            ens.set_weights([0.5, 0.25])
+        with pytest.raises(AttributeError):
+            ens.weights = [0.5, 0.25, 0.125]
+
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [1.0, math.nan], [math.inf, 1.0],
+                                         [-1.0, 2.0], [0.0, 0.0], [0.0, 1.0],
+                                         [1e308, 1e308]],
+                             ids=["nan", "nan-last", "inf", "negative", "zeros", "one-zero",
+                                  "sum-overflows"])
+    def test_weights_that_break_the_solver_are_rejected(self, weights):
+        """A NaN, infinite or non-positive weight, or a sum that overflows,
+        fails with a message and leaves the weights as they were."""
+        ens = make_ensemble(2, weights=[3.0, 1.0])
+        with pytest.raises(ValueError, match="positive and finite"):
+            ens.set_weights(weights)
+        assert ens.weights == (3.0, 1.0) and ens.standardized == (0.75, 0.25)
 
     def test_standardized_follows_every_weight_change(self):
         """After an assignment, an update, a rescale and a reflection,
@@ -174,10 +194,9 @@ class TestStateAttributes:
                             limit_width=0.01, flip_warmup=2)
 
         def check():
-            weights = ens.weights
+            weights = np.array(ens.weights)
             assert all(type(s) is float for s in ens.standardized)
             assert_same_bits(ens.standardized, weights / weights.sum())
-            assert_same_bits(ens.standardized_weights(), weights / weights.sum())
 
         check()
         rng = np.random.default_rng(5)
@@ -193,30 +212,38 @@ class TestUpdateWeights:
     def test_importance_weighted_gain_hand_value(self):
         """Full credit at even odds multiplies the weight by e^0.1."""
         ens = make_ensemble(1, p_min=0.1)
-        ens.update_weights(even_odds_acquire(ens, [1.0]), reward=1.0)
+        ens.update_weights(even_odds_acquire([1.0]), reward=1.0)
         assert ens.weights[0] == pytest.approx(math.exp(0.1))
 
     def test_zero_reward_leaves_single_expert_unchanged(self):
         ens = make_ensemble(1, p_min=0.1)
-        ens.update_weights(even_odds_acquire(ens, [1.0]), reward=0.0)
+        ens.update_weights(even_odds_acquire([1.0]), reward=0.0)
         assert ens.weights[0] == 1.0
 
     def test_wrong_arm_vote_gets_no_gain(self):
         ens = make_ensemble(1, p_min=0.1)
-        ens.update_weights(even_odds_acquire(ens, [0.0]), reward=1.0)
+        ens.update_weights(even_odds_acquire([0.0]), reward=1.0)
         assert ens.weights[0] == 1.0
 
     def test_vanishing_floor_is_a_no_op(self):
         ens = make_ensemble(1)  # auto floor resolves to zero
-        decision = JointDecision(probs=np.array([1.0, 0.0]), arm=ARM_ACQUIRE,
-                                 advice=ens.advice_matrix([1.0]))
+        decision = JointDecision(probs=(1.0, 0.0), arm=ARM_ACQUIRE, votes=(1.0,))
         ens.update_weights(decision, reward=1.0)
         assert ens.weights[0] == 1.0
 
     def test_reward_validation(self):
         ens = make_ensemble(2)
         with pytest.raises(ValueError):
-            ens.update_weights(even_odds_acquire(ens, [1.0, 0.0]), reward=1.5)
+            ens.update_weights(even_odds_acquire([1.0, 0.0]), reward=1.5)
+
+    def test_decision_for_another_roster_size_is_rejected(self):
+        """A decision built for two experts fails on a three-expert ensemble
+        before any state moves."""
+        ens = make_ensemble(3, weights=[1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="decision carries 2 votes, the ensemble has 3"):
+            ens.update_weights(even_odds_acquire([1.0, 0.0]), reward=1.0)
+        assert ens.weights == (1.0, 2.0, 3.0)
+        assert ens.standardized == tuple(w / 6.0 for w in (1.0, 2.0, 3.0))
 
     def test_weights_stay_positive_over_random_steps(self):
         """Long random interaction never drives a weight out of (0, inf)."""
@@ -229,7 +256,7 @@ class TestUpdateWeights:
             reward = float(rng.choice(rewards)) if decision.acquired else 0.0
             ens.update_weights(decision, reward)
             ens.ewma_step()
-            assert np.all(ens.weights > 0.0)
+            assert np.all(np.array(ens.weights) > 0.0)
             assert np.all(np.isfinite(ens.weights))
 
     def test_long_stream_at_horizon_one_keeps_its_bits(self):
@@ -251,8 +278,8 @@ class TestUpdateWeights:
                 e.update_weights(decision, reward)
                 e.ewma_step()
             assert np.all(np.isfinite(ens.weights))
-            assert_same_bits(low.standardized_weights(), ens.standardized_weights())
-        assert ens.weights.max() < 2.0 ** 600
+            assert_same_bits(low.standardized, ens.standardized)
+        assert max(ens.weights) < 2.0 ** 600
 
 
 class TestEwmaChart:
@@ -269,9 +296,9 @@ class TestEwmaChart:
         flipped = ens.ewma_step()
         assert flipped
         assert ens.flips == 1
-        np.testing.assert_allclose(ens.standardized_weights(), [0.1, 0.9])
+        np.testing.assert_allclose(ens.standardized, [0.1, 0.9])
         # total decision power is preserved by the reflection
-        assert ens.weights.sum() == pytest.approx(10.0)
+        assert np.array(ens.weights).sum() == pytest.approx(10.0)
         # the statistic restarts from the reflected weights
         assert ens.ewma[0] == pytest.approx(0.1)
         assert ens.ewma[1] == pytest.approx(0.9)
@@ -281,7 +308,7 @@ class TestEwmaChart:
         ens.steps = 10
         ens.obs_m2 = [9 * 1.0] * 2  # huge variance, huge limits
         assert not ens.ewma_step()
-        np.testing.assert_allclose(ens.standardized_weights(), [0.51, 0.49])
+        np.testing.assert_allclose(ens.standardized, [0.51, 0.49])
 
     def test_warmup_blocks_early_flips(self):
         ens = make_ensemble(2, weights=[9.0, 1.0], flip_warmup=5)
@@ -301,14 +328,14 @@ class TestEwmaChart:
         ens.steps = 10
         ens.obs_m2 = [0.0] * 6  # zero variance, zero-width limits
         assert ens.ewma_step()
-        standardized = ens.standardized_weights()
+        standardized = np.array(ens.standardized)
         assert standardized.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(standardized > 0.0)
         assert standardized[0] == min(standardized)
         raw = 2.0 / 6.0 - np.asarray(weights)
         raw_clamped = np.maximum(raw, WEIGHT_FLOOR)
         np.testing.assert_allclose(standardized, raw_clamped / raw_clamped.sum())
-        assert ens.weights.sum() == pytest.approx(1.0)
+        assert np.array(ens.weights).sum() == pytest.approx(1.0)
 
     def test_limits_widen_every_step(self):
         ens = make_ensemble(2, horizon=100, monitor=False)
@@ -337,7 +364,7 @@ class TestEwmaChart:
             assert decision.acquired
             ens.update_weights(decision, reward=1.0)
             ens.ewma_step()
-            share = ens.standardized_weights()
+            share = ens.standardized
             favored.append(share[0])
             other.append(share[1])
         assert ens.flips == 0
@@ -463,8 +490,8 @@ def run_against_reference(config, n_experts, votes, rewards, uniforms):
         assert_same_bits(ens.ewma, [e.ewma for e in ref.experts])
         assert_same_bits(ens.obs_mean, [e.obs_mean for e in ref.experts])
         assert_same_bits(ens.obs_m2, [e.obs_m2 for e in ref.experts])
-        assert_same_bits(ens.variance, [e.variance for e in ref.experts])
-        assert_same_bits(ens.standardized_weights(), ref.standardized_weights())
+        assert_same_bits(chart_variance(ens), [e.variance for e in ref.experts])
+        assert_same_bits(ens.standardized, ref.standardized_weights())
         assert all(e.obs_count == ens.steps for e in ref.experts)
         assert (ens.steps, ens.flips, ens.limit_width) == (ref.steps, ref.flips, ref.limit_width)
     return ref.flips
@@ -513,16 +540,19 @@ def array_update_weights(ens, decision, reward):
     the float pass must match bit for bit; returns whether it rescaled."""
     if ens.p_min == 0.0:
         return False
-    advice, probs, arm = decision.advice, decision.probs, decision.arm
+    votes = np.array(decision.votes)
+    advice = np.column_stack([votes, 1.0 - votes])
+    probs, arm = np.array(decision.probs), decision.arm
     gain = advice[:, arm] * (reward / probs[arm])
     spread = (advice / probs).sum(axis=1)
     exponent = ens.p_min / 2.0 * (gain + spread * ens.exploration_bonus)
-    ens.weights = ens.weights * [math.exp(x) for x in exponent.tolist()]
-    top = float(ens.weights.max())
-    if top > 2.0 ** 512:
-        ens.weights = np.ldexp(ens.weights, -math.frexp(top)[1])
-        return True
-    return False
+    weights = np.array(ens.weights) * [math.exp(x) for x in exponent.tolist()]
+    top = float(weights.max())
+    rescaled = top > 2.0 ** 512
+    if rescaled:
+        weights = np.ldexp(weights, -math.frexp(top)[1])
+    ens.set_weights(weights)
+    return rescaled
 
 
 def array_ewma_step(ens):
@@ -530,19 +560,20 @@ def array_ewma_step(ens):
     cfg = ens.config
     level = 1.0 / ens.n_experts
     lam = cfg.ewma_weight
-    standardized = ens.weights / ens.weights.sum()
+    weights = np.array(ens.weights)
+    standardized = weights / weights.sum()
     ens.steps += 1
-    delta = standardized - ens.obs_mean
-    ens.obs_mean = ens.obs_mean + delta / ens.steps
-    ens.obs_m2 = ens.obs_m2 + delta * (standardized - ens.obs_mean)
-    ens.ewma = lam * standardized + (1.0 - lam) * ens.ewma
+    delta = standardized - np.array(ens.obs_mean)
+    ens.obs_mean = np.array(ens.obs_mean) + delta / ens.steps
+    ens.obs_m2 = np.array(ens.obs_m2) + delta * (standardized - ens.obs_mean)
+    ens.ewma = lam * standardized + (1.0 - lam) * np.array(ens.ewma)
     flipped = False
     if cfg.monitor and ens.steps >= cfg.flip_warmup:
         half_width = ens.limit_width * (lam / (2.0 - lam))
         if np.any(np.abs(ens.ewma - level) > half_width * (ens.obs_m2 / (ens.steps - 1))):
             mirrored = np.maximum(2.0 * level - standardized, WEIGHT_FLOOR)
             mirrored /= mirrored.sum()
-            ens.weights = mirrored * ens.weights.sum()
+            ens.set_weights(mirrored * weights.sum())
             ens.ewma = mirrored
             flipped = True
             ens.flips += 1
@@ -560,12 +591,12 @@ def run_against_arrays(config, weights, steps):
     reward)`` steps, comparing every state bit; returns (flips, rescales)."""
     n = len(weights)
     ens, ref = WeightedEnsemble(config, n), WeightedEnsemble(config, n)
-    ens.weights, ref.weights = np.array(weights), np.array(weights)
+    ens.set_weights(weights)
+    ref.set_weights(weights)
     rescales = 0
     for votes, acquire_prob, arm, reward in steps:
-        advice = ens.advice_matrix(votes)
-        decision = JointDecision(probs=np.array([acquire_prob, 1.0 - acquire_prob]),
-                                 arm=arm, advice=advice)
+        decision = JointDecision(probs=(acquire_prob, 1.0 - acquire_prob), arm=arm,
+                                 votes=tuple(votes))
         ens.update_weights(decision, reward)
         rescales += array_update_weights(ref, decision, reward)
         assert_same_bits(ens.weights, ref.weights)

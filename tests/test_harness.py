@@ -405,7 +405,7 @@ class TestStreamRunner:
         def state():
             window = None if runner.window is None else runner.window.points_matrix()
             return (runner.t, runner.budget_used, runner.rng.bit_generator.state,
-                    runner.ensemble.weights.tobytes(), len(runner.pool),
+                    np.array(runner.ensemble.weights).tobytes(), len(runner.pool),
                     None if window is None else window.tobytes())
 
         before = state()
@@ -430,13 +430,13 @@ class TestStreamRunner:
         solver = SolverConfig(horizon=1, limit_width=0.01, flip_warmup=2)
         runner = StreamRunner(small_config("ensemble2", solver=solver,
                                            budget_fraction=0.3), 16, split)
-        runner.ensemble.weights = [2.0 ** 511, 2.0 ** 510]
+        runner.ensemble.set_weights([2.0 ** 511, 2.0 ** 510])
         rescaled = flipped = after_budget = 0
         for i, (row, label) in enumerate(zip(split.stream_features, split.stream_labels)):
-            total = float(runner.ensemble.weights.sum())
+            total = float(np.array(runner.ensemble.weights).sum())
             active = runner.budget_used < split.budget
             record = runner.step(row, int(label))
-            weights = runner.ensemble.weights
+            weights = np.array(runner.ensemble.weights)
             expected = (weights / weights.sum()).tolist()
             assert all(type(w) is float for w in record.weights)
             assert np.array(record.weights).tobytes() == np.array(expected).tobytes(), i

@@ -5,7 +5,10 @@ Every agent votes with a probability in [0, 1] for acquiring the current
 sample.  The two exploration agents share one sliding window per run.  The
 stream runner pushes every sample that reaches the vote into it, acquired or
 not, before the agents vote; each exploration agent then compares the newest
-member, the sample, with the ``length`` members before it.
+member, the sample, with the ``length`` members before it.  The window hands
+it those members' distances to the sample and each one's farthest or nearest
+co-member among them, so a vote costs O(length), not a pass over the
+``length`` x ``length`` distances.
 """
 
 from __future__ import annotations
@@ -47,14 +50,10 @@ def local_sparsity(window: SlidingWindow, k: int | None = None) -> int:
     Among the ``k`` members before the newest (all when ``None``), a member
     contributes when its farthest co-member distance is strictly below its
     distance to the newest member; a high count means the newest member lies
-    in a region the window covers sparsely.
+    in a region the window covers sparsely.  A lone member's farthest
+    distance is 0, so any separation from the newest member counts it.
     """
-    to_new, block = window.candidate(k)
-    # fmax skips the NaN diagonal.  Distances are never negative, so starting
-    # from 0 changes no farthest distance and gives a lone member, which has
-    # no co-members, 0.  The block is symmetric, so the column reduction,
-    # numpy's faster loop over a row-major block, gives each member's farthest.
-    far = np.fmax.reduce(block, axis=0, initial=0.0)
+    to_new, far = window.farthest(k)
     return int(np.count_nonzero(far < to_new))
 
 
@@ -135,10 +134,9 @@ class SpaceFillingAgent(_WindowAgent):
     def propose(self, ctx: AcquisitionContext) -> float:
         if len(self.window) < 3:
             return 1.0  # spread undefined below two members before the sample
-        to_new, block = self.window.candidate(self.length)
+        to_new, near = self.window.nearest(self.length)
         gap = float(to_new.min())
-        # fmin skips the NaN diagonal; the block is symmetric, as in local_sparsity
-        spread = float(np.fmin.reduce(block, axis=0, initial=math.nan).max())
+        spread = float(near.max())
         if spread == 0.0:  # window collapsed onto one location
             return 1.0 if gap > 0.0 else 0.0
         return min(1.0, gap / spread)

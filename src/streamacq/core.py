@@ -1,15 +1,20 @@
 """Shared primitives: feature vectors, labelled pools, and sliding windows.
 
-The sliding window keeps its members oldest first in an array, together with
-their pairwise distance matrix; both double as members arrive, up to the
-window's capacity, so a long window costs only what it holds.  A push checks
-the new point, computes its one distance row and writes it into the row and
-column after the newest member's.  The first eviction adds a few spare rows;
-an eviction then only advances the row the members start at, and once the
-spare rows are used up, one block copy moves the members back to the front.
-The stream runner pushes each sample before the agents vote, so
-:meth:`SlidingWindow.candidate` hands them the newest member's distance row
-and the distances among the members before it, read off the matrix.
+The sliding window keeps its members oldest first in an array and answers,
+for any ``k``, each of the ``k`` members before the newest its farthest and
+nearest co-member among them in O(k).  A sliding extreme splits into a part
+fixed when a member is pushed, the suffix extremes of its distances to the
+members before it, and a running part over the members after it; the window
+keeps the first in one square matrix (maxima below the diagonal, minima
+above) and folds the newest member's distance row into the second at the
+next push.  The arrays double as members arrive, up to the window's
+capacity, so a long window costs only what it holds.  The first eviction
+adds a few spare rows; an eviction then only advances the row the members
+start at, and once the spare rows are used up, one block copy moves the
+members back to the front.  The stream runner pushes each sample before the
+agents vote, so :meth:`SlidingWindow.farthest` and
+:meth:`SlidingWindow.nearest` compare the newest member, the sample, with the
+members before it.
 """
 
 from __future__ import annotations
@@ -106,18 +111,24 @@ class LabeledPool:
 
 
 class SlidingWindow:
-    """Fixed-capacity FIFO of feature vectors with their pairwise distances.
+    """Fixed-capacity FIFO of feature vectors, answering extremes queries in O(k).
 
-    Members are kept oldest first with their pairwise distance matrix, whose
-    diagonal holds NaN.  :meth:`candidate` reads the newest member's distances
-    to the ``k`` members before it, and the distances among those ``k``, so
-    agents of different window lengths share one window.  The arrays start at
-    ``INITIAL_ROWS`` rows and double when full until they reach the capacity;
-    the first eviction adds ``INITIAL_ROWS`` spare rows.  The members occupy
-    rows ``start .. start + len - 1``: an eviction advances ``start``, and
-    when the last row is taken one block copy moves the members back to row
-    0, so the matrix moves once every ``INITIAL_ROWS`` pushes, not on every
-    eviction.
+    Members are kept oldest first.  For each member the window keeps, from
+    its push, the suffix extremes of its distances to the members before it:
+    in one square matrix, lower entry ``[i, j]`` is the largest of member
+    i's distances to members ``j .. i-1``, upper entry ``[j, i]`` the
+    smallest, and the diagonal holds NaN.  It also keeps each member's
+    largest and smallest distance to the members after it, the newest left
+    out, and the newest member's distance row, which the next push folds
+    into those.  :meth:`farthest` and :meth:`nearest` then give each of the
+    ``k`` members before the newest its farthest or nearest co-member among
+    them from one matrix entry and one running extreme (van Herk 1992; Gil
+    and Werman 1993).  The arrays start at ``INITIAL_ROWS`` rows and double
+    when full until they reach the capacity; the first eviction adds
+    ``INITIAL_ROWS`` spare rows.  The members occupy rows ``start .. start +
+    len - 1``: an eviction advances ``start``, and when the last row is
+    taken one block copy moves the members back to row 0, so the arrays
+    move once every ``INITIAL_ROWS`` pushes, not on every eviction.
     """
 
     INITIAL_ROWS = 32
@@ -130,19 +141,28 @@ class SlidingWindow:
         self._start = 0  # row of the oldest member
         # allocated by _allocate once the first point fixes the dimension
         self._points: Optional[np.ndarray] = None  # (rows, dim)
-        self._dist: Optional[np.ndarray] = None  # (rows, rows) pairwise
+        self._ext: Optional[np.ndarray] = None  # (rows, rows) suffix extremes
+        self._newer_max: Optional[np.ndarray] = None  # (rows,) to later members
+        self._newer_min: Optional[np.ndarray] = None  # (rows,)
+        self._to_new: Optional[np.ndarray] = None  # (rows,) the newest's distances
 
     def _allocate(self, dim: int, rows: int) -> None:
         """Room for ``rows`` rows, the current members copied to the front."""
         n, start = self._size, self._start
-        points, dist = self._points, self._dist
+        old = self._points, self._newer_max, self._newer_min, self._to_new
+        ext = self._ext
         self._points = np.zeros((rows, dim))
         # NaN fills the diagonal for good: no write lands on it, and a
         # compaction moves it along itself
-        self._dist = np.full((rows, rows), math.nan)
+        self._ext = np.full((rows, rows), math.nan)
+        self._newer_max = np.zeros(rows)
+        self._newer_min = np.full(rows, math.inf)
+        self._to_new = np.zeros(rows)
         if n:
-            self._points[:n] = points[start:start + n]
-            self._dist[:n, :n] = dist[start:start + n, start:start + n]
+            self._ext[:n, :n] = ext[start:start + n, start:start + n]
+            for new, values in zip((self._points, self._newer_max, self._newer_min,
+                                    self._to_new), old):
+                new[:n] = values[start:start + n]
         self._start = 0
 
     def _compact(self) -> None:
@@ -159,15 +179,18 @@ class SlidingWindow:
         dim = self._points.shape[1]
         points = self._points.reshape(-1)
         points[:n * dim] = points[start * dim:(start + n) * dim]
-        rows = len(self._dist)
-        flat = self._dist.reshape(-1)
+        for values in (self._newer_max, self._newer_min, self._to_new):
+            values[:n] = values[start:start + n]
+        rows = len(self._ext)
+        flat = self._ext.reshape(-1)
         span = (n - 1) * rows + n
         shift = start * (rows + 1)
         flat[:span] = flat[shift:shift + span]
 
     @classmethod
     def from_points(cls, points, capacity: Optional[int] = None) -> "SlidingWindow":
-        """Bulk-build a window; one vectorized pass fills the distance matrix."""
+        """Bulk-build a window; one vectorized pass fills every extreme from
+        the points' Gram distances."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise ValueError(f"expected a 2-d point array, got shape {pts.shape}")
@@ -185,8 +208,20 @@ class SlidingWindow:
         sq = (pts * pts).sum(axis=1)
         d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
         dist = np.sqrt(np.clip(d2, 0.0, None))
-        np.fill_diagonal(dist, math.nan)
-        win._dist[:m, :m] = dist
+        # row i's distances to the members before it, padded so the pad
+        # never wins an extreme
+        before = np.tri(m, k=-1, dtype=bool)
+        low = np.where(before, dist, -math.inf)
+        high = np.where(before, dist, math.inf)
+        suffix_max = np.maximum.accumulate(low[:, ::-1], axis=1)[:, ::-1]
+        suffix_min = np.minimum.accumulate(high[:, ::-1], axis=1)[:, ::-1]
+        ext = np.where(before, suffix_max, suffix_min.T)
+        np.fill_diagonal(ext, math.nan)
+        win._ext[:m, :m] = ext
+        # column j of rows j+1 .. m-2: the members after j but the newest
+        win._newer_max[:m] = low[:m - 1].max(axis=0, initial=0.0)
+        win._newer_min[:m] = high[:m - 1].min(axis=0, initial=math.inf)
+        win._to_new[:m - 1] = dist[m - 1, :m - 1]
         return win
 
     def __len__(self) -> int:
@@ -196,27 +231,33 @@ class SlidingWindow:
     def dim(self) -> Optional[int]:
         return None if self._points is None else self._points.shape[1]
 
-    def points_matrix(self) -> np.ndarray:
-        """Members as an (m, dim) array, oldest first."""
-        if self._points is None:
-            return np.empty(0)
-        return self._points[self._start:self._start + self._size].copy()
-
-    def candidate(self, k: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
-        """The newest member's distances and the distances among the members before it.
-
-        Reads the ``k`` members before the newest (all of them when ``None``),
-        oldest first: their distances to the newest member as a row, and their
-        pairwise distances as a block with NaN on the diagonal.  Both are views
-        into the matrix, valid until the next push.
-        """
+    def _span(self, k: Optional[int]) -> tuple[int, int]:
+        """Rows of the first of the ``k`` members before the newest, and of the newest."""
         n = self._size
         if n == 0:
             raise ValueError("the window is empty; push the candidate first")
-        start = self._start
-        new = start + n - 1
-        lo = start if k is None else max(new - k, start)
-        return self._dist[new, lo:new], self._dist[lo:new, lo:new]
+        new = self._start + n - 1
+        lo = self._start if k is None else max(new - k, self._start)
+        return lo, new
+
+    def farthest(self, k: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+        """The newest member's distances, and each member's farthest co-member.
+
+        Over the ``k`` members before the newest (all of them when ``None``),
+        oldest first: their distances to the newest member, and each one's
+        largest distance to the others among them, 0 for a lone member.  The
+        first is a view valid until the next push.
+        """
+        lo, new = self._span(k)
+        return self._to_new[lo:new], np.fmax(self._ext[lo:new, lo],
+                                             self._newer_max[lo:new])
+
+    def nearest(self, k: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+        """As :meth:`farthest`, with each member's smallest distance to the
+        others among the ``k``, infinity for a lone member."""
+        lo, new = self._span(k)
+        return self._to_new[lo:new], np.fmin(self._ext[lo, lo:new],
+                                             self._newer_min[lo:new])
 
     def push(self, x) -> None:
         """Append ``x``, evicting the oldest member when at capacity.
@@ -224,8 +265,10 @@ class SlidingWindow:
         Full arrays below the capacity double first.  The first eviction
         adds the spare rows; every eviction then only advances the oldest
         member's row, and when no row is left after the members, they move
-        back to row 0.  The new point's distance row then fills the next row
-        and column.
+        back to row 0.  The previous newest member's distance row is folded
+        into the running extremes of the members before it; the new point's
+        distance row then becomes the newest's, and its suffix extremes fill
+        the next row and column of the matrix.
         """
         v = as_feature_vector(x)
         if self._points is None:
@@ -245,9 +288,16 @@ class SlidingWindow:
             self._allocate(v.size, min(2 * self._size, self.capacity))
         start, n = self._start, self._size
         new = start + n
+        if n > 1:  # the previous newest has members before it
+            prev = self._to_new[start:new - 1]
+            newer_max, newer_min = self._newer_max[start:new - 1], self._newer_min[start:new - 1]
+            np.maximum(newer_max, prev, out=newer_max)
+            np.minimum(newer_min, prev, out=newer_min)
         diff = self._points[start:new] - v
-        d = np.sqrt((diff * diff).sum(axis=1))
+        d = np.sqrt((diff * diff).sum(axis=1), out=self._to_new[start:new])
         self._points[new] = v
-        self._dist[new, start:new] = d
-        self._dist[start:new, new] = d
+        self._newer_max[new] = 0.0
+        self._newer_min[new] = math.inf
+        np.maximum.accumulate(d[::-1], out=self._ext[new, start:new][::-1])
+        np.minimum.accumulate(d[::-1], out=self._ext[start:new, new][::-1])
         self._size = n + 1

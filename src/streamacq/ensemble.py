@@ -214,19 +214,28 @@ class WeightedEnsemble:
         """Exponential update from importance-weighted reward plus variance bonus.
 
         Reads the votes the decision was drawn from, so they are checked once
-        per step, in :meth:`decide`.
+        per step, in :meth:`decide`; the arm and the probabilities are checked
+        here, before any state moves.
         """
         if len(decision.votes) != self.n_experts:
             raise ValueError(f"decision carries {len(decision.votes)} votes, "
                              f"the ensemble has {self.n_experts} experts")
         if not 0.0 <= reward <= 1.0:
             raise ValueError(f"reward must lie in [0, 1], got {reward}")
-        if self.p_min == 0.0:
-            return  # exponent scale is p_min/2, so the update is exactly neutral
         arm = decision.arm
+        if arm not in (ARM_ACQUIRE, ARM_PASS):
+            raise ValueError(f"decision arm must be {ARM_ACQUIRE} or {ARM_PASS}, got {arm!r}")
         p_acquire, p_pass = probs = decision.probs
+        # decide mixes each probability to keep * share + p_min; the share can
+        # exceed 1 by an ulp, so 1, not 1 - p_min, bounds it from above
+        floor = self.p_min
+        if not (floor <= p_acquire <= 1.0 and floor <= p_pass <= 1.0):  # NaN fails
+            raise ValueError(f"decision probabilities must lie in [p_min, 1] = "
+                             f"[{floor}, 1], got {probs}")
+        if floor == 0.0:
+            return  # exponent scale is p_min/2, so the update is exactly neutral
         scale = reward / probs[arm]  # the played arm's importance-weighted reward
-        half, bonus = self.p_min / 2.0, self.exploration_bonus
+        half, bonus = floor / 2.0, self.exploration_bonus
         # math.exp per expert, not np.exp: numpy's SIMD exp differs from libm's
         # in the last bit on about a quarter of random inputs, which would
         # move the exported weights

@@ -20,7 +20,8 @@ The gradient-norm stop is tested once per block of iterations on the
 block's kept moves and iterates: row i of the iterate buffer holds the
 parameters before the block's i-th move.  One ``einsum`` gives every move's
 squared norm; it may round a sum an ulp apart from a row's ``dot``, so it
-only nominates rows near the tolerance, and the first nominated move j whose
+only nominates rows near the tolerance (a block with none goes straight on
+to the next), and the first nominated move j whose
 ``math.sqrt(move.dot(move))`` is under it, the per-iteration test, ends the
 fit at iterate j, with the same bits and ``n_iter`` as a test after every
 iteration.  A fit that stops computes up to one block more than it keeps.
@@ -262,10 +263,12 @@ def fit_logistic(X, y, config: LearnerConfig = LearnerConfig()) -> LogisticModel
             if l1:
                 _soft_threshold(after[:p], scratch)
         squares = np.einsum("ij,ij->i", moves[:count], moves[:count])
-        stop = next((j for j in np.flatnonzero(squares <= nominate)
-                     if math.sqrt(moves[j].dot(moves[j])) < tol), count)
-        if stop < count:
-            break
+        stop = count
+        if squares.min() <= nominate:  # some move is near the tolerance
+            stop = next((j for j in np.flatnonzero(squares <= nominate)
+                         if math.sqrt(moves[j].dot(moves[j])) < tol), count)
+            if stop < count:
+                break
         iterates[0] = iterates[count]
     w, b = iterates[stop, :p], float(iterates[stop, p])
     # through the public entry point, so the perfbench trace, which counts

@@ -67,24 +67,30 @@ class TestLocalSparsity:
                     expected += 1
             assert local_sparsity(win) == expected
 
-    def test_one_reduction_matches_the_two_step_formula(self):
-        """The count equals the NaN-initialised reduction with lone members
-        set to 0, for every k, empty and singleton blocks included, on
-        windows with duplicate points and tied distances."""
-        def two_step(win, k):
-            to_new, block = win.candidate(k)
-            far = np.fmax.reduce(block, axis=0, initial=np.nan)
-            far = np.where(np.isnan(far), 0.0, far)
-            return int(np.count_nonzero(far < to_new))
+    def test_count_matches_a_rescan_of_the_pushed_points(self):
+        """The count equals a rescan of the pushed points with the push's
+        distance formula, lone members at 0, for every k, empty and singleton
+        spans included, on windows with duplicate points and tied distances."""
+        def rescan(members, k):
+            *before, new = members
+            before = before[len(before) - min(len(before) if k is None else k, len(before)):]
+            count = 0
+            for j, p in enumerate(before):
+                others = np.array([q for i, q in enumerate(before) if i != j]).reshape(-1, 2)
+                far = np.sqrt(((others - p) ** 2).sum(axis=1)).max(initial=0.0)
+                count += far < np.sqrt(((p - new) ** 2).sum())
+            return count
 
         rng = np.random.default_rng(15)
         for trial in range(40):
             capacity = int(rng.integers(1, 12))
-            win = SlidingWindow(capacity)
+            win, members = SlidingWindow(capacity), []
             for _ in range(int(rng.integers(1, 3 * capacity + 2))):
-                win.push(np.round(rng.normal(size=2), int(rng.integers(0, 2))))
+                v = np.round(rng.normal(size=2), int(rng.integers(0, 2)))
+                win.push(v)
+                members = [*members, v][-capacity:]
                 for k in [None, *range(capacity)]:
-                    assert local_sparsity(win, k) == two_step(win, k), trial
+                    assert local_sparsity(win, k) == rescan(members, k), trial
 
 
 class TestHelpers:

@@ -16,24 +16,6 @@ from streamacq.core import (
 )
 
 
-def brute_force_candidate(points):
-    """Reference ``candidate()``: the last point's distances to the points
-    before it, and their pairwise distances with NaN on the diagonal."""
-    m = len(points)
-    dist = np.full((m, m), np.nan)
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                dist[i, j] = np.linalg.norm(points[i] - points[j])
-    return dist[m - 1, :m - 1], dist[:m - 1, :m - 1]
-
-
-def assert_candidate_close(win, row, block):
-    got_row, got_block = win.candidate()
-    np.testing.assert_allclose(got_row, row)
-    np.testing.assert_allclose(got_block, block)  # NaN matches NaN
-
-
 class TestFeatureVector:
     def test_accepts_lists_and_arrays(self):
         v = as_feature_vector([1, 2, 3])
@@ -143,123 +125,6 @@ class TestLabeledPool:
         assert pool.class_counts() == (0, 0)
 
 
-class TestSlidingWindow:
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            SlidingWindow(0)
-
-    def test_singleton_has_nan_extremes(self):
-        """A lone member before the newest has only its NaN diagonal."""
-        win = SlidingWindow(3)
-        win.push([1.0, 1.0])
-        assert len(win) == 1
-        row, block = win.candidate()
-        assert row.shape == (0,) and block.shape == (0, 0)
-        win.push([2.0, 1.0])
-        row, block = win.candidate()
-        np.testing.assert_array_equal(row, [1.0])
-        assert block.shape == (1, 1) and math.isnan(block[0, 0])
-
-    def test_two_members(self):
-        win = SlidingWindow(5)
-        win.push([0.0, 0.0])
-        win.push([3.0, 4.0])
-        win.push([0.0, 4.0])
-        row, block = win.candidate()
-        np.testing.assert_array_equal(row, [4.0, 3.0])
-        np.testing.assert_array_equal(block, [[np.nan, 5.0], [5.0, np.nan]])
-
-    def test_eviction_is_fifo(self):
-        win = SlidingWindow(2)
-        win.push([0.0])
-        win.push([1.0])
-        win.push([2.0])
-        np.testing.assert_array_equal(win.points_matrix(), [[1.0], [2.0]])
-
-    def test_dimension_mismatch_rejected(self):
-        win = SlidingWindow(3)
-        win.push([0.0, 0.0])
-        with pytest.raises(ValueError,
-                           match="dimension mismatch: window holds 2-d points, got 1"):
-            win.push([0.0])
-        with pytest.raises(ValueError, match="non-finite"):
-            win.push([0.0, np.inf])
-        assert len(win) == 1
-
-    def test_caches_track_brute_force_over_random_pushes(self):
-        """The candidate row and block must equal a fresh recomputation after
-        every push."""
-        rng = np.random.default_rng(42)
-        for trial in range(30):
-            dim = int(rng.integers(1, 6))
-            capacity = int(rng.integers(1, 21))
-            win = SlidingWindow(capacity)
-            for _ in range(int(rng.integers(1, 50))):
-                win.push(rng.normal(size=dim))
-                row, block = brute_force_candidate(win.points_matrix())
-                got_row, got_block = win.candidate()
-                np.testing.assert_allclose(got_row, row, err_msg=f"trial {trial}")
-                np.testing.assert_allclose(got_block, block, err_msg=f"trial {trial}")
-
-    def test_arrays_grow_up_to_the_capacity(self):
-        """Pushes past the initial rows double the arrays, and evictions
-        start once the capacity is reached, with every candidate exact."""
-        rng = np.random.default_rng(7)
-        capacity = 3 * SlidingWindow.INITIAL_ROWS + 5
-        win = SlidingWindow(capacity)
-        pushed = rng.normal(size=(capacity + 10, 2))
-        for m, v in enumerate(pushed, start=1):
-            win.push(v)
-            np.testing.assert_array_equal(win.points_matrix(), pushed[max(0, m - capacity):m])
-            assert_candidate_close(win, *brute_force_candidate(win.points_matrix()))
-
-    def test_long_capacity_costs_only_its_members(self):
-        """A capacity no stream fills allocates room for the members pushed,
-        not a capacity-square matrix."""
-        win = SlidingWindow(100_000_000)
-        for v in ([0.0, 0.0], [3.0, 4.0], [0.0, 4.0]):
-            win.push(v)
-        np.testing.assert_array_equal(win.candidate()[0], [4.0, 3.0])
-
-    def test_duplicate_points_supported(self):
-        win = SlidingWindow(4)
-        for _ in range(3):
-            win.push([1.0, 2.0])
-        assert_candidate_close(win, np.zeros(2), [[np.nan, 0.0], [0.0, np.nan]])
-
-    def test_from_points_matches_incremental(self):
-        rng = np.random.default_rng(11)
-        pts = rng.normal(size=(12, 3))
-        bulk = SlidingWindow.from_points(pts)
-        inc = SlidingWindow(12)
-        for p in pts:
-            inc.push(p)
-        np.testing.assert_allclose(bulk.points_matrix(), inc.points_matrix())
-        assert_candidate_close(bulk, *inc.candidate())
-
-    def test_from_points_capacity_check(self):
-        with pytest.raises(ValueError):
-            SlidingWindow.from_points(np.zeros((3, 2)), capacity=2)
-
-    def test_from_points_empty_and_singleton(self):
-        empty = SlidingWindow.from_points(np.zeros((0, 2)), capacity=4)
-        assert len(empty) == 0
-        with pytest.raises(ValueError, match="window is empty"):
-            empty.candidate()
-        single = SlidingWindow.from_points([[1.0, 2.0]])
-        assert single.candidate()[0].size == 0
-
-    def test_candidate_in_age_order(self):
-        win = SlidingWindow(4)
-        for p in ([0.0, 0.0], [3.0, 4.0], [6.0, 8.0], [0.0, 1.0], [0.0, 0.0]):
-            win.push(p)
-        np.testing.assert_array_equal(win.candidate()[0], [5.0, 10.0, 1.0])
-        np.testing.assert_array_equal(win.candidate(2)[0], [10.0, 1.0])
-        np.testing.assert_array_equal(win.candidate(9)[0], [5.0, 10.0, 1.0])
-        with pytest.raises(ValueError, match="window is empty"):
-            SlidingWindow(2).candidate()
-
-
 def row_distances(points, v):
     """The window's push formula: one distance row from ``v``."""
     diff = points - v
@@ -273,8 +138,10 @@ def gram_distances(points):
     return np.sqrt(np.clip(d2, 0.0, None))
 
 
-class RingReference:
-    """Brute-force window: the full pairwise matrix in age order, rescanned."""
+class ReferenceWindow:
+    """Brute-force window: the members in age order with their full pairwise
+    matrix, rescanned for every query.  Bulk members get the Gram distances,
+    pushed ones the push formula, as in the window."""
 
     def __init__(self, capacity, dim, points=()):
         self.capacity = capacity
@@ -294,28 +161,155 @@ class RingReference:
         self.points = np.vstack([self.points, v])
         self.dist = dist
 
-    def candidate(self, k=None):
-        """The last row's distances to the ``k`` rows before it (all if None),
-        and the block among those rows with NaN on the diagonal, rescanned."""
+    def queries(self, k=None):
+        """Over the ``k`` rows before the last (all if None): their distances
+        to the last row, and each one's farthest and nearest other row among
+        them, 0 and infinity for a lone row."""
         m = len(self.points)
         lo = 0 if k is None else max(m - 1 - k, 0)
-        before = range(lo, m - 1)
-        row = np.array([self.dist[m - 1, j] for j in before])
-        block = np.array([[math.nan if i == j else self.dist[i, j] for j in before]
-                          for i in before]).reshape(len(before), len(before))
-        return row, block
+        block = self.dist[lo:m - 1, lo:m - 1]
+        others = ~np.eye(len(block), dtype=bool)
+        far = np.where(others, block, -np.inf).max(axis=1, initial=0.0)
+        near = np.where(others, block, np.inf).min(axis=1, initial=np.inf)
+        return self.dist[m - 1, lo:m - 1], far, near
 
-    def extremes(self, k=None):
-        """Per-member farthest and nearest co-member among the ``k`` rows
-        before the last (all if None), NaN for a lone member."""
-        _, block = self.candidate(k)
-        n = len(block)
-        if n < 2:
-            return np.full(n, np.nan), np.full(n, np.nan)
-        off = ~np.eye(n, dtype=bool)
-        far = np.array([block[j][off[j]].max() for j in range(n)])
-        near = np.array([block[j][off[j]].min() for j in range(n)])
-        return far, near
+
+def assert_matches_reference(win, ref, ks=(None,)):
+    """``farthest(k)`` and ``nearest(k)`` equal the reference's rescan bit
+    for bit, for every k in ``ks``."""
+    assert len(win) == len(ref.points)
+    for k in ks:
+        to_new, far, near = ref.queries(k)
+        (far_to_new, got_far), (near_to_new, got_near) = win.farthest(k), win.nearest(k)
+        assert np.array_equal(far_to_new, to_new) and np.array_equal(near_to_new, to_new), k
+        assert np.array_equal(got_far, far), k
+        assert np.array_equal(got_near, near), k
+
+
+class TestSlidingWindow:
+    def test_capacity_validation(self):
+        with pytest.raises(ValueError):
+            SlidingWindow(0)
+
+    def test_lone_member_has_no_co_member(self):
+        """A lone member before the newest is farthest 0 and nearest
+        infinitely far from its (absent) co-members."""
+        win = SlidingWindow(3)
+        win.push([1.0, 1.0])
+        assert len(win) == 1
+        for query in (win.farthest, win.nearest):
+            to_new, extreme = query()
+            assert to_new.shape == (0,) and extreme.shape == (0,)
+        win.push([2.0, 1.0])
+        assert [a.tolist() for a in win.farthest()] == [[1.0], [0.0]]
+        assert [a.tolist() for a in win.nearest()] == [[1.0], [math.inf]]
+
+    def test_two_members(self):
+        win = SlidingWindow(5)
+        win.push([0.0, 0.0])
+        win.push([3.0, 4.0])
+        win.push([0.0, 4.0])
+        assert [a.tolist() for a in win.farthest()] == [[4.0, 3.0], [5.0, 5.0]]
+        assert [a.tolist() for a in win.nearest()] == [[4.0, 3.0], [5.0, 5.0]]
+
+    def test_eviction_is_fifo(self):
+        win = SlidingWindow(2)
+        win.push([0.0])
+        win.push([1.0])
+        win.push([2.0])
+        # [0] left; [1] is the one member before the newest [2]
+        np.testing.assert_array_equal(win.farthest()[0], [1.0])
+
+    def test_dimension_mismatch_rejected(self):
+        win = SlidingWindow(3)
+        win.push([0.0, 0.0])
+        with pytest.raises(ValueError,
+                           match="dimension mismatch: window holds 2-d points, got 1"):
+            win.push([0.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            win.push([0.0, np.inf])
+        assert len(win) == 1
+
+    def test_caches_track_brute_force_over_random_pushes(self):
+        """Both queries must equal a fresh rescan after every push."""
+        rng = np.random.default_rng(42)
+        for trial in range(30):
+            dim = int(rng.integers(1, 6))
+            capacity = int(rng.integers(1, 21))
+            win, ref = SlidingWindow(capacity), ReferenceWindow(capacity, dim)
+            for _ in range(int(rng.integers(1, 50))):
+                v = rng.normal(size=dim)
+                win.push(v)
+                ref.push(v)
+                assert_matches_reference(win, ref, (None, 1, capacity // 2))
+
+    def test_arrays_grow_up_to_the_capacity(self):
+        """Pushes past the initial rows double the arrays, and evictions
+        start once the capacity is reached, with every query exact."""
+        rng = np.random.default_rng(7)
+        capacity = 3 * SlidingWindow.INITIAL_ROWS + 5
+        win, ref = SlidingWindow(capacity), ReferenceWindow(capacity, 2)
+        for m, v in enumerate(rng.normal(size=(capacity + 10, 2)), start=1):
+            win.push(v)
+            ref.push(v)
+            assert len(win) == min(m, capacity)
+            assert_matches_reference(win, ref)
+
+    def test_long_capacity_costs_only_its_members(self):
+        """A capacity no stream fills allocates room for the members pushed,
+        not a capacity-square matrix."""
+        win = SlidingWindow(100_000_000)
+        for v in ([0.0, 0.0], [3.0, 4.0], [0.0, 4.0]):
+            win.push(v)
+        np.testing.assert_array_equal(win.farthest()[0], [4.0, 3.0])
+
+    def test_duplicate_points_supported(self):
+        win = SlidingWindow(4)
+        for _ in range(3):
+            win.push([1.0, 2.0])
+        for query in (win.farthest, win.nearest):
+            assert [a.tolist() for a in query()] == [[0.0, 0.0], [0.0, 0.0]]
+
+    def test_from_points_matches_incremental(self):
+        rng = np.random.default_rng(11)
+        pts = rng.normal(size=(12, 3))
+        bulk = SlidingWindow.from_points(pts)
+        inc = SlidingWindow(12)
+        for p in pts:
+            inc.push(p)
+        assert len(bulk) == len(inc) == 12
+        for k in (None, 1, 5):
+            for query in ("farthest", "nearest"):
+                for got, want in zip(getattr(bulk, query)(k), getattr(inc, query)(k)):
+                    np.testing.assert_allclose(got, want)
+
+    def test_from_points_capacity_check(self):
+        with pytest.raises(ValueError):
+            SlidingWindow.from_points(np.zeros((3, 2)), capacity=2)
+
+    def test_from_points_empty_and_singleton(self):
+        empty = SlidingWindow.from_points(np.zeros((0, 2)), capacity=4)
+        assert len(empty) == 0
+        for query in (empty.farthest, empty.nearest):
+            with pytest.raises(ValueError, match="window is empty"):
+                query()
+        single = SlidingWindow.from_points([[1.0, 2.0]])
+        assert single.farthest()[0].size == 0 and single.nearest()[1].size == 0
+
+    def test_queries_in_age_order(self):
+        win = SlidingWindow(4)
+        for p in ([0.0, 0.0], [3.0, 4.0], [6.0, 8.0], [0.0, 1.0], [0.0, 0.0]):
+            win.push(p)
+        np.testing.assert_array_equal(win.farthest()[0], [5.0, 10.0, 1.0])
+        np.testing.assert_array_equal(win.nearest(2)[0], [10.0, 1.0])
+        np.testing.assert_array_equal(win.farthest(9)[0], [5.0, 10.0, 1.0])
+        # [3, 4] and [6, 8] are 5 apart; [0, 1] lies 4.24 and 9.22 from them
+        np.testing.assert_allclose(win.farthest()[1], [5.0, math.hypot(6.0, 7.0),
+                                                       math.hypot(6.0, 7.0)])
+        np.testing.assert_allclose(win.nearest()[1], [math.hypot(3.0, 3.0), 5.0,
+                                                      math.hypot(3.0, 3.0)])
+        with pytest.raises(ValueError, match="window is empty"):
+            SlidingWindow(2).farthest()
 
 
 @st.composite
@@ -332,41 +326,24 @@ def ring_cases(draw):
     return capacity, [distinct[i] for i in picks], n_bulk, k
 
 
-def assert_matches_reference(win, ref, k=None):
-    """Points, and the candidate row and block over all members and over the
-    ``k`` before the newest, equal the reference bit for bit; so do the
-    extremes reduced off the block the way the window agents reduce them."""
-    np.testing.assert_array_equal(win.points_matrix(), ref.points)
-    for kk in (None, k):
-        row, block = win.candidate(kk)
-        ref_row, ref_block = ref.candidate(kk)
-        assert np.array_equal(row, ref_row)
-        assert np.array_equal(block, ref_block, equal_nan=True)
-        far, near = ref.extremes(kk)
-        assert np.array_equal(np.fmax.reduce(block, axis=0, initial=math.nan), far,
-                              equal_nan=True)
-        assert np.array_equal(np.fmin.reduce(block, axis=0, initial=math.nan), near,
-                              equal_nan=True)
-
-
 class TestRingProperties:
     @settings(max_examples=150, deadline=None)
     @given(ring_cases())
     def test_extremes_equal_brute_force_after_every_push(self, case):
-        """The candidate row and block, and the extremes reduced off it, over
-        all members and over the ``k`` before the newest, equal a rescan of
+        """A bulk-built window and the pushes after it answer both queries,
+        over all members and over the ``k`` before the newest, as a rescan of
         the reference's last k+1 rows, bit for bit."""
         capacity, points, n_bulk, k = case
-        ref = RingReference(capacity, points[0].size, points[:n_bulk])
+        ref = ReferenceWindow(capacity, points[0].size, points[:n_bulk])
         if n_bulk:
             win = SlidingWindow.from_points(points[:n_bulk], capacity=capacity)
-            assert_matches_reference(win, ref, k)
+            assert_matches_reference(win, ref, (None, k))
         else:
             win = SlidingWindow(capacity)
         for v in points[n_bulk:]:
             win.push(v)
             ref.push(v)
-            assert_matches_reference(win, ref, k)
+            assert_matches_reference(win, ref, (None, k))
 
     def test_evicting_every_members_farthest_point(self):
         """Halving gaps make the oldest point every member's farthest, so each
@@ -374,62 +351,16 @@ class TestRingProperties:
         capacity = 5
         points = [np.array([-(0.5 ** k)]) for k in range(16)]
         win = SlidingWindow(capacity)
-        ref = RingReference(capacity, 1)
+        ref = ReferenceWindow(capacity, 1)
         for k, v in enumerate(points):
             win.push(v)
             ref.push(v)
             assert_matches_reference(win, ref)
             if k >= capacity:
-                _, block = win.candidate()
+                oldest = points[k - capacity + 1][0]
+                far = win.farthest()[1]
                 np.testing.assert_array_equal(
-                    np.fmax.reduce(block, axis=0, initial=math.nan)[1:], block[0, 1:])
-
-
-class ShiftingWindow:
-    """The window as it was before evictions stopped moving the matrix: the
-    members from row 0, arrays doubling up to the capacity, and every
-    eviction shifting the points and the flat distance buffer down by one."""
-
-    def __init__(self, capacity):
-        self.capacity = capacity
-        self.size = 0
-        self.points = None
-        self.dist = None
-
-    def allocate(self, dim, rows):
-        n, points, dist = self.size, self.points, self.dist
-        self.points = np.zeros((rows, dim))
-        self.dist = np.full((rows, rows), math.nan)
-        if n:
-            self.points[:n] = points[:n]
-            self.dist[:n, :n] = dist[:n, :n]
-
-    def push(self, v):
-        if self.points is None:
-            self.allocate(v.size, min(SlidingWindow.INITIAL_ROWS, self.capacity))
-        points, dist = self.points, self.dist
-        n = self.size
-        if n == len(points):
-            if n < self.capacity:
-                self.allocate(v.size, min(2 * n, self.capacity))
-                points, dist = self.points, self.dist
-            else:
-                n -= 1
-                points[:n] = points[1:]
-                flat = dist.reshape(-1)
-                flat[:flat.size - self.capacity - 1] = flat[self.capacity + 1:]
-                self.size = n
-        diff = points[:n] - v
-        d = np.sqrt((diff * diff).sum(axis=1))
-        points[n] = v
-        dist[n, :n] = d
-        dist[:n, n] = d
-        self.size = n + 1
-
-    def candidate(self, k=None):
-        n = self.size
-        lo = 0 if k is None else max(n - 1 - k, 0)
-        return self.dist[n - 1, lo:n - 1], self.dist[lo:n - 1, lo:n - 1]
+                    far[1:], [abs(p[0] - oldest) for p in points[k - capacity + 2:k]])
 
 
 @st.composite
@@ -446,23 +377,20 @@ def window_runs(draw):
     return capacity, points
 
 
-class TestSpareRowsMatchTheShiftingWindow:
+class TestExtremesMatchBruteForce:
     @settings(max_examples=60, deadline=None)
     @given(window_runs())
-    def test_every_view_keeps_its_bits_after_every_push(self, run):
-        """After every push, ``points_matrix()`` and ``candidate(k)`` for every
-        k equal the shifting window's, bit for bit, NaN diagonal included."""
+    def test_every_query_keeps_its_bits_after_every_push(self, run):
+        """After every push, ``farthest(k)`` and ``nearest(k)`` for every k
+        equal a rescan of the pushed points, bit for bit, through the growth,
+        the first eviction and every compaction."""
         capacity, points = run
-        win, ref = SlidingWindow(capacity), ShiftingWindow(capacity)
+        win, ref = SlidingWindow(capacity), ReferenceWindow(capacity, points.shape[1])
+        ks = [None, *range(1, capacity)]
         for v in points:
             win.push(v)
             ref.push(v)
-            assert np.array_equal(win.points_matrix(), ref.points[:ref.size])
-            for k in [None, *range(capacity + 1)]:
-                row, block = win.candidate(k)
-                ref_row, ref_block = ref.candidate(k)
-                assert np.array_equal(row, ref_row)
-                assert np.array_equal(block, ref_block, equal_nan=True)
+            assert_matches_reference(win, ref, ks)
 
     def test_arrays_stop_at_the_capacity_plus_the_spare_rows(self):
         """The first eviction adds INITIAL_ROWS spare rows, and no more."""
@@ -470,4 +398,4 @@ class TestSpareRowsMatchTheShiftingWindow:
         win = SlidingWindow(capacity)
         for v in np.random.default_rng(3).normal(size=(5 * capacity, 2)):
             win.push(v)
-        assert win._dist.shape == (capacity + SlidingWindow.INITIAL_ROWS,) * 2
+        assert win._ext.shape == (capacity + SlidingWindow.INITIAL_ROWS,) * 2

@@ -245,6 +245,22 @@ class TestUpdateWeights:
         assert ens.weights == (1.0, 2.0, 3.0)
         assert ens.standardized == tuple(w / 6.0 for w in (1.0, 2.0, 3.0))
 
+    @pytest.mark.parametrize("probs, arm, message", [
+        ((1.0, 0.0), ARM_ACQUIRE, r"probabilities must lie in \[p_min, 1\] = \[0.1, 1\]"),
+        ((0.5, math.nan), ARM_ACQUIRE, r"probabilities must lie in \[p_min, 1\]"),
+        ((0.5, 0.5), -1, "decision arm must be 0 or 1, got -1"),
+    ], ids=["zero-probability", "nan-probability", "negative-arm"])
+    def test_hand_built_decision_is_rejected_before_any_state_moves(self, probs, arm, message):
+        """A decision ``decide`` could not have made fails with a message: a
+        zero probability would divide by zero, a NaN would reach the weights,
+        and arm -1 would read the pass probability as the played arm's."""
+        ens = make_ensemble(2, weights=[1.0, 3.0], p_min=0.1)
+        with pytest.raises(ValueError, match=message):
+            ens.update_weights(JointDecision(probs=probs, arm=arm, votes=(1.0, 0.0)),
+                               reward=1.0)
+        assert ens.weights == (1.0, 3.0)
+        assert ens.standardized == (0.25, 0.75)
+
     def test_weights_stay_positive_over_random_steps(self):
         """Long random interaction never drives a weight out of (0, inf)."""
         rng = np.random.default_rng(2718)
@@ -587,16 +603,19 @@ def array_ewma_step(ens):
 
 def run_against_arrays(config, weights, steps):
     """Drive the solver and a copy running :func:`array_update_weights` and
-    :func:`array_ewma_step` through the same ``(votes, acquire_prob, arm,
+    :func:`array_ewma_step` through the same ``(votes, acquire_share, arm,
     reward)`` steps, comparing every state bit; returns (flips, rescales)."""
     n = len(weights)
     ens, ref = WeightedEnsemble(config, n), WeightedEnsemble(config, n)
     ens.set_weights(weights)
     ref.set_weights(weights)
     rescales = 0
-    for votes, acquire_prob, arm, reward in steps:
-        decision = JointDecision(probs=(acquire_prob, 1.0 - acquire_prob), arm=arm,
-                                 votes=tuple(votes))
+    # each arm's share mixed with the exploration floor as decide mixes it,
+    # so every probability lies in [p_min, 1]
+    keep, floor = 1.0 - N_ARMS * ens.p_min, ens.p_min
+    for votes, acquire_share, arm, reward in steps:
+        probs = (keep * acquire_share + floor, keep * (1.0 - acquire_share) + floor)
+        decision = JointDecision(probs=probs, arm=arm, votes=tuple(votes))
         ens.update_weights(decision, reward)
         rescales += array_update_weights(ref, decision, reward)
         assert_same_bits(ens.weights, ref.weights)

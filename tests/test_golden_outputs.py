@@ -15,8 +15,10 @@ four-expert roster (``ensemble4``). Seeds 0 and 1 of ``ensemble6`` with
 short windows (``ld1_window = 3``, ``ld2_window = 40``, ``spf1_window = 2``)
 on the scenario problem, recorded from the window that shifted its matrix on
 every eviction, pin a 41-member window through many compactions and the
-one- and two-member blocks of the short agents. One more digest pins the
-grid CSV of ``streamacq verify-theory`` on a small grid. A
+one- and two-member blocks of the short agents. Two more digests pin the
+grid CSV of ``streamacq verify-theory`` on a small grid and on its default
+grid (10,000 draws at each of 8 points), both recorded from the kernel that
+built one window per draw. A
 change that moves any exported number, even in its last bit, fails here.
 """
 
@@ -145,6 +147,7 @@ SMALL_WINDOW_SEEDS = {
     ),
 }
 THEORY_GRID = "08750729dbc7db81551265f295a51d380746ef267ddfb2c2a2d9474a6af212ec"
+DEFAULT_THEORY_GRID = "05cb0cda4c9f8d6fae58010b8c5142c477fb7c3bbd41458ad26390aadaaf1afa"
 SEED_ZERO = [key for key in GOLDEN if key[2] == 0]
 LATER_SEEDS = [key for key in GOLDEN if key[2] != 0]
 
@@ -186,3 +189,9 @@ def test_theory_grid_csv_matches_the_recorded_digest(tmp_path):
     assert main(["verify-theory", "--out", str(out), "--draws", "1000",
                  "--grid-points", "3"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == THEORY_GRID
+
+
+def test_default_theory_grid_csv_matches_the_recorded_digest(tmp_path):
+    out = tmp_path / "grid.csv"
+    assert main(["verify-theory", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_THEORY_GRID

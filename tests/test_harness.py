@@ -49,6 +49,21 @@ from streamacq.learner import LearnerConfig, LogisticModel, fit_logistic
 SMALL_GEN = GeneratorConfig(n=500, p=5, seed=0)
 
 
+def assert_window_holds(window, rows):
+    """The window answers both extremes queries as a rescan of ``rows``, its
+    members oldest first, with the push's distance formula, bit for bit."""
+    rows = np.asarray(rows, dtype=float)
+    assert len(window) == len(rows)
+    *before, new = rows
+    dist = [np.sqrt(((rows[:i] - v) ** 2).sum(axis=1)) for i, v in enumerate(rows)]
+    others = [[dist[max(i, j)][min(i, j)] for j in range(len(before)) if j != i]
+              for i in range(len(before))]
+    (to_new, far), (_, near) = window.farthest(), window.nearest()
+    assert to_new.tolist() == dist[-1].tolist()
+    assert far.tolist() == [max(d, default=0.0) for d in others]
+    assert near.tolist() == [min(d, default=np.inf) for d in others]
+
+
 def small_config(strategy="rs", **kwargs):
     return ExperimentConfig(strategy=strategy, generator=SMALL_GEN, **kwargs)
 
@@ -403,10 +418,12 @@ class TestStreamRunner:
             row[1] = np.nan if bad == "nan" else np.inf
 
         def state():
-            window = None if runner.window is None else runner.window.points_matrix()
+            window = runner.window
             return (runner.t, runner.budget_used, runner.rng.bit_generator.state,
                     np.array(runner.ensemble.weights).tobytes(), len(runner.pool),
-                    None if window is None else window.tobytes())
+                    None if window is None else
+                    (len(window), *[a.tobytes() for a in (*window.farthest(),
+                                                           *window.nearest())]))
 
         before = state()
         message = {"short": "expected", "nan": "non-finite", "inf": "non-finite"}
@@ -456,9 +473,8 @@ class TestStreamRunner:
         active = sum(used < split.budget for used in used_before)
         assert 0 < active < len(metrics.records)
         seen = np.vstack([split.initial_features, split.stream_features[:active]])
-        assert len(runner.window) == min(151, len(seen))
-        np.testing.assert_array_equal(runner.window.points_matrix(),
-                                      seen[-runner.window.capacity:])
+        assert runner.window.capacity == 151
+        assert_window_holds(runner.window, seen[-151:])
 
     def test_window_longer_than_the_run_holds_only_its_rows(self, split):
         """A window length no run fills still runs: the window's arrays grow
@@ -467,8 +483,10 @@ class TestStreamRunner:
         assert runner.window.capacity == 100_000_001
         metrics = runner.run()
         assert metrics.acquired > 0
-        np.testing.assert_array_equal(runner.window.points_matrix()[:len(split.initial_features)],
-                                      split.initial_features)
+        used_before = [0] + [r.budget_used for r in metrics.records[:-1]]
+        active = sum(used < split.budget for used in used_before)
+        assert_window_holds(runner.window, np.vstack([split.initial_features,
+                                                      split.stream_features[:active]]))
 
     def test_test_set_is_scored_once_per_model(self, split, monkeypatch):
         """An evaluation reuses the last accuracy while the model is the one it

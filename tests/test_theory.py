@@ -6,6 +6,9 @@ import re
 import numpy as np
 import pytest
 
+import streamacq.theory as theory
+from streamacq.agents import local_sparsity
+from streamacq.core import SlidingWindow
 from streamacq.theory import (
     McEstimate,
     RalSweepConfig,
@@ -119,6 +122,50 @@ class TestMcAcquisition:
     def test_too_few_draws_rejected(self):
         with pytest.raises(ValueError):
             mc_ld_acquisition(TheoryParams(draws=500))
+
+
+def per_window_ratios(params):
+    """The Monte Carlo kernel as one window per draw: the L draws bulk-built
+    with room for one more, the incoming sample pushed, the count of the
+    low-density agent over the vote scale."""
+    rng = np.random.default_rng(params.seed)
+    q, big_l = params.dim, params.window
+    offset = np.zeros(q)
+    offset[0] = math.sqrt(params.center_dist_sq)
+    ratios = np.empty(params.draws)
+    for d in range(params.draws):
+        pts = rng.standard_normal((big_l, q)) * math.sqrt(params.sigma_window_sq)
+        x = rng.standard_normal(q) * math.sqrt(params.sigma_incoming_sq) + offset
+        window = SlidingWindow.from_points(pts, capacity=big_l + 1)
+        window.push(x)
+        ratios[d] = local_sparsity(window) / (big_l * params.sparsity_level)
+    return ratios
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("chunk_floats", [1 << 20, 100], ids=["one-chunk", "many-chunks"])
+    @pytest.mark.parametrize("params", [
+        TheoryParams(dim=1, window=3, draws=300, seed=2),
+        TheoryParams(dim=4, window=5, center_dist_sq=6.0, draws=300, seed=3),
+        TheoryParams(dim=3, window=6, sigma_window_sq=0.5, sigma_incoming_sq=2.0,
+                     center_dist_sq=1.0, draws=300, seed=4),
+    ], ids=["dim-1-window-3", "center-shift", "unequal-variances"])
+    def test_counts_equal_the_per_window_loop(self, params, chunk_floats, monkeypatch):
+        """Every draw's ratio equals the window-per-draw loop's exactly, in
+        one chunk and across chunk edges."""
+        monkeypatch.setattr(theory, "_CHUNK_FLOATS", chunk_floats)
+        ratios = theory._ld_ratios(params)
+        assert ratios.tobytes() == per_window_ratios(params).tobytes()
+        assert len(np.unique(ratios)) > 1
+
+    def test_estimate_equals_the_per_window_loop(self):
+        params = TheoryParams(dim=2, window=4, center_dist_sq=2.0, draws=1000, seed=9)
+        ratios = per_window_ratios(params)
+        clipped = np.minimum(ratios, 1.0)
+        root = math.sqrt(params.draws)
+        assert mc_ld_acquisition(params) == McEstimate(
+            mean=float(ratios.mean()), se=float(ratios.std(ddof=1) / root),
+            clipped_mean=float(clipped.mean()), clipped_se=float(clipped.std(ddof=1) / root))
 
 
 class TestSolveM2:

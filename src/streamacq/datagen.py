@@ -25,6 +25,9 @@ __all__ = [
 
 TEST_PER_CLASS = 250
 INITIAL_POOL_SIZE = 20
+# Features then stay within about 1e100, their squares within 1e200, and the
+# sums of squares a fit or a window forms over any pool stay finite.
+CLASS_SEP_MAX = 1e100
 
 # Substream ids, one per stage, so each stage draws from its own generator.
 _STAGE_CLUSTERS = 0
@@ -59,8 +62,9 @@ class GeneratorConfig:
             raise ValueError("flip share must lie in [0, 1)")
         if not 0.0 <= self.noise_share < 1.0:
             raise ValueError("noise share must lie in [0, 1)")
-        if not (math.isfinite(self.class_sep) and self.class_sep > 0.0):
-            raise ValueError(f"class separation must be positive and finite, got {self.class_sep}")
+        if not 0.0 < self.class_sep <= CLASS_SEP_MAX:
+            raise ValueError(f"class_sep: class separation must be positive and finite, "
+                             f"at most {CLASS_SEP_MAX:g}, got {self.class_sep}")
         if self.informative_features < 2:
             raise ValueError(
                 "need at least two informative features after noise padding")

@@ -40,6 +40,7 @@ from .agents import (
 )
 from .core import LabeledPool, SlidingWindow, as_feature_vector
 from .datagen import (
+    INITIAL_POOL_SIZE,
     Dataset,
     GeneratorConfig,
     STAGE_CASE_SPLIT,
@@ -126,6 +127,11 @@ class ExperimentConfig:
             raise ValueError("budget fraction must lie in (0, 1]")
         if self.eval_every < 1:
             raise ValueError("evaluation period must be at least 1")
+        # the split keeps n rows for the initial pool and the stream
+        if self.dataset is None and self.generator.n <= INITIAL_POOL_SIZE:
+            raise ValueError(
+                f"n = {self.generator.n}: nothing left for the stream after test and "
+                f"initial pool; n must exceed the initial pool's {INITIAL_POOL_SIZE} rows")
         # Build every configured agent once, whatever the strategy: `bench`
         # swaps the strategy after parsing, so a bad setting must fail here
         # rather than when a run first builds it.

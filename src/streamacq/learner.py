@@ -1,20 +1,25 @@
 """Deterministic binary logistic regression, built for frequent full refits.
 
-The optimizer is fixed (zero init, full-batch gradient descent, step
+The optimizer is fixed (zero init, full-batch proximal gradient descent, step
 0.1/(1 + Lipschitz bound), 500-iteration cap, gradient-norm stop at 1e-6) so
 that fitting the same pool twice gives bit-identical parameters.
 
 A fit validates its inputs once, at its boundary, and then descends on a
-design built once per fit. In ``forward = [X | 1]`` the column of ones meets
-the bias, the last entry of ``theta = [w, b]``, and each row whose label is 1
-is negated. For such a row ``expit(z) - 1 = -expit(-z)``, so the residual of
-every row is ``expit(forward . theta)`` and the labels drop out of the loop;
-``backward = forward * (step / n)`` carries the same signs, the step and the
-1/n of the mean loss into the transposed product. An iteration is then four
-numpy calls on buffers allocated once per fit: ``forward.dot(theta)``,
-``expit``, the product with ``backward`` (the step-scaled gradient, bias
-included) and ``theta - move`` into the next iterate; a penalty adds its
-term to the move's weights, and under L1 the soft threshold follows.
+design built once per fit. In ``[X | 1]`` the column of ones meets the bias,
+the last entry of ``theta = [w, b]``, and each row whose label is 1 is
+negated. For such a row ``sigmoid(z) - 1 = -sigmoid(-z)``, so the residual of
+every row is ``sigmoid(row . theta)`` and the labels drop out of the loop. The
+loop takes the sigmoid as ``1/2 + tanh(z/2)/2``: ``forward`` is the signed
+design halved, so ``forward . theta`` is ``z/2``; ``backward`` is the signed
+design times ``step / (2n)`` (the step, the 1/n of the mean loss and the outer
+1/2) over one last row that holds its column sum; and the residual buffer
+ends in a 1 that meets that row and adds the 1/2 terms. An iteration is then
+four numpy calls on buffers allocated once per fit: ``forward.dot(theta)``,
+``tanh``, the product with ``backward`` (the step-scaled gradient, bias
+included) and ``theta - move`` into the next iterate. L2 adds its term to the
+move's weights. L1 takes the proximal step: the new iterate's weights are
+soft-thresholded by ``step * strength``, and the move becomes ``theta - after``
+(the step times the gradient mapping), so the stop test sees the threshold.
 
 The gradient-norm stop is tested once per block of iterations on the
 block's kept moves and iterates: row i of the iterate buffer holds the
@@ -26,16 +31,19 @@ to the next), and the first nominated move j whose
 fit at iterate j, with the same bits and ``n_iter`` as a test after every
 iteration.  A fit that stops computes up to one block more than it keeps.
 
-The negated rows compute the residual of a positive label as ``expit(-z)``
-rather than ``expit(z) - 1`` and group the floating-point operations
-differently from the mean gradient of :func:`loss_gradient`, so the fitted
-parameters agree with that descent to rounding, not bit for bit. After the
-loop, one public :func:`loss_gradient` call (which checks the inputs a
-second time) reports the gradient norm at the fitted parameters.
+The negated rows, the tanh form and the folded column sum group the
+floating-point operations differently from the mean gradient of
+:func:`loss_gradient`, so the fitted parameters agree with that descent to
+rounding, not bit for bit. After the loop, one public :func:`loss_gradient`
+call (which checks the inputs a second time) reports the gradient norm at the
+fitted parameters.
 
-A test set is scored by :meth:`LogisticModel.predict_proba_batch`; one row is
-scored in scalar math by :meth:`LogisticModel.positive_proba`, with the same
-floating-point operations as the batch row, so the two agree bit for bit.
+Scoring and :func:`loss_gradient` take the sigmoid as ``1 / (1 + exp(-z))``
+with numpy's ``exp``. A test set is scored by
+:meth:`LogisticModel.predict_proba_batch`; one row is scored in scalar math by
+:meth:`LogisticModel.positive_proba`, with the same floating-point operations
+as the batch row, so the two agree bit for bit. The module needs numpy alone;
+scipy, which costs a stream run more memory than the rest of it, stays out.
 """
 
 from __future__ import annotations
@@ -45,7 +53,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "LearnerConfig",
@@ -58,8 +65,7 @@ __all__ = [
 
 PROBA_CLIP = 1e-12  # keep probabilities strictly inside (0, 1)
 DEGENERATE_CONFIDENCE = 1e-3  # one-class pools predict the seen class at 1 - this
-L1_SOFT_THRESHOLD = 1e-8
-_EXPIT_ZERO_BELOW = -700.0  # math.exp(-z) stays finite above this
+_SIGMOID_ZERO_BELOW = -700.0  # exp(-z) stays finite above this
 _STOP_BLOCK = 50  # descent iterations between gradient-norm stop tests
 
 PENALTIES = ("none", "l1", "l2")
@@ -113,15 +119,16 @@ class LogisticModel:
 
         Scalar math with the bits of the row :meth:`predict_proba_batch` gives:
         the 1-d ``v @ weights`` rounds as the one-row product does, and
-        ``1 / (1 + exp(-z))`` is scipy's ``expit`` with libm's ``exp``.
+        ``1 / (1 + exp(-z))`` takes numpy's ``exp``, which gives a scalar the
+        bits it gives the same value in an array.
         """
         if self.degenerate_class is not None:
             return (1.0 - DEGENERATE_CONFIDENCE if self.degenerate_class == 1
                     else DEGENERATE_CONFIDENCE)
         z = float(v @ self.weights) + self.bias
-        # exp(-z) overflows near z = -709.8, where expit is 0; any z below
-        # about -27.6 clips to PROBA_CLIP either way
-        p1 = 0.0 if z < _EXPIT_ZERO_BELOW else 1.0 / (1.0 + math.exp(-z))
+        # exp(-z) overflows near z = -709.8, where the sigmoid is 0; any z
+        # below about -27.6 clips to PROBA_CLIP either way
+        p1 = 0.0 if z < _SIGMOID_ZERO_BELOW else 1.0 / (1.0 + float(np.exp(-z)))
         # p1 first: a NaN stays NaN, as np.maximum/np.minimum keep it
         return min(max(p1, PROBA_CLIP), 1.0 - PROBA_CLIP)
 
@@ -148,7 +155,7 @@ class LogisticModel:
             p1[:] = (1.0 - DEGENERATE_CONFIDENCE if self.degenerate_class == 1
                      else DEGENERATE_CONFIDENCE)
         else:
-            expit(X @ self.weights + self.bias, out=p1)
+            _sigmoid(X @ self.weights + self.bias, out=p1)
             np.maximum(p1, PROBA_CLIP, out=p1)
             np.minimum(p1, 1.0 - PROBA_CLIP, out=p1)
         np.subtract(1.0, p1, out=proba[:, 0])
@@ -159,6 +166,16 @@ class LogisticModel:
 
     def predict_batch(self, X) -> np.ndarray:
         return predicted_class(self.predict_proba_batch(X))
+
+
+def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-z))`` into ``out``, overwriting ``z``; 0 where ``exp(-z)``
+    overflows."""
+    np.negative(z, out=z)
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=out)
 
 
 def _validated_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -193,11 +210,13 @@ def loss_value(weights, bias, X, y, config: LearnerConfig) -> float:
 def loss_gradient(weights, bias, X, y, config: LearnerConfig) -> tuple[np.ndarray, float]:
     """Analytic gradient of :func:`loss_value` w.r.t. (weights, bias).
 
-    For L1 this is a subgradient with sign(0) taken as 0.
+    For L1 this is a subgradient with sign(0) taken as 0; :func:`fit_logistic`
+    descends on the smooth part alone and thresholds instead.
     """
     X, y = _validated_xy(X, y)
     w = np.asarray(weights, dtype=float)
-    resid = (expit(X @ w + bias) - y) / X.shape[0]
+    z = X @ w + bias
+    resid = (_sigmoid(z, out=z) - y) / X.shape[0]
     gw = X.T @ resid
     if config.penalty == "l2":
         gw += config.strength * w
@@ -206,10 +225,10 @@ def loss_gradient(weights, bias, X, y, config: LearnerConfig) -> tuple[np.ndarra
     return gw, float(resid.sum())
 
 
-def _soft_threshold(w: np.ndarray, scratch: np.ndarray) -> None:
-    """Shrink ``w`` in place toward zero by :data:`L1_SOFT_THRESHOLD`."""
+def _soft_threshold(w: np.ndarray, by: float, scratch: np.ndarray) -> None:
+    """Shrink ``w`` in place toward zero by ``by``: the proximal map of ``by * |w|_1``."""
     np.abs(w, out=scratch)
-    scratch -= L1_SOFT_THRESHOLD
+    scratch -= by
     np.maximum(scratch, 0.0, out=scratch)
     np.sign(w, out=w)
     w *= scratch
@@ -229,19 +248,24 @@ def fit_logistic(X, y, config: LearnerConfig = LearnerConfig()) -> LogisticModel
     if config.penalty == "l2":
         lipschitz += config.strength
     step = 0.1 / (1.0 + lipschitz)
-    signs = 1.0 - 2.0 * y
+    half_signs = 0.5 - y
     forward = np.empty((n, p + 1))
-    np.multiply(X, signs[:, None], out=forward[:, :p])
-    forward[:, p] = signs
-    backward = forward * (step / n)
-    z, scratch = np.empty(n), np.empty(p)
+    np.multiply(X, half_signs[:, None], out=forward[:, :p])
+    forward[:, p] = half_signs
+    backward = np.empty((n + 1, p + 1))
+    np.multiply(forward, step / n, out=backward[:n])
+    backward[:n].sum(axis=0, out=backward[n])
+    # tanh(z / 2) of each row, then the 1 that meets backward's column sum
+    resid = np.ones(n + 1)
+    z, scratch = resid[:n], np.empty(p)
     iterates = np.zeros((_STOP_BLOCK + 1, p + 1))
     moves = np.empty((_STOP_BLOCK, p + 1))
     # move i of a block turns iterate row i into row i + 1
     rows = list(iterates)
     slots = list(zip(rows, moves, rows[1:]))
     l2, l1 = config.penalty == "l2", config.penalty == "l1"
-    subtract = np.subtract  # a local name: the loop calls it 500 times per fit
+    # local names: the loop calls each 500 times per fit
+    subtract, tanh = np.subtract, np.tanh
     shrink = step * config.strength
     tol = step * config.grad_tol
     # einsum only nominates rows, against a bound a hair above the tolerance
@@ -250,18 +274,15 @@ def fit_logistic(X, y, config: LearnerConfig = LearnerConfig()) -> LogisticModel
         count = min(_STOP_BLOCK, config.max_iter - done)
         for theta, move, after in slots[:count]:
             forward.dot(theta, out=z)
-            expit(z, out=z)
-            z.dot(backward, out=move)
+            tanh(z, out=z)
+            resid.dot(backward, out=move)
             if l2:
                 np.multiply(theta[:p], shrink, out=scratch)
                 move[:p] += scratch
-            elif l1:
-                np.sign(theta[:p], out=scratch)
-                scratch *= shrink
-                move[:p] += scratch
             subtract(theta, move, after)
             if l1:
-                _soft_threshold(after[:p], scratch)
+                _soft_threshold(after[:p], shrink, scratch)
+                subtract(theta, after, move)
         squares = np.einsum("ij,ij->i", moves[:count], moves[:count])
         stop = count
         if squares.min() <= nominate:  # some move is near the tolerance

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfinv, ndtr, ndtri
 
 # the count _ld_ratios reproduces in bulk; perfbench's tracer wraps this name
 from .agents import local_sparsity  # noqa: F401
@@ -96,6 +95,8 @@ def squared_distance_moments(center_dist_sq: float, var_a: float, var_b: float,
 
 
 def _quadrature(params: TheoryParams, nodes: int) -> float:
+    from scipy.special import ndtr  # imported on first use: a stream run never loads scipy
+
     q, big_l = params.dim, params.window
     m_within, v_within = squared_distance_moments(
         0.0, params.sigma_window_sq, params.sigma_window_sq, q)
@@ -216,6 +217,8 @@ def solve_m2(params: TheoryParams) -> tuple[float, float]:
         raise ValueError("sparsity level must stay below 0.5 for a monotone equation")
     if params.window < 3:
         raise ValueError("need a window of at least 3 for the expected-maximum quantiles")
+    from scipy.special import erfinv, ndtri  # see _quadrature
+
     q, big_l = params.dim, params.window
     m_within, v_within = squared_distance_moments(
         0.0, params.sigma_window_sq, params.sigma_window_sq, q)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 from dataclasses import fields, is_dataclass
@@ -179,6 +180,29 @@ class TestConfigParsing:
         """A NaN or infinite setting fails at parse time, naming what it sets."""
         with pytest.raises(ValueError, match=message):
             parse_config_text(text)
+
+    @pytest.mark.parametrize("sep", ["1e101", "1e200", "1.8e308"])
+    def test_class_sep_past_its_bound_rejected_naming_the_key(self, sep):
+        """Past 1e100 the features' squares would overflow in a fit or a
+        window; the parse says so, not a numpy warning mid-run."""
+        with pytest.raises(ValueError, match="class_sep: .* at most 1e\\+100"):
+            parse_config_text(f"class_sep = {sep}\n")
+
+    def test_class_sep_at_its_bound_runs_clean(self):
+        config = parse_config_text("strategy = ensemble6\nn = 60\np = 4\nclass_sep = 1e100\n")
+        assert math.isfinite(run_experiment(config, 0).final_accuracy)
+
+    @pytest.mark.parametrize("n", [1, 2, 19, 20])
+    def test_n_the_split_cannot_serve_rejected_naming_n(self, n):
+        """The split keeps n rows beside the test set, and the initial pool
+        takes 20 of them; a config with none left for the stream fails when
+        it is built."""
+        with pytest.raises(ValueError, match=f"n = {n}: nothing left for the stream"):
+            parse_config_text(f"n = {n}\n")
+
+    def test_smallest_n_the_split_serves_runs(self):
+        config = parse_config_text("strategy = ensemble6\nn = 21\np = 4\n")
+        assert run_experiment(config, 0).acquired >= 0
 
     def test_penalty_strength_without_a_penalty_rejected(self):
         with pytest.raises(ValueError, match="penalty 'none' takes no regularization strength"):

@@ -5,16 +5,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
 from streamacq.learner import (
-    L1_SOFT_THRESHOLD,
     LearnerConfig,
     LogisticModel,
     _STOP_BLOCK,
+    _sigmoid,
     fit_logistic,
     loss_gradient,
     loss_value,
@@ -160,6 +160,25 @@ class TestOneRowPrediction:
             assert model.positive_proba(np.zeros(1)) == p1
 
 
+CLIP_EDGE = math.log(1e-12 / (1.0 - 1e-12))  # expit(CLIP_EDGE) == PROBA_CLIP, about -27.63
+
+
+class TestSigmoid:
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 64), elements=st.one_of(
+        st.floats(-800.0, 800.0), st.floats(CLIP_EDGE - 0.1, CLIP_EDGE + 0.1),
+        st.floats(-CLIP_EDGE - 0.1, -CLIP_EDGE + 0.1), st.floats(-712.0, -698.0))))
+    @example(np.array([-800.0, -745.2, -709.79, -709.78, -700.0, CLIP_EDGE, -0.0, 0.0,
+                       -CLIP_EDGE, 800.0]))
+    def test_numpy_sigmoid_stays_within_a_few_ulps_of_expit(self, z):
+        """numpy's exp and libm's each round within about an ulp, and the
+        sum and the quotient after it can widen the gap a little."""
+        expected = expit(z)
+        got = _sigmoid(z.copy(), out=np.empty_like(z))
+        apart = np.abs(got.view(np.int64) - expected.view(np.int64))
+        assert apart.max() <= 8, z[apart.argmax()]
+
+
 class TestFit:
     def test_separable_pair_is_learned(self):
         X = np.array([[-1.0], [1.0]])
@@ -209,15 +228,26 @@ class TestFit:
             assert np.all(diffs <= 1e-12), f"loss rose under {penalty}"
 
     def test_l1_descent_trends_down(self):
-        """Subgradient steps may wobble at the kink scale but the objective
-        must still fall overall."""
+        """The proximal step never raises the objective, and it falls overall."""
         rng = np.random.default_rng(21)
         X = rng.normal(size=(30, 3))
         y = rng.integers(0, 2, size=30)
         losses = prefix_losses(X, y, LearnerConfig(penalty="l1", strength=0.05))
         diffs = np.diff(losses)
-        assert np.all(diffs <= 1e-3)
+        assert np.all(diffs <= 1e-12)
         assert losses[-1] < losses[0]
+
+    def test_strong_l1_zeroes_every_weight(self):
+        """Past the largest gradient entry at zero weights, the lasso solution
+        has no weights; the fit finds it rather than ascending."""
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(30, 3))
+        y = rng.integers(0, 2, size=30)
+        config = LearnerConfig(penalty="l1", strength=1e4)
+        model = fit_logistic(X, y, config)
+        assert np.all(model.weights == 0.0)
+        assert (loss_value(model.weights, model.bias, X, y, config)
+                <= loss_value(np.zeros(3), 0.0, X, y, config))
 
     def test_parameters_finite(self):
         rng = np.random.default_rng(33)
@@ -250,9 +280,15 @@ class TestGradient:
         assert plain == pytest.approx(ridge)
 
 
+def reference_sigmoid(z):
+    """``1 / (1 + exp(-z))`` in numpy, 0 where ``exp(-z)`` overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def reference_gradient(w, b, X, y, config):
     """The allocating gradient expression, independent of the learner's code."""
-    resid = (expit(X @ w + b) - y) / X.shape[0]
+    resid = (reference_sigmoid(X @ w + b) - y) / X.shape[0]
     gw = X.T @ resid
     gb = float(resid.sum())
     if config.penalty == "l2":
@@ -272,26 +308,34 @@ def prefix_losses(X, y, config):
                       for k in range(1, config.max_iter + 1))])
 
 
+def soft_threshold(w, by):
+    """The proximal map of ``by * |w|_1``."""
+    return np.sign(w) * np.maximum(np.abs(w) - by, 0.0)
+
+
 def reference_fit(X, y, config):
     """The descent of :func:`fit_logistic`, one fresh array per operation;
-    returns the parameters and the number of moves applied."""
+    returns the parameters and the number of moves applied. Under L1 the
+    gradient is the smooth part's, the step is followed by the soft
+    threshold, and the stop test reads the gradient mapping."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, p = X.shape
+    p = X.shape[1]
     w = np.zeros(p)
     b = 0.0
-    lipschitz = (float((X * X).sum()) + n) / (4.0 * n)
-    if config.penalty == "l2":
-        lipschitz += config.strength
-    step = 0.1 / (1.0 + lipschitz)
+    step = descent_step(X, config)
+    l1 = config.penalty == "l1"
+    smooth = replace(config, penalty="none", strength=0.0) if l1 else config
     for moved in range(config.max_iter):
-        gw, gb = reference_gradient(w, b, X, y, config)
+        gw, gb = reference_gradient(w, b, X, y, smooth)
+        after = w - step * gw
+        if l1:
+            after = soft_threshold(after, step * config.strength)
+            gw = (w - after) / step
         if float(np.sqrt(gw @ gw + gb * gb)) < config.grad_tol:
             return w, b, moved
-        w = w - step * gw
+        w = after
         b = b - step * gb
-        if config.penalty == "l1":
-            w = np.sign(w) * np.maximum(np.abs(w) - L1_SOFT_THRESHOLD, 0.0)
     return w, b, config.max_iter
 
 
@@ -307,36 +351,41 @@ def descent_step(X, config):
 def augmented_reference_fit(X, y, config, path=None, move_norms=None):
     """The descent of :func:`fit_logistic` on the sign-folded design, one fresh
     array per operation and the stop test after every iteration: the bias is
-    the last entry of ``theta``, the rows of positive labels are negated so
-    the residual is ``expit`` alone, and the step and the 1/n ride in the
-    transposed design. Returns the parameters and the number of moves
-    applied. ``path``, when given, receives ``theta`` at the start and after
-    each move; ``move_norms`` receives the norm of each iteration's move,
-    which the stop test compares with ``step * grad_tol``."""
+    the last entry of ``theta``, and the rows of positive labels are negated
+    so the residual is the sigmoid alone, taken as ``1/2 + tanh(z/2)/2``. The
+    design is halved, so its product with ``theta`` is ``z/2``; the step, the
+    1/n and the outer 1/2 ride in the transposed design, whose column sum
+    meets a trailing 1 of the residual. Under L1 the new weights are
+    soft-thresholded by ``step * strength`` and the move is ``theta`` minus
+    the new iterate. Returns the parameters and the number of moves applied.
+    ``path``, when given, receives ``theta`` at the start and after each
+    move; ``move_norms`` receives the norm of each iteration's move, which the
+    stop test compares with ``step * grad_tol``."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     step = descent_step(X, config)
-    F = np.column_stack([X, np.ones(n)]) * (1.0 - 2.0 * y)[:, None]
+    F = np.column_stack([X, np.ones(n)]) * (0.5 - y)[:, None]
+    B = F * (step / n)
+    B = np.vstack([B, B.sum(axis=0)])
     theta = np.zeros(p + 1)
     moved = 0
     while moved < config.max_iter:
         if path is not None:
             path.append(theta.copy())
-        move = expit(F @ theta) @ (F * (step / n))
+        move = np.append(np.tanh(F @ theta), 1.0) @ B
         if config.penalty == "l2":
             move[:p] = move[:p] + (step * config.strength) * theta[:p]
-        elif config.penalty == "l1":
-            move[:p] = move[:p] + (step * config.strength) * np.sign(theta[:p])
+        after = theta - move
+        if config.penalty == "l1":
+            after[:p] = soft_threshold(after[:p], step * config.strength)
+            move = theta - after
         norm = float(np.sqrt(move @ move))
         if move_norms is not None:
             move_norms.append(norm)
         if norm < step * config.grad_tol:
             break
-        theta = theta - move
-        if config.penalty == "l1":
-            w = theta[:p]
-            theta[:p] = np.sign(w) * np.maximum(np.abs(w) - L1_SOFT_THRESHOLD, 0.0)
+        theta = after
         moved += 1
     if path is not None and moved == config.max_iter:
         path.append(theta.copy())
@@ -357,7 +406,7 @@ def assert_fits_reference(X, y, config, path=None):
 
 
 @st.composite
-def pools(draw):
+def pools(draw, strengths=st.floats(0.0, 2.0)):
     n = draw(st.integers(1, 150))
     p = draw(st.integers(1, 16))
     X = draw(hnp.arrays(np.float64, (n, p),
@@ -366,8 +415,19 @@ def pools(draw):
     y = (np.full(n, draw(st.integers(0, 1))) if one_class
          else draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1))))
     penalty = draw(st.sampled_from(("none", "l1", "l2")))
-    strength = 0.0 if penalty == "none" else draw(st.floats(0.0, 2.0))
+    strength = 0.0 if penalty == "none" else draw(strengths)
     return X, y, LearnerConfig(penalty=penalty, strength=strength)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pools(strengths=st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 1e4), st.just(1e4))))
+def test_a_fit_never_ends_above_its_zero_start(pool):
+    """For every penalty, strong ones included, the descent ends no higher
+    than the zero weights it starts from."""
+    X, y, config = pool
+    model = fit_logistic(X, y, config)
+    start = loss_value(np.zeros(X.shape[1]), 0.0, X, y, config)
+    assert loss_value(model.weights, model.bias, X, y, config) <= start + 1e-12
 
 
 class TestFitMatchesAllocatingReference:
@@ -387,9 +447,8 @@ class TestFitMatchesAllocatingReference:
         capped = fit_logistic(X, y, replace(config, max_iter=cap))
         assert capped.n_iter == min(cap, model.n_iter)
         assert np.array_equal(np.append(capped.weights, capped.bias), path[capped.n_iter])
-        if config.penalty != "l1":
-            losses = [loss_value(theta[:-1], theta[-1], X, y, config) for theta in path]
-            assert np.all(np.diff(losses) <= 1e-12)
+        losses = [loss_value(theta[:-1], theta[-1], X, y, config) for theta in path]
+        assert np.all(np.diff(losses) <= 1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(pools(), st.floats(-5.0, 5.0))

@@ -1,20 +1,6 @@
-"""Shared primitives: feature vectors, labelled pools, and sliding windows.
-
-The sliding window keeps its members oldest first in an array and answers,
-for any ``k``, each of the ``k`` members before the newest its farthest and
-nearest co-member among them in O(k).  A sliding extreme splits into a part
-fixed when a member is pushed, the suffix extremes of its distances to the
-members before it, and a running part over the members after it; the window
-keeps the first in one square matrix (maxima below the diagonal, minima
-above) and folds the newest member's distance row into the second at the
-next push.  The arrays double as members arrive, up to the window's
-capacity, so a long window costs only what it holds.  The first eviction
-adds a few spare rows; an eviction then only advances the row the members
-start at, and once the spare rows are used up, one block copy moves the
-members back to the front.  The stream runner pushes each sample before the
-agents vote, so :meth:`SlidingWindow.farthest` and
-:meth:`SlidingWindow.nearest` compare the newest member, the sample, with the
-members before it.
+"""Shared primitives: feature vectors, labelled pools, sliding windows, and
+the window's two distance formulas, :func:`distances_to` and
+:func:`gram_distances`, which every distance in the package goes through.
 """
 
 from __future__ import annotations
@@ -28,7 +14,9 @@ __all__ = [
     "LabeledPool",
     "SlidingWindow",
     "as_feature_vector",
+    "distances_to",
     "euclidean",
+    "gram_distances",
 ]
 
 
@@ -44,14 +32,35 @@ def as_feature_vector(x) -> np.ndarray:
     return v
 
 
+def distances_to(points: np.ndarray, x: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Euclidean distances from ``points`` to ``x`` along the last axis,
+    broadcast over the others: the row a push adds."""
+    diff = points - x
+    return np.sqrt((diff * diff).sum(axis=-1), out=out)
+
+
+def gram_distances(points: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances of the rows of ``points`` (``(..., m, dim)``
+    to ``(..., m, m)``) from their Gram matrix, the bulk block of
+    :meth:`SlidingWindow.from_points`: rounding below zero is clipped, and
+    the diagonal is exactly 0."""
+    sq = (points * points).sum(axis=-1)
+    d2 = sq[..., :, None] + sq[..., None, :] - 2.0 * (points @ np.swapaxes(points, -1, -2))
+    dist = np.sqrt(np.clip(d2, 0.0, None))
+    diagonal = np.arange(dist.shape[-1])
+    dist[..., diagonal, diagonal] = 0.0
+    return dist
+
+
 def euclidean(x, y) -> float:
-    """Euclidean distance between two equal-length vectors."""
+    """Euclidean distance between two equal-length vectors, with the bits
+    the window stores for the pair."""
     xv = as_feature_vector(x)
     yv = as_feature_vector(y)
     if xv.shape != yv.shape:
         raise ValueError(f"dimension mismatch: {xv.size} vs {yv.size}")
-    d = xv - yv
-    return math.sqrt(float(d @ d))
+    return float(distances_to(xv, yv))
 
 
 class LabeledPool:
@@ -123,11 +132,11 @@ class SlidingWindow:
     into those.  :meth:`farthest` and :meth:`nearest` then give each of the
     ``k`` members before the newest its farthest or nearest co-member among
     them from one matrix entry and one running extreme (van Herk 1992; Gil
-    and Werman 1993).  The arrays start at ``INITIAL_ROWS`` rows and double
-    when full until they reach the capacity; the first eviction adds
-    ``INITIAL_ROWS`` spare rows.  The members occupy rows ``start .. start +
-    len - 1``: an eviction advances ``start``, and when the last row is
-    taken one block copy moves the members back to row 0, so the arrays
+    and Werman 1993).  The members occupy rows ``start .. start + len - 1``
+    and an eviction advances ``start``.  One sizing rule places them: the
+    arrays start at ``INITIAL_ROWS`` rows and, whenever no row is left after
+    the members, double up to ``capacity + INITIAL_ROWS`` rows or, once at
+    that size, one block copy moves the members back to row 0, so the arrays
     move once every ``INITIAL_ROWS`` pushes, not on every eviction.
     """
 
@@ -151,13 +160,12 @@ class SlidingWindow:
         n, start = self._size, self._start
         old = self._points, self._newer_max, self._newer_min, self._to_new
         ext = self._ext
-        self._points = np.zeros((rows, dim))
+        # an append writes a member's row of each 1-d array before any read
+        self._points = np.empty((rows, dim))
+        self._newer_max, self._newer_min, self._to_new = np.empty((3, rows))
         # NaN fills the diagonal for good: no write lands on it, and a
         # compaction moves it along itself
         self._ext = np.full((rows, rows), math.nan)
-        self._newer_max = np.zeros(rows)
-        self._newer_min = np.full(rows, math.inf)
-        self._to_new = np.zeros(rows)
         if n:
             self._ext[:n, :n] = ext[start:start + n, start:start + n]
             for new, values in zip((self._points, self._newer_max, self._newer_min,
@@ -189,8 +197,9 @@ class SlidingWindow:
 
     @classmethod
     def from_points(cls, points, capacity: Optional[int] = None) -> "SlidingWindow":
-        """Bulk-build a window; one vectorized pass fills every extreme from
-        the points' Gram distances."""
+        """Bulk-build a window: the points are appended in order as pushes
+        would append them, with their :func:`gram_distances` in place of
+        each push's distance row."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2:
             raise ValueError(f"expected a 2-d point array, got shape {pts.shape}")
@@ -200,36 +209,13 @@ class SlidingWindow:
         win = cls(m if capacity is None else capacity)
         if m > win.capacity:
             raise ValueError(f"{m} points exceed capacity {win.capacity}")
-        if m == 0:
-            return win
-        win._allocate(pts.shape[1], win.capacity)
-        win._points[:m] = pts
-        win._size = m
-        sq = (pts * pts).sum(axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (pts @ pts.T)
-        dist = np.sqrt(np.clip(d2, 0.0, None))
-        # row i's distances to the members before it, padded so the pad
-        # never wins an extreme
-        before = np.tri(m, k=-1, dtype=bool)
-        low = np.where(before, dist, -math.inf)
-        high = np.where(before, dist, math.inf)
-        suffix_max = np.maximum.accumulate(low[:, ::-1], axis=1)[:, ::-1]
-        suffix_min = np.minimum.accumulate(high[:, ::-1], axis=1)[:, ::-1]
-        ext = np.where(before, suffix_max, suffix_min.T)
-        np.fill_diagonal(ext, math.nan)
-        win._ext[:m, :m] = ext
-        # column j of rows j+1 .. m-2: the members after j but the newest
-        win._newer_max[:m] = low[:m - 1].max(axis=0, initial=0.0)
-        win._newer_min[:m] = high[:m - 1].min(axis=0, initial=math.inf)
-        win._to_new[:m - 1] = dist[m - 1, :m - 1]
+        dist = gram_distances(pts)
+        for i, v in enumerate(pts):
+            win._append(v, dist[i, :i])
         return win
 
     def __len__(self) -> int:
         return self._size
-
-    @property
-    def dim(self) -> Optional[int]:
-        return None if self._points is None else self._points.shape[1]
 
     def _span(self, k: Optional[int]) -> tuple[int, int]:
         """Rows of the first of the ``k`` members before the newest, and of the newest."""
@@ -260,32 +246,33 @@ class SlidingWindow:
                                              self._newer_min[lo:new])
 
     def push(self, x) -> None:
-        """Append ``x``, evicting the oldest member when at capacity.
+        """Append ``x``, evicting the oldest member when at capacity."""
+        v = as_feature_vector(x)
+        if self._points is not None and v.size != self._points.shape[1]:
+            raise ValueError(f"dimension mismatch: window holds "
+                             f"{self._points.shape[1]}-d points, got {v.size}")
+        self._append(v)
 
-        Full arrays below the capacity double first.  The first eviction
-        adds the spare rows; every eviction then only advances the oldest
-        member's row, and when no row is left after the members, they move
-        back to row 0.  The previous newest member's distance row is folded
-        into the running extremes of the members before it; the new point's
-        distance row then becomes the newest's, and its suffix extremes fill
+    def _append(self, v: np.ndarray, row: Optional[np.ndarray] = None) -> None:
+        """Append the checked point ``v``, whose distances to the members are
+        ``row``, by default their :func:`distances_to` ``v``.
+
+        After the eviction and the sizing rule, the previous newest member's
+        row is folded into the running extremes of the members before it;
+        ``v``'s row then becomes the newest's, and its suffix extremes fill
         the next row and column of the matrix.
         """
-        v = as_feature_vector(x)
         if self._points is None:
-            self._allocate(v.size, min(self.INITIAL_ROWS, self.capacity))
-        elif v.size != self.dim:
-            raise ValueError(
-                f"dimension mismatch: window holds {self.dim}-d points, got {v.size}"
-            )
+            self._allocate(v.size, self.INITIAL_ROWS)
         if self._size == self.capacity:
-            if len(self._points) == self.capacity:  # the first eviction
-                self._allocate(v.size, self.capacity + self.INITIAL_ROWS)
             self._start += 1
             self._size -= 1
-            if self._start + self._size == len(self._points):
+        rows = len(self._points)
+        if self._start + self._size == rows:
+            if rows == self.capacity + self.INITIAL_ROWS:
                 self._compact()
-        elif self._size == len(self._points):
-            self._allocate(v.size, min(2 * self._size, self.capacity))
+            else:
+                self._allocate(v.size, min(2 * rows, self.capacity + self.INITIAL_ROWS))
         start, n = self._start, self._size
         new = start + n
         if n > 1:  # the previous newest has members before it
@@ -293,8 +280,11 @@ class SlidingWindow:
             newer_max, newer_min = self._newer_max[start:new - 1], self._newer_min[start:new - 1]
             np.maximum(newer_max, prev, out=newer_max)
             np.minimum(newer_min, prev, out=newer_min)
-        diff = self._points[start:new] - v
-        d = np.sqrt((diff * diff).sum(axis=1), out=self._to_new[start:new])
+        d = self._to_new[start:new]
+        if row is None:
+            distances_to(self._points[start:new], v, out=d)
+        else:
+            d[:] = row
         self._points[new] = v
         self._newer_max[new] = 0.0
         self._newer_min[new] = math.inf

@@ -331,8 +331,13 @@ def run_experiment(config: ExperimentConfig, seed: int) -> RunMetrics:
                                  initial_size=CASE_STUDY_POOL_SIZE,
                                  budget_fraction=config.budget_fraction)
     else:
-        data = generate(replace(config.generator, seed=seed))
-        split = scenario_split(data, seed, config.budget_fraction)
+        gen = replace(config.generator, seed=seed)
+        data = generate(gen)
+        try:
+            split = scenario_split(data, seed, config.budget_fraction)
+        except ValueError as err:  # label flips can leave a class short
+            raise ValueError(f"{err} (n = {gen.n}, positive_share = {gen.positive_share}, "
+                             f"flip_share = {gen.flip_share}, seed = {seed})") from err
     return StreamRunner(config, seed, split).run()
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 # the count _ld_ratios reproduces in bulk; perfbench's tracer wraps this name
 from .agents import local_sparsity  # noqa: F401
+from .core import distances_to, gram_distances
 from .learner import LearnerConfig, fit_logistic
 
 __all__ = [
@@ -148,11 +149,10 @@ def _ld_ratios(params: TheoryParams) -> np.ndarray:
     """Each draw's sparsity count over the vote scale ``L * sparsity_level``.
 
     A draw is L window points and one incoming sample, consumed from the
-    generator in that order.  The draws come in chunks: one Gram block gives
-    every chunk window's pairwise distances, one row formula each incoming
-    sample's distances to its window, both with the formulas of
-    :meth:`SlidingWindow.from_points` and :meth:`SlidingWindow.push`, so each
-    count is the :func:`local_sparsity` of that window with the sample
+    generator in that order.  The draws come in chunks, whose distances come
+    from the window's own :func:`gram_distances` and :func:`distances_to`, so
+    each count is the :func:`local_sparsity` of the window
+    :meth:`SlidingWindow.from_points` builds from the draw with the sample
     pushed, bit for bit.
     """
     rng = np.random.default_rng(params.seed)
@@ -163,22 +163,16 @@ def _ld_ratios(params: TheoryParams) -> np.ndarray:
     s_incoming = math.sqrt(params.sigma_incoming_sq)
     scale = big_l * params.sparsity_level
     chunk = max(1, _CHUNK_FLOATS // (big_l * (big_l + q + 1)))
-    members = np.arange(big_l)
 
     ratios = np.empty(params.draws)
     for lo in range(0, params.draws, chunk):
         draws = rng.standard_normal((min(chunk, params.draws - lo), big_l + 1, q))
         pts = draws[:, :big_l] * s_window
         x = draws[:, big_l] * s_incoming + offset
-        sq = (pts * pts).sum(axis=2)
-        d2 = sq[:, :, None] + sq[:, None, :] - 2.0 * (pts @ pts.transpose(0, 2, 1))
-        dist = np.sqrt(np.clip(d2, 0.0, None))
-        # distances are never negative, so a zero diagonal leaves every
+        to_new = distances_to(pts, x[:, None, :])
+        # distances are never negative, so the zero diagonal leaves every
         # member's farthest co-member distance in place
-        dist[:, members, members] = 0.0
-        diff = pts - x[:, None, :]
-        to_new = np.sqrt((diff * diff).sum(axis=2))
-        counts = np.count_nonzero(dist.max(axis=2) < to_new, axis=1)
+        counts = np.count_nonzero(gram_distances(pts).max(axis=2) < to_new, axis=1)
         ratios[lo:lo + len(draws)] = counts / scale
     return ratios
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from streamacq import core
 from streamacq.core import (
     LabeledPool,
     SlidingWindow,
@@ -54,6 +55,31 @@ class TestDistances:
             x = rng.normal(size=4)
             y = rng.normal(size=4)
             assert euclidean(x, y) == pytest.approx(np.linalg.norm(x - y))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda dim: st.tuples(*(
+        hnp.arrays(float, dim, elements=st.floats(-1e3, 1e3, allow_nan=False))
+        for _ in range(2)))))
+    def test_equals_the_windows_stored_distance_bit_for_bit(self, pair):
+        """A pushed pair's distance, as the window stores it, is the one
+        ``euclidean`` gives for the pair either way round."""
+        a, b = pair
+        win = SlidingWindow(2)
+        win.push(a)
+        win.push(b)
+        stored = win.farthest()[0][0]
+        assert euclidean(a, b) == stored and euclidean(b, a) == stored
+
+    def test_gram_block_has_an_exact_zero_diagonal(self):
+        """On 15-d normals the Gram formula rounds a quarter of the points'
+        distances to themselves up to about 1e-7; the block sets them to 0,
+        and a batch of blocks has the bits of one block at a time."""
+        pts = np.random.default_rng(0).normal(size=(5, 20, 15))
+        dist = core.gram_distances(pts)
+        assert dist.shape == (5, 20, 20)
+        assert not np.diagonal(dist, axis1=1, axis2=2).any()
+        for block, points in zip(dist, pts):
+            assert np.array_equal(block, core.gram_distances(points))
 
 
 class TestLabeledPool:
@@ -282,6 +308,36 @@ class TestSlidingWindow:
             for query in ("farthest", "nearest"):
                 for got, want in zip(getattr(bulk, query)(k), getattr(inc, query)(k)):
                     np.testing.assert_allclose(got, want)
+
+    def test_from_points_with_a_huge_capacity_holds_only_its_points(self):
+        """Three points under a capacity of a million build a window the size
+        three pushes reach, which answers both queries as they do."""
+        pts = [[0.0, 0.0], [3.0, 4.0], [0.0, 4.0]]
+        bulk = SlidingWindow.from_points(pts, capacity=10**6)
+        inc = SlidingWindow(10**6)
+        for p in pts:
+            inc.push(p)
+        assert bulk._ext.shape == inc._ext.shape == (SlidingWindow.INITIAL_ROWS,) * 2
+        for k in (None, 1):
+            for query in ("farthest", "nearest"):
+                for got, want in zip(getattr(bulk, query)(k), getattr(inc, query)(k)):
+                    assert np.array_equal(got, want)
+        bulk.push([3.0, 0.0])
+        assert bulk.farthest()[0].tolist() == [3.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize("capacity", [1, 5, 32, 33, 100, 10**6])
+    def test_from_points_takes_the_size_its_pushes_reach(self, capacity):
+        """Bulk-built or pushed, the same points under the same capacity take
+        arrays of one size: the sizing rule's smallest that holds them."""
+        rng = np.random.default_rng(capacity)
+        for m in {1, min(capacity, 40), min(capacity, 200)}:
+            pts = rng.normal(size=(m, 2))
+            inc = SlidingWindow(capacity)
+            for p in pts:
+                inc.push(p)
+            bulk = SlidingWindow.from_points(pts, capacity=capacity)
+            assert bulk._ext.shape == inc._ext.shape, m
+            assert len(bulk._points) >= m
 
     def test_from_points_capacity_check(self):
         with pytest.raises(ValueError):

@@ -204,6 +204,16 @@ class TestConfigParsing:
         config = parse_config_text("strategy = ensemble6\nn = 21\np = 4\n")
         assert run_experiment(config, 0).acquired >= 0
 
+    def test_class_left_short_at_the_split_names_the_generator(self):
+        """Label flips can leave a class short of its test rows; the run's
+        error names the generator settings and the seed that did it."""
+        config = parse_config_text("strategy = ensemble6\nn = 21\np = 4\n"
+                                   "positive_share = 0.01\nflip_share = 0.5\n")
+        with pytest.raises(ValueError, match=(
+                r"class 1 has 248 rows, need 250 for the test set \(n = 21, "
+                r"positive_share = 0\.01, flip_share = 0\.5, seed = 0\)")):
+            run_experiment(config, 0)
+
     def test_penalty_strength_without_a_penalty_rejected(self):
         with pytest.raises(ValueError, match="penalty 'none' takes no regularization strength"):
             parse_config_text("penalty_strength = 5\n")

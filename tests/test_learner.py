@@ -249,6 +249,20 @@ class TestFit:
         assert (loss_value(model.weights, model.bias, X, y, config)
                 <= loss_value(np.zeros(3), 0.0, X, y, config))
 
+    def test_strong_l1_reports_the_gradient_mapping(self):
+        """With every weight at 0, the gradient mapping the fit stops on is
+        the bias gradient alone: the threshold absorbs the zeroed weights'
+        smooth gradient, which the L1 subgradient would count."""
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(30, 3))
+        y = rng.integers(0, 2, size=30)
+        config = LearnerConfig(penalty="l1", strength=1e4)
+        model = fit_logistic(X, y, config)
+        assert np.all(model.weights == 0.0)
+        gw, gb = loss_gradient(model.weights, model.bias, X, y, config)
+        assert model.grad_norm == abs(gb)
+        assert model.grad_norm < 1e-3 < float(np.sqrt(gw @ gw))
+
     def test_parameters_finite(self):
         rng = np.random.default_rng(33)
         X = rng.normal(size=(25, 4)) * 5.0
@@ -394,9 +408,14 @@ def augmented_reference_fit(X, y, config, path=None, move_norms=None):
 
 def assert_fits_reference(X, y, config, path=None):
     """The fit equals the sign-folded reference bit for bit, parameters,
-    gradient norm and number of moves."""
+    gradient norm (under L1 the gradient mapping's) and number of moves."""
     w, b, moved = augmented_reference_fit(X, y, config, path)
-    gw, gb = reference_gradient(w, b, X, np.asarray(y, dtype=float), config)
+    l1 = config.penalty == "l1"
+    smooth = replace(config, penalty="none", strength=0.0) if l1 else config
+    gw, gb = reference_gradient(w, b, X, np.asarray(y, dtype=float), smooth)
+    if l1:  # the gradient mapping the stop test reads
+        step = descent_step(X, config)
+        gw = (w - soft_threshold(w - step * gw, step * config.strength)) / step
     model = fit_logistic(X, y, config)
     assert np.array_equal(model.weights, w)
     assert model.bias == b

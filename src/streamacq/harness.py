@@ -270,7 +270,12 @@ class StreamRunner:
                 if label is None:
                     raise RuntimeError(f"oracle returned no label at step {self.t}")
                 truth = int(label)
-                reward = step_reward(True, predicted, truth, self.config.rewards)
+                rewards = self.config.rewards
+                reward = step_reward(True, predicted, truth, rewards)
+                signed = rewards.informative if predicted != truth else rewards.signed_redundant
+                for agent, vote in zip(self.agents, votes):
+                    if vote >= 0.5:
+                        agent.reinforce(signed)
                 self.pool.append(ctx.features, truth)
                 self.model = fit_logistic(self.pool.features, self.pool.labels,
                                           self.config.learner)
@@ -280,12 +285,6 @@ class StreamRunner:
 
             self.ensemble.update_weights(decision, reward)
             flipped = self.ensemble.ewma_step()
-            if acquired:
-                rewards = self.config.rewards
-                signed = rewards.informative if predicted != truth else rewards.signed_redundant
-                for agent, vote in zip(self.agents, votes):
-                    if vote >= 0.5:
-                        agent.reinforce(signed)
 
         return StepRecord(
             t=self.t, action=int(acquired), reward=reward,

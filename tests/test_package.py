@@ -1,13 +1,17 @@
 """Tests for the package's export surface."""
 
+import ast
 import importlib
+import inspect
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-MODULES = ["streamacq", "streamacq.agents", "streamacq.core", "streamacq.datagen",
+MODULES = ["streamacq.agents", "streamacq.core", "streamacq.datagen",
            "streamacq.ensemble", "streamacq.harness", "streamacq.learner",
            "streamacq.theory"]
 
@@ -18,6 +22,44 @@ def test_every_exported_name_resolves(module_name):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
 
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_public_class_and_function_is_exported(module_name):
+    """A module's ``__all__`` is the only declaration of its public names."""
+    module = importlib.import_module(module_name)
+    tree = ast.parse(inspect.getsource(module))
+    public = [node.name for node in tree.body
+              if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.name.startswith("_")]
+    assert [name for name in public if name not in module.__all__] == []
+
+
+def run_child(script, *args):
+    """Run ``script`` in a fresh interpreter that imports this same package,
+    installed or not; returns the finished process."""
+    import streamacq
+    package_root = os.path.dirname(os.path.dirname(streamacq.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_package_import_loads_no_submodule():
+    result = run_child("import streamacq, sys\n"
+                       "print(sorted(m for m in sys.modules if m.startswith('streamacq')))")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['streamacq']"
+
+
+def test_readme_api_example_runs_as_written(capsys):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"## Minimal API example\n+```python\n(.*?)```",
+                      readme.read_text(encoding="utf-8"), re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    final_accuracy, acquired, budget = capsys.readouterr().out.split()
+    assert 0.0 <= float(final_accuracy) <= 1.0
+    assert 0 < int(acquired) <= int(budget)
 
 
 STREAM_PATH_SCRIPT = """
@@ -44,11 +86,5 @@ assert "scipy.special" in sys.modules, "verify-theory"
 def test_only_verify_theory_loads_scipy(tmp_path):
     """The import, a stream run and ``streamacq run`` leave scipy unloaded,
     which keeps a run's memory to numpy's; ``verify-theory`` loads it."""
-    # the child imports the same package as this process, installed or not
-    import streamacq
-    package_root = os.path.dirname(os.path.dirname(streamacq.__file__))
-    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", STREAM_PATH_SCRIPT, str(tmp_path)],
-                            capture_output=True, text=True, timeout=300,
-                            env={**os.environ, "PYTHONPATH": path})
+    result = run_child(STREAM_PATH_SCRIPT, str(tmp_path))
     assert result.returncode == 0, result.stderr

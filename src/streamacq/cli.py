@@ -24,6 +24,7 @@ from .harness import (
 )
 from .theory import (
     TheoryParams,
+    _MIN_DRAWS,
     expected_ld_acquisition,
     mc_ld_acquisition,
     solve_m2,
@@ -139,6 +140,8 @@ def _cmd_verify_theory(args) -> int:
         raise ValueError(f"--grid-points must be at least 2, got {args.grid_points}")
     if not 0.0 <= args.grid_max < math.inf:  # NaN fails too
         raise ValueError(f"--grid-max must be nonnegative and finite, got {args.grid_max}")
+    if args.draws < _MIN_DRAWS:
+        raise ValueError(f"--draws must be at least {_MIN_DRAWS}, got {args.draws}")
     grid = np.linspace(0.0, args.grid_max, args.grid_points)
     base = TheoryParams(draws=args.draws, seed=args.seed)
     _make_out_parent(args.out)

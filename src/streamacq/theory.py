@@ -2,9 +2,9 @@
 
 A normal approximation to squared distances between spherical Gaussian draws
 yields a closed-form expected acquisition rate for the low-density agent,
-plus the separation constants beyond which that rate saturates. Monte Carlo
-routines check the closed form against exact window computations and expose
-the threshold agent's refusal to settle as clusters move apart.
+plus the separation constants beyond which that rate saturates. A Monte
+Carlo estimate from exact window computations checks the closed form; the
+``verify-theory`` command runs both along a grid of center distances.
 """
 
 from __future__ import annotations
@@ -17,30 +17,22 @@ import numpy as np
 # the count _ld_ratios reproduces in bulk; perfbench's tracer wraps this name
 from .agents import local_sparsity  # noqa: F401
 from .core import distances_to, gram_distances
-from .learner import LearnerConfig, fit_logistic
+# perfbench's tracer looks this name up here, so it stays though nothing calls it
+from .learner import fit_logistic  # noqa: F401
 
 __all__ = [
     "TheoryParams",
     "McEstimate",
-    "RalSweepConfig",
     "squared_distance_moments",
     "expected_ld_acquisition",
     "mc_ld_acquisition",
     "solve_m2",
-    "mc_ral_nonconvergence",
 ]
 
 _QUAD_NODES = 4001
+_MIN_DRAWS = 1000
 _BISECT_STEPS = 200
 _CHUNK_FLOATS = 1 << 15  # 256 kB per array of a Monte Carlo chunk, which stays in cache
-
-
-def _require_finite(config, names) -> None:
-    """Reject a NaN or infinite setting, naming it."""
-    for name in names:
-        value = getattr(config, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +54,10 @@ class TheoryParams:
     seed: int = 0
 
     def __post_init__(self):
-        _require_finite(self, ("sigma_window_sq", "sigma_incoming_sq",
-                               "center_dist_sq", "margin_slack"))
+        for name in ("sigma_window_sq", "sigma_incoming_sq", "center_dist_sq", "margin_slack"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
         if self.window < 2:
@@ -95,6 +89,13 @@ def squared_distance_moments(center_dist_sq: float, var_a: float, var_b: float,
     return mean, variance
 
 
+def _settings(params: TheoryParams) -> str:
+    """The settings that place the quadrature nodes, for error messages."""
+    return (f"sigma_window_sq={params.sigma_window_sq}, "
+            f"sigma_incoming_sq={params.sigma_incoming_sq}, "
+            f"center_dist_sq={params.center_dist_sq}, dim={params.dim}")
+
+
 def _quadrature(params: TheoryParams, nodes: int) -> float:
     from scipy.special import ndtr  # imported on first use: a stream run never loads scipy
 
@@ -105,14 +106,12 @@ def _quadrature(params: TheoryParams, nodes: int) -> float:
         params.center_dist_sq, params.sigma_window_sq, params.sigma_incoming_sq, q)
     s_within = math.sqrt(v_within)
     s_cross = math.sqrt(v_cross)
-    settings = (f"sigma_window_sq={params.sigma_window_sq}, "
-                f"sigma_incoming_sq={params.sigma_incoming_sq}, "
-                f"center_dist_sq={params.center_dist_sq}, dim={q}")
     if not all(0.0 < s < math.inf for s in (s_within, s_cross)):
-        raise ValueError(f"squared-distance spread is zero or not finite at {settings}")
+        raise ValueError(f"squared-distance spread is zero or not finite at {_settings(params)}")
     y = np.linspace(m_cross - 8.0 * s_cross, m_cross + 8.0 * s_cross, nodes)
     if not np.all(np.diff(y) > 0.0):
-        raise ValueError(f"quadrature nodes collapse below the float spacing at {settings}")
+        raise ValueError("quadrature nodes collapse below the float spacing at "
+                         f"{_settings(params)}")
     cdf_within = ndtr((y - m_within) / s_within)
     density = np.exp(-0.5 * ((y - m_cross) / s_cross) ** 2) / (s_cross * math.sqrt(2.0 * math.pi))
     inner = float(np.trapezoid(cdf_within ** (big_l - 1) * density, y))
@@ -131,18 +130,17 @@ def expected_ld_acquisition(params: TheoryParams) -> float:
     coarse = _quadrature(params, (_QUAD_NODES + 1) // 2)
     fine = _quadrature(params, _QUAD_NODES)
     if not math.isfinite(fine) or abs(fine - coarse) > 1e-6 * max(1.0, abs(fine)):
-        raise ArithmeticError("quadrature did not converge; widen the node grid")
+        raise ArithmeticError("quadrature did not converge: the node grid does not "
+                              f"resolve the window's distance CDF at {_settings(params)}")
     return fine
 
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte Carlo mean and standard error, raw and with the vote clip."""
+    """Monte Carlo mean and its standard error."""
 
     mean: float
     se: float
-    clipped_mean: float
-    clipped_se: float
 
 
 def _ld_ratios(params: TheoryParams) -> np.ndarray:
@@ -186,17 +184,11 @@ def mc_ld_acquisition(params: TheoryParams) -> McEstimate:
     takes from a window bulk-built from the L draws with the sample pushed;
     all draws are counted at once, chunk by chunk, with no window built.
     """
-    if params.draws < 1000:
-        raise ValueError("need at least 1000 draws for a stable estimate")
+    if params.draws < _MIN_DRAWS:
+        raise ValueError(f"need at least {_MIN_DRAWS} draws for a stable estimate")
     ratios = _ld_ratios(params)
-    clipped = np.minimum(ratios, 1.0)
-    root = math.sqrt(params.draws)
-    return McEstimate(
-        mean=float(ratios.mean()),
-        se=float(ratios.std(ddof=1) / root),
-        clipped_mean=float(clipped.mean()),
-        clipped_se=float(clipped.std(ddof=1) / root),
-    )
+    return McEstimate(mean=float(ratios.mean()),
+                      se=float(ratios.std(ddof=1) / math.sqrt(params.draws)))
 
 
 def solve_m2(params: TheoryParams) -> tuple[float, float]:
@@ -249,83 +241,3 @@ def solve_m2(params: TheoryParams) -> tuple[float, float]:
     if abs(gap(m2)) > 1e-6:
         raise ArithmeticError("bisection did not reach the residual tolerance")
     return m1, m2
-
-
-@dataclass(frozen=True)
-class RalSweepConfig:
-    """Setup for probing the threshold agent's behavior at long range.
-
-    Each resampled pool holds two classes split along the last feature axis;
-    incoming samples drift away along the first axis, orthogonal to the ideal
-    decision boundary, so their predicted certainty hinges on fit noise.
-    """
-
-    dim: int = 15
-    pool_size: int = 40
-    n_pools: int = 30
-    draws: int = 200
-    threshold: float = 0.95
-    class_offset: float = 1.0
-    sigma_pool_sq: float = 1.0
-    sigma_incoming_sq: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        _require_finite(self, ("class_offset", "sigma_pool_sq", "sigma_incoming_sq"))
-        if self.dim < 1:
-            raise ValueError("dimension must be at least 1")
-        if self.pool_size < 4:
-            raise ValueError("pool must hold at least 4 samples")
-        if self.n_pools < 2 or self.draws < 1:
-            raise ValueError("need at least two pools and one draw per pool")
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError("threshold must lie in (0, 1]")
-        if self.class_offset <= 0.0:
-            raise ValueError("class offset must be positive")
-        if self.sigma_pool_sq <= 0.0 or self.sigma_incoming_sq <= 0.0:
-            raise ValueError("variances must be positive")
-
-
-def mc_ral_nonconvergence(config: RalSweepConfig,
-                          distance_grid) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and dispersion of the threshold agent's vote along a distance sweep.
-
-    For each squared center distance, logistic models are refit on fresh
-    two-class pools and queried on remote samples; the returned dispersion
-    staying flat (instead of shrinking) is the non-convergence signature.
-    """
-    grid = np.asarray(distance_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("distance grid must be 1-d with at least two points")
-    if np.any(grid < 0.0):
-        raise ValueError("squared distances must be nonnegative")
-    rng = np.random.default_rng(config.seed)
-    q = config.dim
-    half = config.pool_size // 2
-    labels = np.concatenate([np.zeros(half, dtype=int),
-                             np.ones(config.pool_size - half, dtype=int)])
-    class_shift = np.zeros(q)
-    class_shift[-1] = config.class_offset
-    s_pool = math.sqrt(config.sigma_pool_sq)
-    s_in = math.sqrt(config.sigma_incoming_sq)
-    fit_cfg = LearnerConfig()
-
-    means = np.empty(grid.size)
-    stds = np.empty(grid.size)
-    for g, dist_sq in enumerate(grid):
-        center = np.zeros(q)
-        center[0] = math.sqrt(dist_sq)
-        votes = np.empty((config.n_pools, config.draws))
-        for r in range(config.n_pools):
-            pool = rng.standard_normal((config.pool_size, q)) * s_pool
-            pool += np.where(labels[:, None] == 1, class_shift, -class_shift)
-            model = fit_logistic(pool, labels, fit_cfg)
-            if model.degenerate_class is not None:
-                raise ValueError("pool collapsed to a single class")
-            x = rng.standard_normal((config.draws, q)) * s_in + center
-            proba = model.predict_proba_batch(x)
-            certainty = proba.max(axis=1)
-            votes[r] = (certainty < config.threshold).astype(float)
-        means[g] = votes.mean()
-        stds[g] = votes.std(ddof=1)
-    return means, stds

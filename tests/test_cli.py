@@ -174,10 +174,20 @@ class TestVerifyTheory:
         assert all(row[4] == "1" for row in rows[1:])
 
     def test_too_few_draws_exits_nonzero(self, tmp_path, capsys):
-        code = main(["verify-theory", "--out", str(tmp_path / "grid.csv"),
-                     "--draws", "10"])
+        """One draw under the floor fails before anything is made."""
+        out = tmp_path / "new" / "grid.csv"
+        code = main(["verify-theory", "--out", str(out), "--draws", "999"])
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert "error: --draws must be at least 1000, got 999" in capsys.readouterr().err
+        assert not out.parent.exists()
+
+    def test_draws_at_the_floor_run(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        code = main(["verify-theory", "--out", str(out), "--draws", "1000",
+                     "--grid-points", "2"])
+        assert code == 0
+        assert "theory verification passed" in capsys.readouterr().out
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 3
 
     @pytest.mark.parametrize("flags, message", [
         (["--grid-points", "0"], "--grid-points must be at least 2"),
@@ -185,17 +195,19 @@ class TestVerifyTheory:
         (["--grid-max", "nan"], "--grid-max must be nonnegative and finite"),
         (["--grid-max", "-1"], "--grid-max must be nonnegative"),
         (["--grid-max", "inf"], "--grid-max must be nonnegative and finite"),
+        (["--draws", "10"], "--draws must be at least 1000, got 10"),
     ])
     def test_unusable_grid_exits_nonzero(self, tmp_path, capsys, flags, message):
-        """A grid the checks cannot judge fails with an error, not a pass."""
-        out = tmp_path / "grid.csv"
+        """A grid the checks cannot judge fails with an error, not a pass,
+        and makes no output directory."""
+        out = tmp_path / "new" / "grid.csv"
         code = main(["verify-theory", "--out", str(out), "--draws", "2000", *flags])
         assert code == 1
         captured = capsys.readouterr()
         assert f"error: {message}" in captured.err
         assert "theory verification passed" not in captured.out
         assert "center_dist_sq=" not in captured.out  # no grid point ran
-        assert not out.exists()
+        assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("command", [

@@ -449,7 +449,8 @@ class TestExtremesMatchBruteForce:
             assert_matches_reference(win, ref, ks)
 
     def test_arrays_stop_at_the_capacity_plus_the_spare_rows(self):
-        """The first eviction adds INITIAL_ROWS spare rows, and no more."""
+        """The sizing rule doubles the arrays up to capacity plus
+        INITIAL_ROWS spare rows, and no further."""
         capacity = 3 * SlidingWindow.INITIAL_ROWS + 5
         win = SlidingWindow(capacity)
         for v in np.random.default_rng(3).normal(size=(5 * capacity, 2)):

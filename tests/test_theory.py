@@ -1,5 +1,6 @@
 """Tests for the acquisition-probability analysis helpers."""
 
+import dataclasses
 import math
 import re
 
@@ -11,11 +12,9 @@ from streamacq.agents import local_sparsity
 from streamacq.core import SlidingWindow
 from streamacq.theory import (
     McEstimate,
-    RalSweepConfig,
     TheoryParams,
     expected_ld_acquisition,
     mc_ld_acquisition,
-    mc_ral_nonconvergence,
     solve_m2,
     squared_distance_moments,
 )
@@ -92,6 +91,13 @@ class TestExpectedAcquisition:
         with pytest.raises(ValueError, match=re.escape(named)):
             expected_ld_acquisition(TheoryParams(**kwargs))
 
+    def test_unresolved_cdf_step_names_the_settings(self):
+        """An incoming variance far above the window's spreads the nodes
+        wider than the window's distance CDF step; the error names the
+        settings that placed them."""
+        with pytest.raises(ArithmeticError, match=re.escape("sigma_incoming_sq=1000.0")):
+            expected_ld_acquisition(TheoryParams(sigma_incoming_sq=1000.0))
+
 
 class TestMcAcquisition:
     def test_agrees_with_closed_form_on_grid(self):
@@ -109,10 +115,10 @@ class TestMcAcquisition:
     def test_estimate_fields(self):
         mc = mc_ld_acquisition(TheoryParams(draws=2_000, seed=1))
         assert isinstance(mc, McEstimate)
-        assert mc.clipped_mean <= 1.0
-        assert mc.clipped_mean <= mc.mean + 1e-12
         assert mc.se > 0.0
-        assert mc.clipped_se >= 0.0
+
+    def test_estimate_holds_only_mean_and_se(self):
+        assert [f.name for f in dataclasses.fields(McEstimate)] == ["mean", "se"]
 
     def test_deterministic_given_seed(self):
         a = mc_ld_acquisition(TheoryParams(draws=1_500, seed=3))
@@ -161,11 +167,8 @@ class TestBatchedKernel:
     def test_estimate_equals_the_per_window_loop(self):
         params = TheoryParams(dim=2, window=4, center_dist_sq=2.0, draws=1000, seed=9)
         ratios = per_window_ratios(params)
-        clipped = np.minimum(ratios, 1.0)
-        root = math.sqrt(params.draws)
         assert mc_ld_acquisition(params) == McEstimate(
-            mean=float(ratios.mean()), se=float(ratios.std(ddof=1) / root),
-            clipped_mean=float(clipped.mean()), clipped_se=float(clipped.std(ddof=1) / root))
+            mean=float(ratios.mean()), se=float(ratios.std(ddof=1) / math.sqrt(params.draws)))
 
 
 class TestSolveM2:
@@ -207,34 +210,9 @@ class TestSolveM2:
                 TheoryParams(**{name: value})
 
 
-class TestRalSweep:
-    def test_acquisition_dispersion_does_not_die_out(self):
-        """However far the incoming stream drifts, the spread of the
-        certainty-threshold proposals never collapses toward zero."""
-        config = RalSweepConfig(dim=4, pool_size=30, n_pools=20, draws=150,
-                                threshold=0.95, seed=11)
-        distances = np.array([0.0, 2.0, 6.0, 12.0])
-        means, stds = mc_ral_nonconvergence(config, distances)
-        assert means.shape == distances.shape
-        assert np.all(means >= 0.0) and np.all(means <= 1.0)
-        assert stds[-1] >= 0.5 * stds[0]
+def test_fit_logistic_stays_a_module_attribute():
+    """The benchmark's trace patches every module-level name a fit is
+    reached through, this one included, so the re-export must not go."""
+    from streamacq import learner
 
-    def test_threshold_one_always_proposes(self):
-        config = RalSweepConfig(dim=3, pool_size=20, n_pools=5, draws=50,
-                                threshold=1.0, seed=2)
-        means, stds = mc_ral_nonconvergence(config, np.array([0.0, 5.0]))
-        np.testing.assert_allclose(means, 1.0)
-        np.testing.assert_allclose(stds, 0.0)
-
-    def test_validation(self):
-        for name in ("class_offset", "sigma_pool_sq"):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
-                RalSweepConfig(**{name: math.nan})
-
-    def test_deterministic_given_seed(self):
-        config = RalSweepConfig(dim=3, pool_size=20, n_pools=5, draws=50, seed=4)
-        grid = np.array([0.0, 3.0])
-        a = mc_ral_nonconvergence(config, grid)
-        b = mc_ral_nonconvergence(config, grid)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
+    assert vars(theory)["fit_logistic"] is learner.fit_logistic

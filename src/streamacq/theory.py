@@ -31,7 +31,6 @@ __all__ = [
 
 _QUAD_NODES = 4001
 _MIN_DRAWS = 1000
-_BISECT_STEPS = 200
 _CHUNK_FLOATS = 1 << 15  # 256 kB per array of a Monte Carlo chunk, which stays in cache
 
 
@@ -197,7 +196,7 @@ def solve_m2(params: TheoryParams) -> tuple[float, float]:
     M1 bounds the expected farthest-co-member squared distance (a Gumbel
     expected-maximum expression with a slack multiplier keeping the bound
     strict); M2 is the squared center distance at which incoming samples beat
-    that bound often enough, found by bisection on a monotone scalar equation.
+    that bound often enough, the root of a quadratic in the distance spread.
     """
     if params.sparsity_level >= 0.5:
         raise ValueError("sparsity level must stay below 0.5 for a monotone equation")
@@ -216,28 +215,13 @@ def solve_m2(params: TheoryParams) -> tuple[float, float]:
 
     pooled = params.sigma_window_sq + params.sigma_incoming_sq
     z = erfinv(1.0 - 2.0 * params.sparsity_level)
-
-    def gap(m2: float) -> float:
-        spread = math.sqrt(2.0 * (4.0 * pooled * m2 + 2.0 * q * pooled * pooled))
-        return m2 + z * spread + pooled * q - m1
-
-    if gap(0.0) >= 0.0:
+    # with P the pooled variance, c = m1 − P·q and the spread s = sqrt(8·P·m2 + b),
+    # the equation m2 + z·s + P·q = m1 is s² + 8·P·z·s − b − 8·P·c = 0
+    b = 4.0 * q * pooled * pooled
+    if z * math.sqrt(b) + pooled * q - m1 >= 0.0:
         return m1, 0.0
-    hi = 1.0
-    while gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e30:
-            raise ArithmeticError("no sign change found for the separation equation")
-    lo = 0.0
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    m2 = 0.5 * (lo + hi)
-    if abs(gap(m2)) > 1e-6:
-        raise ArithmeticError("bisection did not reach the residual tolerance")
-    return m1, m2
+    # the positive root, written without the cancellation in −4·P·z + sqrt(·)
+    c = m1 - pooled * q
+    s = (b + 8.0 * pooled * c) / (4.0 * pooled * z
+                                   + math.sqrt(16.0 * pooled * pooled * z * z + b + 8.0 * pooled * c))
+    return m1, (s * s - b) / (8.0 * pooled)

@@ -18,7 +18,9 @@ every eviction, pin a 41-member window through many compactions and the
 one- and two-member blocks of the short agents. Two more digests pin the
 grid CSV of ``streamacq verify-theory`` on a small grid and on its default
 grid (10,000 draws at each of 8 points), both recorded from the kernel that
-built one window per draw. A
+built one window per draw; the default run's printed separation constants,
+recorded from the bisection that preceded the closed-form root, are pinned
+next to them. A
 change that moves any exported number, even in its last bit, fails here.
 """
 
@@ -148,6 +150,7 @@ SMALL_WINDOW_SEEDS = {
 }
 THEORY_GRID = "08750729dbc7db81551265f295a51d380746ef267ddfb2c2a2d9474a6af212ec"
 DEFAULT_THEORY_GRID = "05cb0cda4c9f8d6fae58010b8c5142c477fb7c3bbd41458ad26390aadaaf1afa"
+DEFAULT_THEORY_M2_LINE = "m1=53.1013 m2=3.2347 expected_acquisition_at_m2=2.0344"
 SEED_ZERO = [key for key in GOLDEN if key[2] == 0]
 LATER_SEEDS = [key for key in GOLDEN if key[2] != 0]
 
@@ -191,7 +194,9 @@ def test_theory_grid_csv_matches_the_recorded_digest(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == THEORY_GRID
 
 
-def test_default_theory_grid_csv_matches_the_recorded_digest(tmp_path):
+def test_default_theory_grid_csv_matches_the_recorded_digest(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     assert main(["verify-theory", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_THEORY_GRID
+    # the CSV holds the grid only; the separation constants are printed
+    assert DEFAULT_THEORY_M2_LINE in capsys.readouterr().out.splitlines()

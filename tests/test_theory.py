@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import streamacq.theory as theory
 from streamacq.agents import local_sparsity
@@ -171,6 +173,23 @@ class TestBatchedKernel:
             mean=float(ratios.mean()), se=float(ratios.std(ddof=1) / math.sqrt(params.draws)))
 
 
+def separation_residual(params, m1, m2):
+    """How far ``m2`` misses the separation equation that defines it."""
+    s = params.sigma_window_sq + params.sigma_incoming_sq
+    q = params.dim
+    from scipy.special import erfinv
+    return (m2 + erfinv(1.0 - 2.0 * params.sparsity_level)
+            * math.sqrt(2.0 * (4.0 * s * m2 + 2.0 * q * s * s))
+            + s * q - m1)
+
+
+variances = st.floats(1e-2, 1e2)
+solvable_params = st.builds(
+    TheoryParams, dim=st.integers(1, 40), window=st.integers(3, 80),
+    sparsity_level=st.floats(1e-3, 0.49), sigma_window_sq=variances,
+    sigma_incoming_sq=variances, margin_slack=st.floats(1.0, 3.0, exclude_min=True))
+
+
 class TestSolveM2:
     def test_returns_finite_target_with_high_acquisition(self):
         m1, m2 = solve_m2(TheoryParams())
@@ -181,13 +200,29 @@ class TestSolveM2:
     def test_residual_is_tight(self):
         params = TheoryParams()
         m1, m2 = solve_m2(params)
-        s = params.sigma_window_sq + params.sigma_incoming_sq
-        q = params.dim
-        from scipy.special import erfinv
-        residual = (m2 + erfinv(1.0 - 2.0 * params.sparsity_level)
-                    * math.sqrt(2.0 * (4.0 * s * m2 + 2.0 * q * s * s))
-                    + s * q - m1)
-        assert abs(residual) <= 1e-6
+        assert abs(separation_residual(params, m1, m2)) <= 1e-6
+
+    def test_saturated_setting_needs_no_separation(self):
+        """An incoming variance so wide that the pooled spread alone, at zero
+        separation, already clears M1 gives M2 = 0 and the unchanged M1."""
+        params = TheoryParams(sigma_incoming_sq=10.0)
+        m1, m2 = solve_m2(params)
+        assert (params.sigma_window_sq + params.sigma_incoming_sq) * params.dim > m1
+        assert separation_residual(params, m1, 0.0) >= 0.0
+        assert (m1, m2) == (solve_m2(TheoryParams())[0], 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(solvable_params, st.floats(1.0, 3.0, exclude_min=True))
+    def test_root_solves_the_equation_and_grows_with_slack(self, params, other_slack):
+        m1, m2 = solve_m2(params)
+        assert m2 >= 0.0
+        if m2 > 0.0:
+            assert abs(separation_residual(params, m1, m2)) <= 1e-9 * max(1.0, m1)
+        # slacks a few floats apart can give roots a few ulps apart either way,
+        # so the order holds up to rounding
+        lo, hi = (solve_m2(dataclasses.replace(params, margin_slack=slack))[1]
+                  for slack in sorted((params.margin_slack, other_slack)))
+        assert hi >= lo - 1e-12 * max(1.0, lo)
 
     def test_margin_slack_scales_the_target(self):
         lo = solve_m2(TheoryParams(margin_slack=1.01))

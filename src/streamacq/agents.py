@@ -9,6 +9,9 @@ member, the sample, with the ``length`` members before it.  The window hands
 it those members' distances to the sample and each one's farthest or nearest
 co-member among them, so a vote costs O(length), not a pass over the
 ``length`` x ``length`` distances.
+
+The certainty-threshold agent is the uncertainty baseline's strict-below vote
+with a bar that feedback moves and an epsilon floor.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ __all__ = [
     "RandomBaseline",
     "UncertaintyBaseline",
     "local_sparsity",
-    "random_baseline_rate",
-    "uncertainty_vote",
 ]
 
 THRESHOLD_FLOOR = 1e-6
@@ -55,20 +56,6 @@ def local_sparsity(window: SlidingWindow, k: int | None = None) -> int:
     """
     to_new, far = window.farthest(k)
     return int(np.count_nonzero(far < to_new))
-
-
-def random_baseline_rate(budget: int, stream_len: int) -> float:
-    """Constant per-step acquisition probability that spends the budget uniformly."""
-    if stream_len <= 0:
-        raise ValueError("stream length must be positive")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    return min(budget / stream_len, 1.0)
-
-
-def uncertainty_vote(certainty: float, threshold: float) -> float:
-    """All-or-nothing vote: acquire strictly below the certainty threshold."""
-    return 1.0 if certainty < threshold else 0.0
 
 
 class Agent:
@@ -142,8 +129,25 @@ class SpaceFillingAgent(_WindowAgent):
         return min(1.0, gap / spread)
 
 
-class CertaintyThresholdAgent(Agent):
-    """Votes to acquire while the model is uncertain; feedback moves the bar.
+class UncertaintyBaseline(Agent):
+    """Acquires whenever model certainty sits strictly below a fixed threshold."""
+
+    def __init__(self, threshold: float = 0.7, name: str = "us"):
+        if not 0.0 < threshold <= 1.0:
+            raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
+        self.threshold = float(threshold)
+        self.name = name
+
+    def _vote(self, certainty: float) -> float:
+        """All-or-nothing: acquire strictly below the threshold."""
+        return 1.0 if certainty < self.threshold else 0.0
+
+    def propose(self, ctx: AcquisitionContext) -> float:
+        return self._vote(ctx.certainty)
+
+
+class CertaintyThresholdAgent(UncertaintyBaseline):
+    """The uncertainty vote with a moving bar and an ``epsilon`` floor.
 
     A positive reward (the acquired label contradicted the model) raises the
     threshold so the agent keeps acquiring; the signed penalty lowers it. The
@@ -152,23 +156,20 @@ class CertaintyThresholdAgent(Agent):
 
     def __init__(self, threshold: float, learning_rate: float,
                  penalty: float = -0.5, name: str = "ral", epsilon: float = 0.0):
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
+        super().__init__(threshold, name)
         if not (math.isfinite(learning_rate) and learning_rate > 0.0):
             raise ValueError(f"learning rate must be positive and finite, got {learning_rate}")
         if not (math.isfinite(penalty) and penalty < 0.0):
             raise ValueError("the penalty enters the update signed (negative)")
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-        self.threshold = float(threshold)
         self.learning_rate = float(learning_rate)
         self.penalty = float(penalty)
         self.epsilon = float(epsilon)
-        self.name = name
 
     def propose(self, ctx: AcquisitionContext) -> float:
-        vote = uncertainty_vote(ctx.certainty, self.threshold)
-        return self.epsilon + (1.0 - self.epsilon) * vote
+        # _vote, not the base propose: a stream step's agent calls stay unnested
+        return self.epsilon + (1.0 - self.epsilon) * self._vote(ctx.certainty)
 
     def reinforce(self, signed_reward: float) -> None:
         if not math.isfinite(signed_reward):
@@ -179,26 +180,16 @@ class CertaintyThresholdAgent(Agent):
 
 
 class RandomBaseline(Agent):
-    """Acquires at a constant rate, blind to the sample."""
+    """Acquires at the constant rate that spends ``budget`` labels evenly over
+    ``stream_len`` steps, blind to the sample."""
 
-    def __init__(self, rate: float, name: str = "rs"):
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"rate must lie in [0, 1], got {rate}")
-        self.rate = float(rate)
+    def __init__(self, budget: int, stream_len: int, name: str = "rs"):
+        if stream_len <= 0:
+            raise ValueError(f"stream length must be positive, got {stream_len}")
+        if budget < 0:
+            raise ValueError(f"budget must be nonnegative, got {budget}")
+        self.rate = min(budget / stream_len, 1.0)
         self.name = name
 
     def propose(self, ctx: AcquisitionContext) -> float:
         return self.rate
-
-
-class UncertaintyBaseline(Agent):
-    """Acquires whenever model certainty sits strictly below a fixed threshold."""
-
-    def __init__(self, threshold: float = 0.7, name: str = "us"):
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
-        self.threshold = float(threshold)
-        self.name = name
-
-    def propose(self, ctx: AcquisitionContext) -> float:
-        return uncertainty_vote(ctx.certainty, self.threshold)

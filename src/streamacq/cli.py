@@ -6,7 +6,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -59,13 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
     defaults = ExperimentConfig().generator
     gen = sub.add_parser("gen", help="write a synthetic dataset CSV")
     gen.add_argument("--out", required=True, help="output CSV path")
-    gen.add_argument("--n", type=int, default=defaults.n, help="training-role sample count")
-    gen.add_argument("--p", type=int, default=defaults.p, help="feature dimension")
-    gen.add_argument("--positive-share", type=float, default=defaults.positive_share)
-    gen.add_argument("--flip-share", type=float, default=defaults.flip_share)
-    gen.add_argument("--noise-share", type=float, default=defaults.noise_share)
-    gen.add_argument("--class-sep", type=float, default=defaults.class_sep)
-    gen.add_argument("--seed", type=_seed, default=defaults.seed)
+    hints = get_type_hints(GeneratorConfig)
+    helps = {"n": "training-role sample count", "p": "feature dimension"}
+    for f in fields(GeneratorConfig):  # one flag per generator field, its dest the name
+        gen.add_argument(f"--{f.name.replace('_', '-')}", default=getattr(defaults, f.name),
+                         type=_seed if f.name == "seed" else hints[f.name], help=helps.get(f.name))
 
     run = sub.add_parser("run", help="run one seeded experiment")
     run.add_argument("--config", required=True, help="key=value config file")
@@ -92,14 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    config = GeneratorConfig(
-        n=args.n, p=args.p,
-        positive_share=args.positive_share,
-        flip_share=args.flip_share,
-        noise_share=args.noise_share,
-        class_sep=args.class_sep,
-        seed=args.seed,
-    )
+    config = GeneratorConfig(**{f.name: getattr(args, f.name) for f in fields(GeneratorConfig)})
     _make_out_parent(args.out)
     data = generate(config)
     write_dataset_csv(data, args.out)

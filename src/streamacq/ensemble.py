@@ -38,7 +38,6 @@ __all__ = [
     "SolverConfig",
     "JointDecision",
     "WeightedEnsemble",
-    "step_reward",
 ]
 
 ARM_ACQUIRE = 0
@@ -55,11 +54,12 @@ _RESCALE_ABOVE = 2.0 ** 512
 
 @dataclass(frozen=True)
 class RewardSpec:
-    """Reward scale for acquired labels.
+    """Reward scale for acquired labels; a pass earns nothing.
 
     ``informative`` pays for a label the model got wrong, ``redundant`` for a
-    label it already predicted. The signed variant feeds threshold agents,
-    which treat a redundant acquisition as a penalty.
+    label it already predicted. The agents that voted to acquire get the
+    same amount as feedback, negated after a redundant acquisition, so a
+    threshold agent's penalty is ``-redundant``.
     """
 
     informative: float = 1.0
@@ -73,18 +73,6 @@ class RewardSpec:
                 raise ValueError(f"{name} reward must lie in (0, 1], got {level}")
         if self.redundant >= self.informative:
             raise ValueError("redundant reward must stay below informative")
-
-    @property
-    def signed_redundant(self) -> float:
-        return -self.redundant
-
-
-def step_reward(acquired: bool, predicted: int, label: int,
-                spec: RewardSpec = RewardSpec()) -> float:
-    """Reward for one stream step; passing earns nothing."""
-    if not acquired:
-        return 0.0
-    return spec.informative if predicted != label else spec.redundant
 
 
 @dataclass(frozen=True)

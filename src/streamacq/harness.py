@@ -36,7 +36,6 @@ from .agents import (
     RandomBaseline,
     SpaceFillingAgent,
     UncertaintyBaseline,
-    random_baseline_rate,
 )
 from .core import LabeledPool, SlidingWindow, as_feature_vector
 from .datagen import (
@@ -49,7 +48,7 @@ from .datagen import (
     generate,
     scenario_split,
 )
-from .ensemble import RewardSpec, SolverConfig, WeightedEnsemble, step_reward
+from .ensemble import RewardSpec, SolverConfig, WeightedEnsemble
 from .learner import LearnerConfig, fit_logistic
 
 __all__ = [
@@ -146,7 +145,7 @@ class ExperimentConfig:
         """Constructors of every agent this config sets; window agents read ``window``."""
         def ral(threshold, rate, name):
             return CertaintyThresholdAgent(
-                threshold, rate, penalty=self.rewards.signed_redundant, name=name,
+                threshold, rate, penalty=-self.rewards.redundant, name=name,
                 epsilon=self.epsilon)
 
         return {
@@ -159,20 +158,17 @@ class ExperimentConfig:
             "us": lambda: UncertaintyBaseline(self.us_threshold, name="us"),
         }
 
-    def build_window(self) -> SlidingWindow | None:
-        """The run's window, one longer than the roster's longest window length
-        to hold the sample under vote; None without a window agent."""
-        lengths = [getattr(self, f"{name}_window") for name in _ROSTERS[self.strategy]
+    def build_roster(self, budget: int,
+                     stream_len: int) -> tuple[SlidingWindow | None, list[Agent]]:
+        """The strategy's shared window, one longer than its agents' longest window
+        length to hold the sample under vote (None without one), and its agents."""
+        names = _ROSTERS[self.strategy]
+        lengths = [getattr(self, f"{name}_window") for name in names
                    if hasattr(self, f"{name}_window")]
-        return SlidingWindow(max(lengths) + 1) if lengths else None
-
-    def build_agents(self, budget: int, stream_len: int,
-                     window: SlidingWindow | None) -> list[Agent]:
-        """The roster of this config's strategy; window agents read ``window``."""
+        window = SlidingWindow(max(lengths) + 1) if lengths else None
         factories = self._agent_factories(window)
-        factories["rs"] = lambda: RandomBaseline(
-            random_baseline_rate(budget, stream_len), name="rs")
-        return [factories[name]() for name in _ROSTERS[self.strategy]]
+        factories["rs"] = lambda: RandomBaseline(budget, stream_len, name="rs")
+        return window, [factories[name]() for name in names]
 
 
 @dataclass(frozen=True)
@@ -214,9 +210,7 @@ class StreamRunner:
         for row, label in zip(split.initial_features, split.initial_labels):
             self.pool.append(row, int(label))
         self.model = fit_logistic(self.pool.features, self.pool.labels, config.learner)
-        stream_len = split.stream_labels.shape[0]
-        self.window = config.build_window()
-        self.agents = config.build_agents(split.budget, stream_len, self.window)
+        self.window, self.agents = config.build_roster(split.budget, split.stream_labels.shape[0])
         if self.window is not None:
             for row in split.initial_features:
                 self.window.push(row)
@@ -270,12 +264,13 @@ class StreamRunner:
                 if label is None:
                     raise RuntimeError(f"oracle returned no label at step {self.t}")
                 truth = int(label)
+                informative = predicted != truth
                 rewards = self.config.rewards
-                reward = step_reward(True, predicted, truth, rewards)
-                signed = rewards.informative if predicted != truth else rewards.signed_redundant
+                reward = rewards.informative if informative else rewards.redundant
+                feedback = reward if informative else -reward
                 for agent, vote in zip(self.agents, votes):
                     if vote >= 0.5:
-                        agent.reinforce(signed)
+                        agent.reinforce(feedback)
                 self.pool.append(ctx.features, truth)
                 self.model = fit_logistic(self.pool.features, self.pool.labels,
                                           self.config.learner)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from streamacq.agents import (
     THRESHOLD_FLOOR,
@@ -12,8 +14,6 @@ from streamacq.agents import (
     SpaceFillingAgent,
     UncertaintyBaseline,
     local_sparsity,
-    random_baseline_rate,
-    uncertainty_vote,
 )
 from streamacq.core import SlidingWindow
 
@@ -91,21 +91,6 @@ class TestLocalSparsity:
                 members = [*members, v][-capacity:]
                 for k in [None, *range(capacity)]:
                     assert local_sparsity(win, k) == rescan(members, k), trial
-
-
-class TestHelpers:
-    def test_random_baseline_rate(self):
-        assert random_baseline_rate(48, 480) == pytest.approx(0.1)
-        assert random_baseline_rate(10, 5) == 1.0
-        with pytest.raises(ValueError):
-            random_baseline_rate(1, 0)
-        with pytest.raises(ValueError):
-            random_baseline_rate(-1, 10)
-
-    def test_uncertainty_vote_is_strict(self):
-        assert uncertainty_vote(0.69, 0.7) == 1.0
-        assert uncertainty_vote(0.7, 0.7) == 0.0
-        assert uncertainty_vote(0.71, 0.7) == 0.0
 
 
 def pushed(capacity, points=()):
@@ -263,6 +248,19 @@ class TestCertaintyThresholdAgent:
         assert agent.threshold == pytest.approx(0.957125)
         assert agent.epsilon == 0.2
 
+    @given(threshold=st.floats(0.0, 1.0, exclude_min=True),
+           learning_rate=st.floats(1e-6, 1.0),
+           epsilon=st.floats(0.0, 1.0), data=st.data())
+    def test_vote_is_the_floored_uncertainty_vote(self, threshold, learning_rate,
+                                                  epsilon, data):
+        """Bit for bit ``e + (1 - e)`` times the uncertainty baseline's vote at
+        the same threshold, at the threshold itself too."""
+        certainty = data.draw(st.just(threshold) | st.floats(0.5, 1.0))
+        ctx = make_context([0.0], certainty=certainty)
+        vote = CertaintyThresholdAgent(threshold, learning_rate, epsilon=epsilon).propose(ctx)
+        expected = epsilon + (1.0 - epsilon) * UncertaintyBaseline(threshold).propose(ctx)
+        assert vote.hex() == expected.hex()
+
     @pytest.mark.parametrize("epsilon", [-0.1, 1.5, float("nan")])
     def test_epsilon_outside_unit_interval_rejected(self, epsilon):
         with pytest.raises(ValueError, match="epsilon must lie in"):
@@ -271,13 +269,17 @@ class TestCertaintyThresholdAgent:
 
 class TestBaselines:
     def test_random_baseline_votes_its_rate(self):
-        agent = RandomBaseline(rate=0.1)
+        agent = RandomBaseline(48, 480)
         assert agent.propose(make_context([0.0], certainty=0.99)) == 0.1
-        with pytest.raises(ValueError):
-            RandomBaseline(rate=1.2)
+        assert RandomBaseline(10, 5).rate == 1.0  # a budget above the stream
+        with pytest.raises(ValueError, match="stream length must be positive"):
+            RandomBaseline(1, 0)
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            RandomBaseline(-1, 10)
 
     def test_uncertainty_baseline(self):
         agent = UncertaintyBaseline()
         assert agent.threshold == 0.7
         assert agent.propose(make_context([0.0], certainty=0.69)) == 1.0
         assert agent.propose(make_context([0.0], certainty=0.70)) == 0.0
+        assert agent.propose(make_context([0.0], certainty=0.71)) == 0.0

@@ -18,7 +18,6 @@ from streamacq.ensemble import (
     RewardSpec,
     SolverConfig,
     WeightedEnsemble,
-    step_reward,
 )
 
 
@@ -53,11 +52,10 @@ def chart_variance(ens):
 
 
 class TestRewardSpec:
-    def test_defaults_and_signed_view(self):
+    def test_defaults(self):
         spec = RewardSpec()
         assert spec.informative == 1.0
         assert spec.redundant == 0.5
-        assert spec.signed_redundant == -0.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -67,11 +65,6 @@ class TestRewardSpec:
         with pytest.raises(ValueError):
             RewardSpec(informative=1.5)
         RewardSpec(informative=1.0, redundant=0.999)
-
-    def test_step_reward_cases(self):
-        assert step_reward(True, predicted=0, label=1) == 1.0
-        assert step_reward(True, predicted=1, label=1) == 0.5
-        assert step_reward(False, predicted=0, label=1) == 0.0
 
 
 class TestSolverConfig:

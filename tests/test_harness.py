@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from streamacq.agents import (
+    Agent,
     CertaintyThresholdAgent,
     LowDensityAgent,
     RandomBaseline,
@@ -25,7 +26,7 @@ from streamacq.datagen import (
     generate,
     scenario_split,
 )
-from streamacq.ensemble import SolverConfig
+from streamacq.ensemble import RewardSpec, SolverConfig
 import streamacq.harness as harness
 from streamacq.harness import (
     CASE_STUDY_POOL_SIZE,
@@ -71,8 +72,7 @@ def small_config(strategy="rs", **kwargs):
 
 def roster(strategy):
     """The default config's agents for ``strategy``, on a budget of 48 in 480."""
-    cfg = ExperimentConfig(strategy=strategy)
-    return cfg.build_agents(48, 480, cfg.build_window())
+    return ExperimentConfig(strategy=strategy).build_roster(48, 480)[1]
 
 
 @pytest.fixture(scope="module")
@@ -384,6 +384,50 @@ class TestStreamRunner:
         for record in metrics.records:
             if record.action == 0:
                 assert record.reward == 0.0
+
+    def test_rewards_and_feedback_follow_the_configured_levels(self, split):
+        """Away from the default levels, an informative acquisition pays
+        ``informative`` and feeds it back, a redundant one pays ``redundant``
+        and feeds back its negation, each only to the agents that voted at
+        least 0.5; a pass pays nothing."""
+
+        class Recording(Agent):
+            def __init__(self, agent):
+                self.agent, self.name = agent, agent.name
+                self.votes, self.feedback = [], {}  # feedback: vote index -> reward
+
+            def propose(self, ctx):
+                self.votes.append(self.agent.propose(ctx))
+                return self.votes[-1]
+
+            def reinforce(self, signed_reward):
+                self.feedback[len(self.votes) - 1] = signed_reward
+                self.agent.reinforce(signed_reward)
+
+        config = small_config("ensemble6", rewards=RewardSpec(informative=0.8, redundant=0.25))
+        runner = StreamRunner(config, 0, split)
+        assert [agent.penalty for agent in runner.agents[1::2]] == [-0.25] * 3  # the ral agents
+        runner.agents = [Recording(agent) for agent in runner.agents]
+        acquired, low_votes = {True: 0, False: 0}, 0
+        for row, label in zip(split.stream_features, split.stream_labels):
+            p1 = runner.model.positive_proba(row)
+            informative = bool(int(p1 > 1.0 - p1) != label)
+            record = runner.step(row, int(label))
+            if not record.action:
+                assert record.reward == 0.0
+                continue
+            acquired[informative] += 1
+            reward, feedback = (0.8, 0.8) if informative else (0.25, -0.25)
+            assert record.reward == reward
+            step = len(runner.agents[0].votes) - 1
+            for agent in runner.agents:
+                if agent.votes[step] >= 0.5:
+                    assert agent.feedback.pop(step) == feedback
+                else:
+                    low_votes += 1
+        assert acquired[True] and acquired[False] and low_votes
+        # every feedback left went to a pass or to a vote below 0.5
+        assert [agent.feedback for agent in runner.agents] == [{}] * 6
 
     def test_evaluation_cadence(self, split):
         config = small_config("rs", eval_every=25)

@@ -12,6 +12,9 @@ co-member among them, so a vote costs O(length), not a pass over the
 
 The certainty-threshold agent is the uncertainty baseline's strict-below vote
 with a bar that feedback moves and an epsilon floor.
+
+An agent carries no name: the harness builds every roster with one builder,
+and a roster is positional, in the order its strategy lists its agents.
 """
 
 from __future__ import annotations
@@ -61,8 +64,6 @@ def local_sparsity(window: SlidingWindow, k: int | None = None) -> int:
 class Agent:
     """Stream-agent interface; subclasses override what they need."""
 
-    name = "agent"
-
     def propose(self, ctx: AcquisitionContext) -> float:
         raise NotImplementedError
 
@@ -74,13 +75,12 @@ class _WindowAgent(Agent):
     """An agent that votes on the newest member of a shared window against the
     ``length`` members before it; the window keeps one slot for the newest."""
 
-    def __init__(self, window: SlidingWindow, length: int, name: str):
+    def __init__(self, window: SlidingWindow, length: int):
         if not 1 <= length < window.capacity:
             raise ValueError(
                 f"window length must lie in [1, {window.capacity - 1}], got {length}")
         self.window = window
         self.length = int(length)
-        self.name = name
 
 
 class LowDensityAgent(_WindowAgent):
@@ -91,11 +91,10 @@ class LowDensityAgent(_WindowAgent):
     window's newest member, against the L members before it.
     """
 
-    def __init__(self, window: SlidingWindow, length: int, sparsity_level: float,
-                 name: str = "ld"):
+    def __init__(self, window: SlidingWindow, length: int, sparsity_level: float):
         if not 0.0 < sparsity_level <= 1.0:
             raise ValueError(f"sparsity level must lie in (0, 1], got {sparsity_level}")
-        super().__init__(window, length, name)
+        super().__init__(window, length)
         self.sparsity_level = float(sparsity_level)
 
     def propose(self, ctx: AcquisitionContext) -> float:
@@ -113,10 +112,10 @@ class SpaceFillingAgent(_WindowAgent):
     largest nearest-neighbour distance inside those members.
     """
 
-    def __init__(self, window: SlidingWindow, length: int, name: str = "spf"):
+    def __init__(self, window: SlidingWindow, length: int):
         if length < 2:
             raise ValueError("space-filling window needs length >= 2")
-        super().__init__(window, length, name)
+        super().__init__(window, length)
 
     def propose(self, ctx: AcquisitionContext) -> float:
         if len(self.window) < 3:
@@ -132,11 +131,10 @@ class SpaceFillingAgent(_WindowAgent):
 class UncertaintyBaseline(Agent):
     """Acquires whenever model certainty sits strictly below a fixed threshold."""
 
-    def __init__(self, threshold: float = 0.7, name: str = "us"):
+    def __init__(self, threshold: float = 0.7):
         if not 0.0 < threshold <= 1.0:
             raise ValueError(f"threshold must lie in (0, 1], got {threshold}")
         self.threshold = float(threshold)
-        self.name = name
 
     def _vote(self, certainty: float) -> float:
         """All-or-nothing: acquire strictly below the threshold."""
@@ -155,8 +153,8 @@ class CertaintyThresholdAgent(UncertaintyBaseline):
     """
 
     def __init__(self, threshold: float, learning_rate: float,
-                 penalty: float = -0.5, name: str = "ral", epsilon: float = 0.0):
-        super().__init__(threshold, name)
+                 penalty: float = -0.5, epsilon: float = 0.0):
+        super().__init__(threshold)
         if not (math.isfinite(learning_rate) and learning_rate > 0.0):
             raise ValueError(f"learning rate must be positive and finite, got {learning_rate}")
         if not (math.isfinite(penalty) and penalty < 0.0):
@@ -183,13 +181,12 @@ class RandomBaseline(Agent):
     """Acquires at the constant rate that spends ``budget`` labels evenly over
     ``stream_len`` steps, blind to the sample."""
 
-    def __init__(self, budget: int, stream_len: int, name: str = "rs"):
+    def __init__(self, budget: int, stream_len: int):
         if stream_len <= 0:
             raise ValueError(f"stream length must be positive, got {stream_len}")
         if budget < 0:
             raise ValueError(f"budget must be nonnegative, got {budget}")
         self.rate = min(budget / stream_len, 1.0)
-        self.name = name
 
     def propose(self, ctx: AcquisitionContext) -> float:
         return self.rate

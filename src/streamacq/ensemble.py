@@ -34,7 +34,6 @@ __all__ = [
     "ARM_PASS",
     "N_ARMS",
     "WEIGHT_FLOOR",
-    "RewardSpec",
     "SolverConfig",
     "JointDecision",
     "WeightedEnsemble",
@@ -50,29 +49,6 @@ _LIMIT_WIDTH_CAP = 1e300
 # far below overflow: one update multiplies a weight by at most
 # e^((1 + exploration_bonus) / 2)
 _RESCALE_ABOVE = 2.0 ** 512
-
-
-@dataclass(frozen=True)
-class RewardSpec:
-    """Reward scale for acquired labels; a pass earns nothing.
-
-    ``informative`` pays for a label the model got wrong, ``redundant`` for a
-    label it already predicted. The agents that voted to acquire get the
-    same amount as feedback, negated after a redundant acquisition, so a
-    threshold agent's penalty is ``-redundant``.
-    """
-
-    informative: float = 1.0
-    redundant: float = 0.5
-
-    def __post_init__(self):
-        # update_weights accepts rewards in [0, 1]; zero is the pass reward
-        for name, level in (("informative", self.informative),
-                            ("redundant", self.redundant)):
-            if not 0.0 < level <= 1.0:
-                raise ValueError(f"{name} reward must lie in (0, 1], got {level}")
-        if self.redundant >= self.informative:
-            raise ValueError("redundant reward must stay below informative")
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,11 @@ A strategy names either an agent ensemble (two, four, or six experts), a
 single agent, or a baseline; every choice runs through the same monitored
 controller, which degenerates gracefully for one expert. Runs are driven by
 a flat key=value config plus a seed and export plot-ready CSV/JSON files.
-A config key is the name of a scalar ``ExperimentConfig`` field, or a flat
-name in ``_NESTED_KEYS`` for a field of the generator, reward, learner or
-solver config; its value is parsed by the type the field declares.
+A config key is the name of a scalar ``ExperimentConfig`` field, the two
+reward levels among them, or a flat name in ``_NESTED_KEYS`` for a field of
+the generator, learner or solver config; its value is parsed by the type the
+field declares. One builder makes every roster, a run's and the parse-time
+check's; its agents are positional, in ``_ROSTERS`` order.
 
 A stream step checks its row and its label once, before any state moves,
 and scores the row with the model's scalar one-row probability. Its record
@@ -24,6 +26,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import partial
 from typing import get_type_hints
 
 import numpy as np
@@ -48,7 +51,7 @@ from .datagen import (
     generate,
     scenario_split,
 )
-from .ensemble import RewardSpec, SolverConfig, WeightedEnsemble
+from .ensemble import SolverConfig, WeightedEnsemble
 from .learner import LearnerConfig, fit_logistic
 
 __all__ = [
@@ -72,13 +75,12 @@ __all__ = [
     "summary_table",
 ]
 
-# agent names per strategy, in roster order
+# the only naming of the agents: each strategy's roster, in order
 _ROSTERS = {
     "ensemble2": ("ld1", "ral1"),
     "ensemble4": ("ld1", "ral1", "ld2", "ral2"),
     "ensemble6": ("ld1", "ral1", "ld2", "ral2", "spf1", "ral3"),
-    **{name: (name,) for name in ("ld1", "ld2", "spf1", "ral1", "ral2", "ral3",
-                                  "us", "rs")},
+    **{name: (name,) for name in ("ld1", "ld2", "spf1", "ral1", "ral2", "ral3", "us", "rs")},
 }
 STRATEGIES = tuple(_ROSTERS)
 
@@ -87,12 +89,15 @@ CASE_STUDY_POOL_SIZE = 10
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: data source, strategy, solver and agent settings.
+    """One experiment: data source, strategy, solver, reward and agent settings.
 
     Agent defaults are the stock roster: two low-density agents and one
     space-filling agent on one shared window, and three certainty-threshold
-    agents at staggered thresholds and learning rates. The run seed arrives
-    separately so one config replicates cleanly.
+    agents at staggered thresholds and learning rates. An acquisition pays
+    ``informative_reward`` for a label the model got wrong, else
+    ``redundant_reward``, and the agents that voted for it get that amount
+    back, negated when redundant. The run seed arrives separately so one
+    config replicates cleanly.
     """
 
     strategy: str = "ensemble6"
@@ -103,7 +108,8 @@ class ExperimentConfig:
     eval_every: int = 25
     solver: SolverConfig = SolverConfig()
     epsilon: float = 0.01
-    rewards: RewardSpec = RewardSpec()
+    informative_reward: float = 1.0
+    redundant_reward: float = 0.5
     learner: LearnerConfig = LearnerConfig()
     us_threshold: float = 0.7
     ld1_window: int = 100
@@ -119,6 +125,13 @@ class ExperimentConfig:
     ral3_rate: float = 0.01
 
     def __post_init__(self):
+        # update_weights accepts rewards in [0, 1]; zero is the pass reward
+        for name, level in (("informative", self.informative_reward),
+                            ("redundant", self.redundant_reward)):
+            if not 0.0 < level <= 1.0:
+                raise ValueError(f"{name} reward must lie in (0, 1], got {level}")
+        if self.redundant_reward >= self.informative_reward:
+            raise ValueError("redundant reward must stay below informative")
         if self.strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown strategy {self.strategy!r}; choose from {', '.join(STRATEGIES)}")
@@ -131,44 +144,41 @@ class ExperimentConfig:
             raise ValueError(
                 f"n = {self.generator.n}: nothing left for the stream after test and "
                 f"initial pool; n must exceed the initial pool's {INITIAL_POOL_SIZE} rows")
-        # Build every configured agent once, whatever the strategy: `bench`
-        # swaps the strategy after parsing, so a bad setting must fail here
-        # rather than when a run first builds it.
-        window = SlidingWindow(max(1, self.ld1_window, self.ld2_window, self.spf1_window) + 1)
-        for name, make in self._agent_factories(window).items():
+        # `bench` swaps the strategy after parsing, so every agent is built
+        # once here, whatever the strategy: a bad setting fails now, not mid-run.
+        self._roster([name for name, names in _ROSTERS.items() if names == (name,)], 0, 1)
+
+    def _roster(self, names, budget: int,
+                stream_len: int) -> tuple[SlidingWindow | None, list[Agent]]:
+        """The agents ``names`` lists, in its order, and their shared window, one
+        longer than their longest window length to hold the sample under vote
+        (None without one). An agent's ValueError names the agent."""
+        lengths = [getattr(self, f"{name}_window") for name in names
+                   if hasattr(self, f"{name}_window")]
+        window = SlidingWindow(max(1, *lengths) + 1) if lengths else None
+        ral = partial(CertaintyThresholdAgent, penalty=-self.redundant_reward, epsilon=self.epsilon)
+        make = {
+            "ld1": lambda: LowDensityAgent(window, self.ld1_window, self.ld1_sparsity),
+            "ld2": lambda: LowDensityAgent(window, self.ld2_window, self.ld2_sparsity),
+            "spf1": lambda: SpaceFillingAgent(window, self.spf1_window),
+            "ral1": lambda: ral(self.ral1_threshold, self.ral1_rate),
+            "ral2": lambda: ral(self.ral2_threshold, self.ral2_rate),
+            "ral3": lambda: ral(self.ral3_threshold, self.ral3_rate),
+            "us": lambda: UncertaintyBaseline(self.us_threshold),
+            "rs": lambda: RandomBaseline(budget, stream_len),
+        }
+        agents = []
+        for name in names:
             try:
-                make()
+                agents.append(make[name]())
             except ValueError as exc:
                 raise ValueError(f"agent {name}: {exc}") from None
-
-    def _agent_factories(self, window: SlidingWindow | None) -> dict:
-        """Constructors of every agent this config sets; window agents read ``window``."""
-        def ral(threshold, rate, name):
-            return CertaintyThresholdAgent(
-                threshold, rate, penalty=-self.rewards.redundant, name=name,
-                epsilon=self.epsilon)
-
-        return {
-            "ld1": lambda: LowDensityAgent(window, self.ld1_window, self.ld1_sparsity, name="ld1"),
-            "ld2": lambda: LowDensityAgent(window, self.ld2_window, self.ld2_sparsity, name="ld2"),
-            "spf1": lambda: SpaceFillingAgent(window, self.spf1_window, name="spf1"),
-            "ral1": lambda: ral(self.ral1_threshold, self.ral1_rate, "ral1"),
-            "ral2": lambda: ral(self.ral2_threshold, self.ral2_rate, "ral2"),
-            "ral3": lambda: ral(self.ral3_threshold, self.ral3_rate, "ral3"),
-            "us": lambda: UncertaintyBaseline(self.us_threshold, name="us"),
-        }
+        return window, agents
 
     def build_roster(self, budget: int,
                      stream_len: int) -> tuple[SlidingWindow | None, list[Agent]]:
-        """The strategy's shared window, one longer than its agents' longest window
-        length to hold the sample under vote (None without one), and its agents."""
-        names = _ROSTERS[self.strategy]
-        lengths = [getattr(self, f"{name}_window") for name in names
-                   if hasattr(self, f"{name}_window")]
-        window = SlidingWindow(max(lengths) + 1) if lengths else None
-        factories = self._agent_factories(window)
-        factories["rs"] = lambda: RandomBaseline(budget, stream_len, name="rs")
-        return window, [factories[name]() for name in names]
+        """The strategy's shared window (None without one) and its agents."""
+        return self._roster(_ROSTERS[self.strategy], budget, stream_len)
 
 
 @dataclass(frozen=True)
@@ -265,8 +275,8 @@ class StreamRunner:
                     raise RuntimeError(f"oracle returned no label at step {self.t}")
                 truth = int(label)
                 informative = predicted != truth
-                rewards = self.config.rewards
-                reward = rewards.informative if informative else rewards.redundant
+                reward = (self.config.informative_reward if informative
+                          else self.config.redundant_reward)
                 feedback = reward if informative else -reward
                 for agent, vote in zip(self.agents, votes):
                     if vote >= 0.5:
@@ -545,8 +555,6 @@ def _atomic_write(path: str, text: str) -> None:
 _NESTED_KEYS = {
     **{name: ("generator", name) for name in (
         "n", "p", "positive_share", "flip_share", "noise_share", "class_sep")},
-    "informative_reward": ("rewards", "informative"),
-    "redundant_reward": ("rewards", "redundant"),
     "penalty": ("learner", "penalty"),
     "penalty_strength": ("learner", "strength"),
     "max_iter": ("learner", "max_iter"),

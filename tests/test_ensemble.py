@@ -15,7 +15,6 @@ from streamacq.ensemble import (
     N_ARMS,
     WEIGHT_FLOOR,
     JointDecision,
-    RewardSpec,
     SolverConfig,
     WeightedEnsemble,
 )
@@ -49,22 +48,6 @@ def chart_variance(ens):
     if ens.steps < 2:
         return np.zeros(ens.n_experts)
     return np.array(ens.obs_m2) / (ens.steps - 1)
-
-
-class TestRewardSpec:
-    def test_defaults(self):
-        spec = RewardSpec()
-        assert spec.informative == 1.0
-        assert spec.redundant == 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RewardSpec(informative=0.0)
-        with pytest.raises(ValueError):
-            RewardSpec(informative=0.5, redundant=0.5)
-        with pytest.raises(ValueError):
-            RewardSpec(informative=1.5)
-        RewardSpec(informative=1.0, redundant=0.999)
 
 
 class TestSolverConfig:

@@ -5,7 +5,7 @@ import json
 import math
 import os
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from streamacq.datagen import (
     generate,
     scenario_split,
 )
-from streamacq.ensemble import RewardSpec, SolverConfig
+from streamacq.ensemble import SolverConfig
 import streamacq.harness as harness
 from streamacq.harness import (
     CASE_STUDY_POOL_SIZE,
@@ -68,6 +68,29 @@ def assert_window_holds(window, rows):
 
 def small_config(strategy="rs", **kwargs):
     return ExperimentConfig(strategy=strategy, generator=SMALL_GEN, **kwargs)
+
+
+# every agent setting at a distinct value away from its default, so that a
+# setting handed to the wrong agent or the wrong field shows
+DISTINCT_AGENT_SETTINGS = ExperimentConfig(
+    epsilon=0.02, redundant_reward=0.3, us_threshold=0.65,
+    ld1_window=31, ld1_sparsity=0.021, ld2_window=47, ld2_sparsity=0.013, spf1_window=23,
+    ral1_threshold=0.91, ral1_rate=0.003, ral2_threshold=0.87, ral2_rate=0.007,
+    ral3_threshold=0.83, ral3_rate=0.011)
+
+# each agent's exact type and its settings under DISTINCT_AGENT_SETTINGS, on a
+# budget of 37 in 500
+AGENT_SPECS = {
+    "ld1": (LowDensityAgent, {"length": 31, "sparsity_level": 0.021}),
+    "ld2": (LowDensityAgent, {"length": 47, "sparsity_level": 0.013}),
+    "spf1": (SpaceFillingAgent, {"length": 23}),
+    **{name: (CertaintyThresholdAgent, {"threshold": threshold, "learning_rate": rate,
+                                        "penalty": -0.3, "epsilon": 0.02})
+       for name, threshold, rate in (("ral1", 0.91, 0.003), ("ral2", 0.87, 0.007),
+                                     ("ral3", 0.83, 0.011))},
+    "us": (UncertaintyBaseline, {"threshold": 0.65}),
+    "rs": (RandomBaseline, {"rate": 37 / 500}),
+}
 
 
 def roster(strategy):
@@ -112,8 +135,8 @@ class TestConfigParsing:
         assert cfg.generator.n == 500
         assert cfg.generator.p == 8
         assert cfg.generator.flip_share == 0.03
-        assert cfg.rewards.informative == 0.8
-        assert cfg.rewards.redundant == 0.25
+        assert cfg.informative_reward == 0.8
+        assert cfg.redundant_reward == 0.25
         assert cfg.learner.penalty == "l2"
         assert cfg.learner.strength == 0.5
         assert cfg.learner.max_iter == 200
@@ -131,29 +154,34 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="reward must lie in"):
             parse_config_text(line)
 
-    @pytest.mark.parametrize("text", [
-        "spf1_window = 1",
-        "ld1_window = 0",
-        "ld2_sparsity = 0",
-        "ld1_sparsity = 2",
-        "ral1_threshold = 0",
-        "ral2_rate = 0",
-        "ral1_rate = nan",
-        "ral2_rate = nan",
-        "ral3_rate = inf",
-        "us_threshold = 0",
-        "strategy = rs\nspf1_window = 1",
-        "strategy = ral1\nld2_window = 0",
-        "epsilon = 1.5",
-        "strategy = ld1\nepsilon = -0.1",
+    @pytest.mark.parametrize("text, message", [
+        ("spf1_window = 1", "agent spf1: space-filling window needs length >= 2"),
+        ("ld1_window = 0", "agent ld1: window length must lie in [1, 150], got 0"),
+        ("ld2_sparsity = 0", "agent ld2: sparsity level must lie in (0, 1], got 0.0"),
+        ("ld1_sparsity = 2", "agent ld1: sparsity level must lie in (0, 1], got 2.0"),
+        ("ral1_threshold = 0", "agent ral1: threshold must lie in (0, 1], got 0.0"),
+        ("ral2_rate = 0", "agent ral2: learning rate must be positive and finite, got 0.0"),
+        ("ral1_rate = nan", "agent ral1: learning rate must be positive and finite, got nan"),
+        ("ral2_rate = nan", "agent ral2: learning rate must be positive and finite, got nan"),
+        ("ral3_rate = inf", "agent ral3: learning rate must be positive and finite, got inf"),
+        ("us_threshold = 0", "agent us: threshold must lie in (0, 1], got 0.0"),
+        ("strategy = rs\nspf1_window = 1", "agent spf1: space-filling window needs length >= 2"),
+        ("strategy = ral1\nld2_window = 0",
+         "agent ld2: window length must lie in [1, 100], got 0"),
+        ("epsilon = 1.5", "agent ral1: epsilon must lie in [0, 1], got 1.5"),
+        ("strategy = ld1\nepsilon = -0.1", "agent ral1: epsilon must lie in [0, 1], got -0.1"),
+        # with no positive length the one shared window holds a single member
+        ("ld1_window = -5\nld2_window = -5\nspf1_window = -5",
+         "agent ld1: window length must lie in [1, 1], got -5"),
     ])
-    def test_agent_setting_an_agent_would_refuse_rejected(self, text):
-        """A bad agent setting fails at parse time, even outside the roster.
+    def test_agent_setting_an_agent_would_refuse_rejected(self, text, message):
+        """A bad agent setting fails at parse time, even outside the roster,
+        with the agent's own message behind its name.
 
         ``bench`` swaps the strategy of a parsed config, so a setting only
         another roster reads must not wait for that roster to crash.
         """
-        with pytest.raises(ValueError, match="agent "):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_config_text(text)
 
     @pytest.mark.parametrize("text, message", [
@@ -316,10 +344,27 @@ class TestExperimentConfig:
         for strategy in STRATEGIES:
             assert roster(strategy)
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_roster_members_carry_their_own_settings(self, strategy):
+        """Every member has its exact type, in roster order, and its own
+        settings; the window agents share one window one longer than the
+        longest of their lengths, and a roster without one builds none."""
+        names = harness._ROSTERS[strategy]
+        window, agents = replace(DISTINCT_AGENT_SETTINGS, strategy=strategy).build_roster(37, 500)
+        assert [type(agent) for agent in agents] == [AGENT_SPECS[name][0] for name in names]
+        for agent, name in zip(agents, names):
+            settings = AGENT_SPECS[name][1]
+            assert {key: getattr(agent, key) for key in settings} == settings
+        lengths = [AGENT_SPECS[name][1]["length"] for name in names
+                   if "length" in AGENT_SPECS[name][1]]
+        if not lengths:
+            assert window is None
+            return
+        assert window.capacity == max(lengths) + 1
+        assert all(agent.window is window for agent in agents if hasattr(agent, "length"))
+
     def test_ensemble6_composition(self):
         agents = roster("ensemble6")
-        assert [a.name for a in agents] == ["ld1", "ral1", "ld2", "ral2",
-                                            "spf1", "ral3"]
         assert isinstance(agents[0], LowDensityAgent)
         assert isinstance(agents[4], SpaceFillingAgent)
         for idx in (1, 3, 5):
@@ -333,6 +378,20 @@ class TestExperimentConfig:
         assert agents[3].learning_rate == 0.01
         assert agents[5].threshold == 0.90
         assert agents[5].penalty == -0.5
+
+    def test_reward_level_defaults(self):
+        config = ExperimentConfig()
+        assert (config.informative_reward, config.redundant_reward) == (1.0, 0.5)
+
+    def test_reward_levels_validated(self):
+        for levels, message in (
+                ({"informative_reward": 0.0}, "informative reward must lie in (0, 1], got 0.0"),
+                ({"informative_reward": 0.5, "redundant_reward": 0.5},
+                 "redundant reward must stay below informative"),
+                ({"informative_reward": 1.5}, "informative reward must lie in (0, 1], got 1.5")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                ExperimentConfig(**levels)
+        ExperimentConfig(informative_reward=1.0, redundant_reward=0.999)
 
     def test_exploration_agents_have_no_epsilon_floor(self):
         agents = roster("ensemble6")
@@ -393,7 +452,7 @@ class TestStreamRunner:
 
         class Recording(Agent):
             def __init__(self, agent):
-                self.agent, self.name = agent, agent.name
+                self.agent = agent
                 self.votes, self.feedback = [], {}  # feedback: vote index -> reward
 
             def propose(self, ctx):
@@ -404,7 +463,7 @@ class TestStreamRunner:
                 self.feedback[len(self.votes) - 1] = signed_reward
                 self.agent.reinforce(signed_reward)
 
-        config = small_config("ensemble6", rewards=RewardSpec(informative=0.8, redundant=0.25))
+        config = small_config("ensemble6", informative_reward=0.8, redundant_reward=0.25)
         runner = StreamRunner(config, 0, split)
         assert [agent.penalty for agent in runner.agents[1::2]] == [-0.25] * 3  # the ral agents
         runner.agents = [Recording(agent) for agent in runner.agents]

@@ -54,6 +54,32 @@ def test_every_imported_name_is_used(source):
     assert sorted(imported - used) == TRACER_ONLY_IMPORTS.get(source.name, [])
 
 
+# every Agent override takes these from the runner, whether it reads them or not
+AGENT_INTERFACE_PARAMETERS = {("propose", "ctx"), ("reinforce", "signed_reward")}
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_every_parameter_is_used(source):
+    """A parameter that a fold leaves behind fails here: each parameter of
+    each function or lambda but a method's ``self`` is read in its body."""
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    unread = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if arg is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {name.id for statement in body for name in ast.walk(statement)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        function = getattr(node, "name", "<lambda>")
+        unread += [(function, param) for param in params
+                   if param not in read and param != "self"
+                   and (function, param) not in AGENT_INTERFACE_PARAMETERS]
+    assert unread == []
+
+
 def run_child(script, *args):
     """Run ``script`` in a fresh interpreter that imports this same package,
     installed or not; returns the finished process."""

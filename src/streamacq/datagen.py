@@ -2,8 +2,9 @@
 
 Four Gaussian-ish clusters sit on hypercube vertices, two per class, with
 per-cluster random mixing so covariances differ. Difficulty knobs: class
-imbalance, label flips, and appended pure-noise features. A companion
-splitter carves the generated set into test set, initial pool, and stream.
+imbalance, label flips, and appended pure-noise features. Two splitters
+carve a dataset into test set, initial pool, and stream: a class-balanced one
+for generated sets and a time-ordered one for a CSV stream.
 """
 
 from __future__ import annotations
@@ -16,15 +17,18 @@ import numpy as np
 __all__ = [
     "TEST_PER_CLASS",
     "INITIAL_POOL_SIZE",
+    "CASE_STUDY_POOL_SIZE",
     "GeneratorConfig",
     "Dataset",
     "ScenarioSplit",
     "generate",
     "scenario_split",
+    "case_study_split",
 ]
 
 TEST_PER_CLASS = 250
 INITIAL_POOL_SIZE = 20
+CASE_STUDY_POOL_SIZE = 10
 # Features then stay within about 1e100, their squares within 1e200, and the
 # sums of squares a fit or a window forms over any pool stay finite.
 CLASS_SEP_MAX = 1e100
@@ -145,8 +149,12 @@ def generate(config: GeneratorConfig) -> Dataset:
 
     n_flips = math.floor(config.flip_share * config.n)
     if n_flips > 0:
+        # each cluster's last TEST_PER_CLASS // 2 rows keep their labels, so
+        # each class keeps its test rows; the other n rows may flip
+        flippable = np.concatenate([np.arange(end - m, end - TEST_PER_CLASS // 2)
+                                    for end, m in zip(np.cumsum(counts), counts)])
         rng = np.random.default_rng([config.seed, _STAGE_FLIPS])
-        flip_idx = rng.choice(config.total_size, size=n_flips, replace=False)
+        flip_idx = rng.choice(flippable, size=n_flips, replace=False)
         y[flip_idx] = 1 - y[flip_idx]
 
     if config.noise_features > 0:
@@ -172,21 +180,44 @@ class ScenarioSplit:
     budget: int
 
 
+def _roles(test_idx: np.ndarray, n_rows: int,
+           initial_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows outside ``test_idx`` in their order: the first ``initial_size``
+    seed the initial pool, the rest flow through the stream."""
+    in_test = np.zeros(n_rows, dtype=bool)
+    in_test[test_idx] = True
+    rest = np.flatnonzero(~in_test)
+    if rest.size <= initial_size:
+        raise ValueError("nothing left for the stream after test and initial pool")
+    return rest[:initial_size], rest[initial_size:]
+
+
+def _split(features: np.ndarray, labels: np.ndarray, test_idx: np.ndarray, initial: np.ndarray,
+           stream: np.ndarray, budget_fraction: float) -> ScenarioSplit:
+    """The roles' rows, and a budget of the given fraction of the stream, rounded."""
+    if not 0.0 < budget_fraction <= 1.0:
+        raise ValueError("budget fraction must lie in (0, 1]")
+    return ScenarioSplit(
+        initial_features=features[initial],
+        initial_labels=labels[initial],
+        stream_features=features[stream],
+        stream_labels=labels[stream],
+        test_features=features[test_idx],
+        test_labels=labels[test_idx],
+        budget=round(budget_fraction * stream.size),
+    )
+
+
 def scenario_split(dataset: Dataset, seed: int,
                    budget_fraction: float = 0.10) -> ScenarioSplit:
     """Carve test set, initial pool, and stream out of a generated dataset.
 
     A class-balanced test set comes out first, the next rows seed the initial
     pool (swapping one row in from the stream if the pool landed single-class),
-    and everything left flows through the stream in order. The budget is the
-    given fraction of the stream length, rounded.
+    and everything left flows through the stream in order.
     """
-    if not 0.0 < budget_fraction <= 1.0:
-        raise ValueError("budget fraction must lie in (0, 1]")
     y = dataset.labels
-    n_total = y.shape[0]
     rng = np.random.default_rng([seed, _STAGE_SPLIT])
-
     test_idx = []
     for cls in (0, 1):
         members = np.flatnonzero(y == cls)
@@ -196,14 +227,7 @@ def scenario_split(dataset: Dataset, seed: int,
         test_idx.append(rng.choice(members, size=TEST_PER_CLASS, replace=False))
     test_idx = np.concatenate(test_idx)
 
-    in_test = np.zeros(n_total, dtype=bool)
-    in_test[test_idx] = True
-    rest = np.flatnonzero(~in_test)
-    if rest.size <= INITIAL_POOL_SIZE:
-        raise ValueError("nothing left for the stream after test and initial pool")
-
-    initial = rest[:INITIAL_POOL_SIZE].copy()
-    stream = rest[INITIAL_POOL_SIZE:].copy()
+    initial, stream = _roles(test_idx, y.shape[0], INITIAL_POOL_SIZE)
     initial_classes = set(y[initial].tolist())
     if len(initial_classes) == 1:
         missing = 1 - next(iter(initial_classes))
@@ -211,14 +235,22 @@ def scenario_split(dataset: Dataset, seed: int,
         if candidates.size > 0:  # trade the pool's last row for the stream's first match
             j = candidates[0]
             initial[-1], stream[j] = stream[j], initial[-1]
+    return _split(dataset.features, y, test_idx, initial, stream, budget_fraction)
 
-    budget = round(budget_fraction * stream.size)
-    return ScenarioSplit(
-        initial_features=dataset.features[initial],
-        initial_labels=y[initial],
-        stream_features=dataset.features[stream],
-        stream_labels=y[stream],
-        test_features=dataset.features[test_idx],
-        test_labels=y[test_idx],
-        budget=budget,
-    )
+
+def case_study_split(features: np.ndarray, labels: np.ndarray, seed: int,
+                     initial_size: int = CASE_STUDY_POOL_SIZE,
+                     budget_fraction: float = 0.10) -> ScenarioSplit:
+    """Time-ordered split: one contiguous wrap-around block becomes the test set.
+
+    A third of the rows (floor), starting at a seeded uniform index and
+    wrapping past the end, are held out; the rest keep their original order,
+    with the first ``initial_size`` rows seeding the pool.
+    """
+    n = labels.shape[0]
+    if n < 30:
+        raise ValueError("case-study split needs at least 30 rows")
+    rng = np.random.default_rng([seed, STAGE_CASE_SPLIT])
+    test_idx = (int(rng.integers(n)) + np.arange(n // 3)) % n
+    initial, stream = _roles(test_idx, n, initial_size)
+    return _split(features, labels, test_idx, initial, stream, budget_fraction)

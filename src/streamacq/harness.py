@@ -45,18 +45,17 @@ from .datagen import (
     INITIAL_POOL_SIZE,
     Dataset,
     GeneratorConfig,
-    STAGE_CASE_SPLIT,
     STAGE_RUN,
     ScenarioSplit,
+    case_study_split,
     generate,
     scenario_split,
 )
 from .ensemble import SolverConfig, WeightedEnsemble
-from .learner import LearnerConfig, fit_logistic
+from .learner import LearnerConfig, fit_logistic, predicted_class
 
 __all__ = [
     "STRATEGIES",
-    "CASE_STUDY_POOL_SIZE",
     "CONFIG_KEYS",
     "ExperimentConfig",
     "StepRecord",
@@ -67,7 +66,6 @@ __all__ = [
     "run_replications",
     "strategy_configs",
     "load_csv_stream",
-    "case_study_split",
     "export_results",
     "write_dataset_csv",
     "parse_config_text",
@@ -83,8 +81,6 @@ _ROSTERS = {
     **{name: (name,) for name in ("ld1", "ld2", "spf1", "ral1", "ral2", "ral3", "us", "rs")},
 }
 STRATEGIES = tuple(_ROSTERS)
-
-CASE_STUDY_POOL_SIZE = 10
 
 
 @dataclass(frozen=True)
@@ -261,9 +257,8 @@ class StreamRunner:
         reward, acquired, flipped = 0.0, False, False
         if self.budget_used < self.split.budget:
             p1 = self.model.positive_proba(v)
-            p0 = 1.0 - p1
-            predicted = int(p1 > p0)  # predicted_class: a tie goes to class 0
-            ctx = AcquisitionContext(features=v, certainty=max(p0, p1))
+            predicted = predicted_class(p1)
+            ctx = AcquisitionContext(features=v, certainty=max(1.0 - p1, p1))
             if self.window is not None:
                 self.window.push(ctx.features)
             votes = [agent.propose(ctx) for agent in self.agents]
@@ -332,16 +327,10 @@ def run_experiment(config: ExperimentConfig, seed: int) -> RunMetrics:
     if config.dataset is not None:
         features, labels = load_csv_stream(config.dataset, config.label_column)
         split = case_study_split(features, labels, seed,
-                                 initial_size=CASE_STUDY_POOL_SIZE,
                                  budget_fraction=config.budget_fraction)
     else:
-        gen = replace(config.generator, seed=seed)
-        data = generate(gen)
-        try:
-            split = scenario_split(data, seed, config.budget_fraction)
-        except ValueError as err:  # label flips can leave a class short
-            raise ValueError(f"{err} (n = {gen.n}, positive_share = {gen.positive_share}, "
-                             f"flip_share = {gen.flip_share}, seed = {seed})") from err
+        data = generate(replace(config.generator, seed=seed))
+        split = scenario_split(data, seed, config.budget_fraction)
     return StreamRunner(config, seed, split).run()
 
 
@@ -451,43 +440,6 @@ def load_csv_stream(path: str, label_column: str = "label"):
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.asarray(rows, dtype=float), np.asarray(labels, dtype=int)
-
-
-def case_study_split(features: np.ndarray, labels: np.ndarray, seed: int,
-                     initial_size: int = CASE_STUDY_POOL_SIZE,
-                     budget_fraction: float = 0.10) -> ScenarioSplit:
-    """Time-ordered split: one contiguous wrap-around block becomes the test set.
-
-    A third of the rows (floor), starting at a seeded uniform index and
-    wrapping past the end, are held out; the rest keep their original order,
-    with the first ``initial_size`` rows seeding the pool.
-    """
-    n = labels.shape[0]
-    if n < 30:
-        raise ValueError("case-study split needs at least 30 rows")
-    if not 0.0 < budget_fraction <= 1.0:
-        raise ValueError("budget fraction must lie in (0, 1]")
-    rng = np.random.default_rng([seed, STAGE_CASE_SPLIT])
-    start = int(rng.integers(n))
-    block = n // 3
-    test_idx = (start + np.arange(block)) % n
-    in_test = np.zeros(n, dtype=bool)
-    in_test[test_idx] = True
-    train_idx = np.flatnonzero(~in_test)
-    if train_idx.size <= initial_size:
-        raise ValueError("nothing left for the stream after the initial pool")
-    initial = train_idx[:initial_size]
-    stream = train_idx[initial_size:]
-    budget = round(budget_fraction * stream.size)
-    return ScenarioSplit(
-        initial_features=features[initial],
-        initial_labels=labels[initial],
-        stream_features=features[stream],
-        stream_labels=labels[stream],
-        test_features=features[test_idx],
-        test_labels=labels[test_idx],
-        budget=budget,
-    )
 
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:

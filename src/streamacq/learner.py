@@ -94,9 +94,14 @@ class LearnerConfig:
             raise ValueError(f"grad_tol must be nonnegative, got {self.grad_tol}")
 
 
-def predicted_class(proba: np.ndarray) -> np.ndarray:
-    """Class with the larger probability along the last axis; a tie goes to class 0."""
-    return (proba[..., 1] > proba[..., 0]).astype(int)
+def predicted_class(p1: float | np.ndarray) -> bool | np.ndarray:
+    """Whether class 1 is predicted from its probability ``p1`` (a float or an
+    array): ``p1 > 1/2``, so a tie, and NaN, go to class 0.
+
+    The same as ``p1 > 1 - p1`` bit for bit: ``1 - p1`` is exact for ``p1 >=
+    1/2`` (Sterbenz) and rounds to at least 1/2 below it.
+    """
+    return p1 > 0.5
 
 
 @dataclass
@@ -164,10 +169,10 @@ class LogisticModel:
         return proba
 
     def predict(self, x) -> int:
-        return int(predicted_class(self.predict_proba(x)))
+        return int(predicted_class(self.predict_proba(x)[1]))
 
     def predict_batch(self, X) -> np.ndarray:
-        return predicted_class(self.predict_proba_batch(X))
+        return predicted_class(self.predict_proba_batch(X)[:, 1]).astype(int)
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:

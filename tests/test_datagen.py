@@ -1,15 +1,19 @@
-"""Tests for the synthetic stream generator and the scenario splitter."""
+"""Tests for the synthetic stream generator and the two splitters."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from streamacq.datagen import (
+    CASE_STUDY_POOL_SIZE,
     INITIAL_POOL_SIZE,
+    STAGE_CASE_SPLIT,
     TEST_PER_CLASS,
     Dataset,
     GeneratorConfig,
-    ScenarioSplit,
     _cluster_centroids,
+    case_study_split,
     generate,
     scenario_split,
 )
@@ -173,3 +177,98 @@ class TestScenarioSplit:
         assert pools.shape[0] == data.features.shape[0]
         seen = {row.tobytes() for row in pools}
         assert len(seen) == len({row.tobytes() for row in data.features})
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(21, 3000), p=st.integers(2, 20),
+           positive_share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           flip_share=st.floats(0.0, 1.0, exclude_max=True),
+           noise_share=st.floats(0.0, 1.0, exclude_max=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_accepted_generator_config_splits(self, n, p, positive_share,
+                                                    flip_share, noise_share, seed):
+        """Whatever the shares, each class keeps its test rows, and the three
+        roles partition the generated rows."""
+        try:
+            cfg = GeneratorConfig(n=n, p=p, positive_share=positive_share,
+                                  flip_share=flip_share, noise_share=noise_share, seed=seed)
+        except ValueError:
+            assume(False)
+        data = generate(cfg)
+        # a row-number column rides along; the split reads only the labels
+        tagged = Dataset(np.column_stack([data.features, np.arange(cfg.total_size)]),
+                         data.labels)
+        split = scenario_split(tagged, seed)
+        assert np.bincount(split.test_labels, minlength=2).tolist() == [TEST_PER_CLASS] * 2
+        rows = [roles[:, -1].astype(int) for roles in
+                (split.test_features, split.initial_features, split.stream_features)]
+        assert sorted(np.concatenate(rows).tolist()) == list(range(n + 2 * TEST_PER_CLASS))
+        for ids, labels in zip(rows, (split.test_labels, split.initial_labels,
+                                      split.stream_labels)):
+            np.testing.assert_array_equal(labels, data.labels[ids])
+
+
+class TestCaseStudySplit:
+    def make_rows(self, n, p=2):
+        features = np.arange(n * p, dtype=float).reshape(n, p)
+        labels = (np.arange(n) % 2).astype(int)
+        return features, labels
+
+    def test_matches_wraparound_construction(self):
+        n, seed = 100, 3
+        features, labels = self.make_rows(n)
+        split = case_study_split(features, labels, seed)
+        rng = np.random.default_rng([seed, STAGE_CASE_SPLIT])
+        start = int(rng.integers(n))
+        test_idx = (start + np.arange(n // 3)) % n
+        in_test = np.zeros(n, dtype=bool)
+        in_test[test_idx] = True
+        train_idx = np.flatnonzero(~in_test)
+        np.testing.assert_array_equal(split.test_features, features[test_idx])
+        np.testing.assert_array_equal(
+            split.initial_features, features[train_idx[:CASE_STUDY_POOL_SIZE]])
+        np.testing.assert_array_equal(
+            split.stream_features, features[train_idx[CASE_STUDY_POOL_SIZE:]])
+
+    def test_partition_sizes(self):
+        features, labels = self.make_rows(90)
+        split = case_study_split(features, labels, 0)
+        assert split.test_labels.shape[0] == 30
+        assert split.initial_labels.shape[0] == 10
+        assert split.stream_labels.shape[0] == 50
+        assert split.budget == round(0.10 * 50)
+
+    def test_stream_keeps_original_order(self):
+        features, labels = self.make_rows(120)
+        split = case_study_split(features, labels, 7)
+        first_col = split.stream_features[:, 0]
+        assert np.all(np.diff(first_col) > 0)
+
+    def test_partition_is_exact(self):
+        features, labels = self.make_rows(75)
+        split = case_study_split(features, labels, 5)
+        seen = np.concatenate([split.initial_features[:, 0],
+                               split.stream_features[:, 0],
+                               split.test_features[:, 0]])
+        assert sorted(seen.tolist()) == sorted(features[:, 0].tolist())
+
+    def test_too_few_rows_rejected(self):
+        features, labels = self.make_rows(29)
+        with pytest.raises(ValueError, match="at least 30"):
+            case_study_split(features, labels, 0)
+
+    def test_initial_pool_cannot_swallow_stream(self):
+        features, labels = self.make_rows(30)
+        with pytest.raises(ValueError, match="nothing left"):
+            case_study_split(features, labels, 0, initial_size=25)
+
+    def test_budget_fraction_validated(self):
+        features, labels = self.make_rows(60)
+        with pytest.raises(ValueError, match="budget fraction"):
+            case_study_split(features, labels, 0, budget_fraction=0.0)
+
+    def test_deterministic_per_seed(self):
+        features, labels = self.make_rows(80)
+        one = case_study_split(features, labels, 4)
+        two = case_study_split(features, labels, 4)
+        np.testing.assert_array_equal(one.test_features, two.test_features)
+        np.testing.assert_array_equal(one.stream_features, two.stream_features)

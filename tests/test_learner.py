@@ -96,10 +96,21 @@ class TestPrediction:
         assert model.predict([5.0]) == 0
 
     def test_predicted_class_ties_go_to_class_zero(self):
-        assert predicted_class(np.array([0.5, 0.5])) == 0
-        assert predicted_class(np.array([0.25, 0.75])) == 1
-        np.testing.assert_array_equal(
-            predicted_class(np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])), [0, 1, 0])
+        assert not predicted_class(0.5)
+        assert predicted_class(0.75)
+        np.testing.assert_array_equal(predicted_class(np.array([0.5, 0.8, 0.1])),
+                                      [False, True, False])
+
+    @given(st.one_of(st.floats(0.0, 1.0), st.just(math.nan)),
+           hnp.arrays(np.float64, st.integers(0, 20),
+                      elements=st.one_of(st.floats(0.0, 1.0), st.just(math.nan))))
+    @example(0.5, np.array([0.5, math.nan, 0.5 - 2.0**-54]))
+    def test_predicted_class_is_the_larger_probability(self, p1, batch):
+        """``p1 > 1/2`` decides as ``p1 > 1 - p1`` does, for a float and an
+        array alike, NaN included."""
+        assert predicted_class(p1) == (p1 > 1.0 - p1)
+        np.testing.assert_array_equal(predicted_class(batch),
+                                      batch > np.subtract(1.0, batch))
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(3)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamacq.agents import (
     Agent,
@@ -98,6 +100,28 @@ def split():
 @pytest.fixture(scope="module")
 def metrics():
     return run_experiment(small_config("ensemble2"), 0)
+
+
+# config-file text per key: tiny, huge and boundary floats, NaN and inf, and
+# integers from -1 up (max_iter to 2000, which bounds a run's cost)
+_FLOAT_TEXT = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52,
+                     2.0, 1e100, 1e300, 1.7976931348623157e308, -1.0, math.inf, -math.inf,
+                     math.nan)),
+    st.floats(0.0, 1.0), st.floats()).map(repr)
+_INT_TEXT = st.one_of(st.integers(-1, 3), st.integers(-1, 200), st.integers(-1, 2**63)).map(str)
+_TEXT_BY_PARSER = {
+    float: _FLOAT_TEXT,
+    int: _INT_TEXT,
+    harness._parse_bool: st.sampled_from(("true", "false", "yes", "no", "on", "off", "1", "0")),
+    harness._parse_float_or_auto: st.one_of(st.just("auto"), _FLOAT_TEXT),
+}
+_DRAWN_VALUES = {key: _TEXT_BY_PARSER.get(parse) for key, (_, _, parse) in harness._KEYS.items()
+                 if key not in ("dataset", "label_column", "n", "p")}
+_DRAWN_VALUES.update(strategy=st.sampled_from(STRATEGIES),
+                     penalty=st.sampled_from(("none", "l1", "l2")),
+                     max_iter=st.integers(-1, 2000).map(str))
+assert None not in _DRAWN_VALUES.values()
 
 
 class TestConfigParsing:
@@ -312,6 +336,31 @@ class TestConfigParsing:
         cfg = load_experiment_config(str(path))
         assert cfg.strategy == "ld1"
         assert cfg.generator.n == 600
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data(), st.integers(0, 2**32 - 1))
+    def test_every_accepted_config_runs_clean(self, data, seed):
+        """One to three keys drawn from every key but the CSV route's, on a
+        short generated stream: the parse rejects the config with a message,
+        or a run finishes with finite accuracies, rewards and weights (a
+        numpy warning fails the test)."""
+        keys = data.draw(st.lists(st.sampled_from(sorted(_DRAWN_VALUES)), unique=True,
+                                  min_size=1, max_size=3))
+        lines = {"n": data.draw(st.integers(21, 80)), "p": data.draw(st.integers(2, 5))}
+        lines.update({key: data.draw(_DRAWN_VALUES[key], label=key) for key in keys})
+        try:
+            config = parse_config_text("\n".join(f"{k} = {v}" for k, v in lines.items()))
+        except ValueError as exc:
+            assert str(exc)
+            return
+        metrics = run_experiment(config, seed)
+        values = [metrics.initial_accuracy, metrics.final_accuracy, metrics.cumulative_reward]
+        for record in metrics.records:
+            values += [record.reward, *record.weights]
+            if record.accuracy is not None:
+                values.append(record.accuracy)
+        assert all(math.isfinite(v) for v in values)
 
 
 class TestExperimentConfig:

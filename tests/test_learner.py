@@ -338,6 +338,13 @@ def soft_threshold(w, by):
     return np.sign(w) * np.maximum(np.abs(w) - by, 0.0)
 
 
+def stop_tested(moved, config):
+    """Whether the stop is tested on move ``moved`` (counted from 0): the
+    last move of each block of ``_STOP_BLOCK``, and the last before
+    ``max_iter``. A move that passes the test is not applied."""
+    return (moved + 1) % _STOP_BLOCK == 0 or moved + 1 == config.max_iter
+
+
 def reference_fit(X, y, config):
     """The descent of :func:`fit_logistic`, one fresh array per operation;
     returns the parameters and the number of moves applied. Under L1 the
@@ -357,7 +364,7 @@ def reference_fit(X, y, config):
         if l1:
             after = soft_threshold(after, step * config.strength)
             gw = (w - after) / step
-        if float(np.sqrt(gw @ gw + gb * gb)) < config.grad_tol:
+        if stop_tested(moved, config) and float(np.sqrt(gw @ gw + gb * gb)) < config.grad_tol:
             return w, b, moved
         w = after
         b = b - step * gb
@@ -375,7 +382,7 @@ def descent_step(X, config):
 
 def augmented_reference_fit(X, y, config, path=None, move_norms=None):
     """The descent of :func:`fit_logistic` on the sign-folded design, one fresh
-    array per operation and the stop test after every iteration: the bias is
+    array per operation and the stop test of :func:`stop_tested`: the bias is
     the last entry of ``theta``, and the rows of positive labels are negated
     so the residual is the sigmoid alone, taken as ``1/2 + tanh(z/2)/2``. The
     design is halved, so its product with ``theta`` is ``z/2``; the step, the
@@ -384,8 +391,8 @@ def augmented_reference_fit(X, y, config, path=None, move_norms=None):
     soft-thresholded by ``step * strength`` and the move is ``theta`` minus
     the new iterate. Returns the parameters and the number of moves applied.
     ``path``, when given, receives ``theta`` at the start and after each
-    move; ``move_norms`` receives the norm of each iteration's move, which the
-    stop test compares with ``step * grad_tol``."""
+    move; ``move_norms`` receives the norm of each move, tested or not, which
+    the stop test compares with ``step * grad_tol``."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
@@ -408,7 +415,7 @@ def augmented_reference_fit(X, y, config, path=None, move_norms=None):
         norm = float(np.sqrt(move @ move))
         if move_norms is not None:
             move_norms.append(norm)
-        if norm < step * config.grad_tol:
+        if stop_tested(moved, config) and norm < step * config.grad_tol:
             break
         theta = after
         moved += 1
@@ -474,8 +481,8 @@ class TestFitMatchesAllocatingReference:
         path = []
         model = assert_fits_reference(X, y, config, path)
         # a fit capped at `cap` moves keeps the first moves of the full one
-        capped = fit_logistic(X, y, replace(config, max_iter=cap))
-        assert capped.n_iter == min(cap, model.n_iter)
+        capped = assert_fits_reference(X, y, replace(config, max_iter=cap))
+        assert capped.n_iter <= min(cap, model.n_iter)
         assert np.array_equal(np.append(capped.weights, capped.bias), path[capped.n_iter])
         losses = [loss_value(theta[:-1], theta[-1], X, y, config) for theta in path]
         assert np.all(np.diff(losses) <= 1e-12)
@@ -506,7 +513,8 @@ class TestFitMatchesAllocatingReference:
         assert model.n_iter == moved
 
     def test_strong_ridge_stops_at_the_gradient_tolerance(self):
-        """The iteration where the loop breaks is the mean-gradient reference's."""
+        """The loop breaks where the mean-gradient reference does: on the last
+        move of a block, at parameters whose gradient norm is under ``grad_tol``."""
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 3))
         y = rng.integers(0, 2, size=40)
@@ -514,6 +522,7 @@ class TestFitMatchesAllocatingReference:
         model = assert_fits_reference(X, y, config)
         assert model.n_iter == reference_fit(X, y, config)[2]
         assert model.n_iter < config.max_iter
+        assert (model.n_iter + 1) % _STOP_BLOCK == 0
         assert model.grad_norm < config.grad_tol
 
     def test_fits_share_no_buffer(self):
@@ -527,14 +536,40 @@ class TestFitMatchesAllocatingReference:
 
 
 def grad_tol_stopping_at(X, y, config, iteration):
-    """A ``grad_tol`` under which the descent stops at ``iteration``: midway
-    between that iteration's gradient norm and the smallest one before it."""
+    """A ``grad_tol`` under which a stop test after every move would stop at
+    move ``iteration``: midway between that move's norm and the smallest one
+    before it."""
     norms = []
     augmented_reference_fit(X, y, replace(config, grad_tol=0.0, max_iter=iteration + 1),
                             move_norms=norms)
     earlier = min(norms[:iteration], default=2.0 * norms[iteration] + 1.0)
     assert norms[iteration] < earlier * (1.0 - 1e-6), "no grad_tol stops at this iteration"
     return 0.5 * (norms[iteration] + earlier) / descent_step(X, config)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pools(), st.integers(1, LearnerConfig().max_iter), st.floats(1e-6, 1.0))
+def test_a_stopped_fit_ends_within_a_block_of_the_per_move_stop(pool, cap, share):
+    """The move norm never grows along the descent, so a fit tested once per
+    block stops on the first tested move from the one a test after every move
+    would stop on, fewer than ``_STOP_BLOCK`` moves later, and its gradient
+    norm is under ``grad_tol``. The tolerance is ``share`` of the first move's
+    norm over the step."""
+    X, y, config = pool
+    if np.unique(y).size == 1:
+        return
+    config = replace(config, max_iter=cap)
+    norms = []
+    augmented_reference_fit(X, y, replace(config, grad_tol=0.0), move_norms=norms)
+    step = descent_step(X, config)
+    config = replace(config, grad_tol=share * norms[0] / step)
+    first = next((k for k, norm in enumerate(norms) if norm < step * config.grad_tol), None)
+    model = assert_fits_reference(X, y, config)
+    if first is None:
+        assert model.n_iter == cap
+    else:
+        assert first <= model.n_iter < first + _STOP_BLOCK
+        assert model.grad_norm < config.grad_tol
 
 
 def stop_test_pool():
@@ -544,16 +579,25 @@ def stop_test_pool():
     return X, y
 
 
-class TestBlockStopTest:
-    """The once-per-block stop test stops where a test after every iteration
-    would, on either side of a block boundary, with and without a penalty."""
+EACH_PENALTY = pytest.mark.parametrize("penalty, strength",
+                                      [("none", 0.0), ("l2", 0.1), ("l1", 0.01)])
 
-    @pytest.mark.parametrize("penalty, strength", [("none", 0.0), ("l2", 0.1), ("l1", 0.01)])
-    @pytest.mark.parametrize("iteration", [0, _STOP_BLOCK - 1, _STOP_BLOCK, _STOP_BLOCK + 1,
-                                           None],
+
+class TestBlockStopTest:
+    """The stop is tested on the last move of each block: a fit whose move
+    norm falls under the tolerance stops at the end of that block, on either
+    side of a block boundary, with and without a penalty."""
+
+    @EACH_PENALTY
+    @pytest.mark.parametrize("iteration, stop", [(0, _STOP_BLOCK - 1),
+                                                 (_STOP_BLOCK - 1, _STOP_BLOCK - 1),
+                                                 (_STOP_BLOCK, 2 * _STOP_BLOCK - 1),
+                                                 (_STOP_BLOCK + 1, 2 * _STOP_BLOCK - 1),
+                                                 (None, 3 * _STOP_BLOCK + 7)],
                              ids=["first", "block-end", "next-block", "next-block-second",
                                   "never"])
-    def test_stops_at_the_reference_iteration(self, penalty, strength, iteration):
+    def test_stops_at_the_reference_iteration(self, penalty, strength, iteration, stop):
+        """``iteration`` is the move a test after every move would stop on."""
         X, y = stop_test_pool()
         config = LearnerConfig(penalty=penalty, strength=strength, max_iter=3 * _STOP_BLOCK + 7)
         if iteration is None:
@@ -561,15 +605,17 @@ class TestBlockStopTest:
         else:
             config = replace(config, grad_tol=grad_tol_stopping_at(X, y, config, iteration))
         model = assert_fits_reference(X, y, config)
-        assert model.n_iter == (config.max_iter if iteration is None else iteration)
+        assert model.n_iter == stop
 
-    @pytest.mark.parametrize("penalty, strength", [("none", 0.0), ("l2", 0.1), ("l1", 0.01)])
+    @EACH_PENALTY
     @pytest.mark.parametrize("stops", [False, True], ids=["never-stops", "stops"])
     def test_a_capped_fit_keeps_the_first_moves_of_a_longer_one(self, penalty, strength,
                                                                  stops):
-        """``max_iter=k`` gives the longer fit's parameters after its first k
-        moves, on both sides of a block boundary; past the longer fit's stop,
-        it gives the stopped fit."""
+        """``max_iter=k`` gives the longer fit's parameters after its first
+        moves, on both sides of a block boundary. Under a tolerance a test
+        after every move would stop on at move ``_STOP_BLOCK + 1``, the longer
+        fit stops at its second block's end, and a capped fit stops on its
+        last move from that move on."""
         X, y = stop_test_pool()
         config = LearnerConfig(penalty=penalty, strength=strength, max_iter=2 * _STOP_BLOCK + 2,
                                grad_tol=0.0)
@@ -577,27 +623,34 @@ class TestBlockStopTest:
             config = replace(config, grad_tol=grad_tol_stopping_at(X, y, config, _STOP_BLOCK + 1))
         path = []
         full = assert_fits_reference(X, y, config, path)
-        for cap in (1, 2, _STOP_BLOCK - 1, _STOP_BLOCK, _STOP_BLOCK + 1, _STOP_BLOCK + 2,
-                    2 * _STOP_BLOCK, 2 * _STOP_BLOCK + 1):
+        assert full.n_iter == (2 * _STOP_BLOCK - 1 if stops else config.max_iter)
+        # each cap, and where it stops when the longer fit does
+        for cap, stop in ((1, 1), (2, 2), (_STOP_BLOCK - 1, _STOP_BLOCK - 1),
+                          (_STOP_BLOCK, _STOP_BLOCK), (_STOP_BLOCK + 1, _STOP_BLOCK + 1),
+                          (_STOP_BLOCK + 2, _STOP_BLOCK + 1),
+                          (2 * _STOP_BLOCK, 2 * _STOP_BLOCK - 1),
+                          (2 * _STOP_BLOCK + 1, 2 * _STOP_BLOCK - 1)):
             capped = fit_logistic(X, y, replace(config, max_iter=cap))
-            assert capped.n_iter == min(cap, full.n_iter)
+            assert capped.n_iter == (stop if stops else cap)
             assert np.array_equal(np.append(capped.weights, capped.bias), path[capped.n_iter])
 
-    @pytest.mark.parametrize("penalty, strength", [("none", 0.0), ("l2", 0.1), ("l1", 0.01)])
+    @EACH_PENALTY
     def test_a_norm_on_the_tolerance_stops_with_the_reference(self, penalty, strength):
-        """Tolerances exactly on, and one ulp above, each move norm of the
-        second block: the block's einsum can round a squared norm apart from
-        the per-row dot, and the per-row dot must decide, as in the reference."""
+        """A tolerance exactly on a block's last move norm does not stop the
+        fit there, and one ulp above it does: the test is a strict ``<``."""
         X, y = stop_test_pool()
-        config = LearnerConfig(penalty=penalty, strength=strength, max_iter=2 * _STOP_BLOCK)
+        config = LearnerConfig(penalty=penalty, strength=strength, max_iter=4 * _STOP_BLOCK)
         step = descent_step(X, config)
         norms = []
         augmented_reference_fit(X, y, replace(config, grad_tol=0.0), move_norms=norms)
-        checked = 0
-        for norm in norms[_STOP_BLOCK:]:
-            for tol in (norm, float(np.nextafter(norm, math.inf))):
+        checked = [0, 0]  # tolerances on a norm, one ulp above one
+        for end in range(_STOP_BLOCK - 1, config.max_iter, _STOP_BLOCK):
+            for above, tol, stop in (
+                    (0, norms[end], min(end + _STOP_BLOCK, config.max_iter)),
+                    (1, float(np.nextafter(norms[end], math.inf)), end)):
                 grad_tol = tol / step
                 if step * grad_tol == tol:
-                    assert_fits_reference(X, y, replace(config, grad_tol=grad_tol))
-                    checked += 1
-        assert checked >= _STOP_BLOCK
+                    model = assert_fits_reference(X, y, replace(config, grad_tol=grad_tol))
+                    assert model.n_iter == stop
+                    checked[above] += 1
+        assert min(checked) >= 2

@@ -245,7 +245,10 @@ class StreamRunner:
 
         The row and the label are checked once, here, before anything moves:
         a rejected one leaves the runner as it was, whether or not budget is
-        left.  A label is None (no answer) or equal to 0 or 1.
+        left.  A label is None (no answer) or equal to 0 or 1.  A None label
+        on a step that acquires raises ``RuntimeError`` after ``t``, the
+        window and the rng have moved, and before the pool, the model or the
+        budget do; the runner must not be reused after it.
         """
         v = as_feature_vector(features)
         if v.size != self.model.weights.size:

@@ -10,24 +10,27 @@ the last entry of ``theta = [w, b]``, and each row whose label is 1 is
 negated. For such a row ``sigmoid(z) - 1 = -sigmoid(-z)``, so the residual of
 every row is ``sigmoid(row . theta)`` and the labels drop out of the loop. The
 loop takes the sigmoid as ``1/2 + tanh(z/2)/2``: ``forward`` is the signed
-design halved, so ``forward . theta`` is ``z/2``; ``backward`` is the signed
-design times ``step / (2n)`` (the step, the 1/n of the mean loss and the outer
-1/2) over one last row that holds its column sum; and the residual buffer
-ends in a 1 that meets that row and adds the 1/2 terms. An iteration is then
-four numpy calls on buffers allocated once per fit: ``forward.dot(theta)``,
-``tanh``, the product with ``backward`` (the step-scaled gradient, bias
-included) and ``theta - move`` into the next iterate. L2 adds its term to the
-move's weights. L1 takes the proximal step: the new iterate's weights are
-soft-thresholded by ``step * strength``, and the move becomes ``theta - after``
-(the step times the gradient mapping), so the stop test sees the threshold.
+design halved, so ``forward . theta`` is ``z/2``. Two copies of the signed
+design times ``-step / (2n)`` (the step, the 1/n of the mean loss and the
+outer 1/2, negated) each carry a row that holds its column sum and a last
+row that holds an iterate; the residual buffer ends in two 1s that meet
+those rows, so its product with the copy holding ``theta`` is ``theta``
+minus the step-scaled gradient, bias included. A move is then three numpy
+calls on buffers allocated once per fit: ``forward.dot(theta)``, ``tanh`` and
+that product, written into the other copy's last row; the copies swap after
+each move. L2 takes ``step * strength * theta`` off the new iterate's
+weights. L1 takes the proximal step: the new iterate's weights are
+soft-thresholded by ``step * strength``. The move the stop test reads is the
+difference of the last two iterates, so under L1 it sees the threshold.
 
 The gradient-norm stop is tested once per block of ``_STOP_BLOCK`` moves,
 and at ``max_iter``, on the block's last move alone: when its norm is under
-``step * grad_tol`` the fit ends at the iterate that move starts from.  The
+``step * grad_tol`` the fit ends at the iterate that move starts from. The
+fitted parameters are copied out, so no model holds on to the buffers.  The
 loss is convex and the step below 1/L, so the move norm never grows along the
 descent, and a fit stops at most one block after a test on every move would.
 
-The negated rows, the tanh form and the folded column sum group the
+The negated rows, the tanh form and the folded column sum and iterate group the
 floating-point operations differently from the mean gradient of
 :func:`loss_gradient`, so the fitted parameters agree with that descent to
 rounding, not bit for bit. After the loop, one public :func:`loss_gradient`
@@ -255,16 +258,19 @@ def fit_logistic(X, y, config: LearnerConfig = LearnerConfig()) -> LogisticModel
     forward = np.empty((n, p + 1))
     np.multiply(X, half_signs[:, None], out=forward[:, :p])
     forward[:, p] = half_signs
-    backward = np.empty((n + 1, p + 1))
-    np.multiply(forward, step / n, out=backward[:n])
-    backward[:n].sum(axis=0, out=backward[n])
-    # tanh(z / 2) of each row, then the 1 that meets backward's column sum
-    resid = np.ones(n + 1)
+    # the negated step-scaled rows, their column sum, and an iterate; the two
+    # copies take turns holding the iterate a move starts from
+    design = np.empty((n + 2, p + 1))
+    np.multiply(forward, -step / n, out=design[:n])
+    design[:n].sum(axis=0, out=design[n])
+    design[n + 1] = 0.0
+    other = design.copy()
+    theta, after = design[n + 1], other[n + 1]
+    # tanh(z / 2) of each row, then the 1s that meet the column sum and the iterate
+    resid = np.ones(n + 2)
     z, scratch = resid[:n], np.empty(p)
-    theta, after, move = np.zeros(p + 1), np.empty(p + 1), np.empty(p + 1)
     l2, l1 = config.penalty == "l2", config.penalty == "l1"
-    # local names: the loop calls each 500 times per fit
-    subtract, tanh = np.subtract, np.tanh
+    tanh = np.tanh  # a local name: the loop calls it 500 times per fit
     shrink = step * config.strength
     tol = step * config.grad_tol
     done = 0
@@ -273,20 +279,19 @@ def fit_logistic(X, y, config: LearnerConfig = LearnerConfig()) -> LogisticModel
         for _ in range(count):
             forward.dot(theta, out=z)
             tanh(z, out=z)
-            resid.dot(backward, out=move)
+            resid.dot(design, out=after)  # theta minus the step-scaled gradient
             if l2:
                 np.multiply(theta[:p], shrink, out=scratch)
-                move[:p] += scratch
-            subtract(theta, move, after)
-            if l1:
+                after[:p] -= scratch
+            elif l1:
                 _soft_threshold(after[:p], shrink, scratch)
-                subtract(theta, after, move)
-            theta, after = after, theta
+            design, other, theta, after = other, design, after, theta
         done += count
-        if math.sqrt(move.dot(move)) < tol:  # the block's last move
+        move = after - theta  # the block's last move, from `after` to `theta`
+        if math.sqrt(move.dot(move)) < tol:
             theta, done = after, done - 1  # end where that move starts
             break
-    w, b = theta[:p], float(theta[p])
+    w, b = theta[:p].copy(), float(theta[p])
     # through the public entry point, so the perfbench trace, which counts
     # loss_gradient calls, still sees the final gradient of every iterating fit
     gw, gb = loss_gradient(w, b, X, y, LearnerConfig() if l1 else config)

@@ -569,8 +569,12 @@ class TestStreamRunner:
         config = small_config("rs", solver=SolverConfig(p_min=0.0))
         runner = StreamRunner(config, 10, split)
         runner.agents[0].rate = 1.0
+        model, pooled = runner.model, len(runner.pool)
         with pytest.raises(RuntimeError, match="no label"):
             runner.step(split.stream_features[0], None)
+        assert runner.budget_used == 0
+        assert len(runner.pool) == pooled
+        assert runner.model is model
 
     @pytest.mark.parametrize("budget_left", [True, False], ids=["budget-left", "budget-spent"])
     @pytest.mark.parametrize("strategy", ["rs", "ensemble2"], ids=["no-window", "window"])

@@ -386,10 +386,12 @@ def augmented_reference_fit(X, y, config, path=None, move_norms=None):
     the last entry of ``theta``, and the rows of positive labels are negated
     so the residual is the sigmoid alone, taken as ``1/2 + tanh(z/2)/2``. The
     design is halved, so its product with ``theta`` is ``z/2``; the step, the
-    1/n and the outer 1/2 ride in the transposed design, whose column sum
-    meets a trailing 1 of the residual. Under L1 the new weights are
-    soft-thresholded by ``step * strength`` and the move is ``theta`` minus
-    the new iterate. Returns the parameters and the number of moves applied.
+    1/n and the outer 1/2 ride in the negated design below ``theta``, whose
+    column sum and ``theta`` meet two trailing 1s of the residual, so one
+    product is the next iterate. L2 then takes ``step * strength * theta``
+    off the new weights; L1 soft-thresholds them by ``step * strength``. The
+    move is ``theta`` minus the new iterate. Returns the parameters and the
+    number of moves applied.
     ``path``, when given, receives ``theta`` at the start and after each
     move; ``move_norms`` receives the norm of each move, tested or not, which
     the stop test compares with ``step * grad_tol``."""
@@ -405,13 +407,12 @@ def augmented_reference_fit(X, y, config, path=None, move_norms=None):
     while moved < config.max_iter:
         if path is not None:
             path.append(theta.copy())
-        move = np.append(np.tanh(F @ theta), 1.0) @ B
+        after = np.append(np.tanh(F @ theta), [1.0, 1.0]) @ np.vstack([-B, theta])
         if config.penalty == "l2":
-            move[:p] = move[:p] + (step * config.strength) * theta[:p]
-        after = theta - move
-        if config.penalty == "l1":
+            after[:p] = after[:p] - (step * config.strength) * theta[:p]
+        elif config.penalty == "l1":
             after[:p] = soft_threshold(after[:p], step * config.strength)
-            move = theta - after
+        move = theta - after
         norm = float(np.sqrt(move @ move))
         if move_norms is not None:
             move_norms.append(norm)
@@ -654,3 +655,32 @@ class TestBlockStopTest:
                     assert model.n_iter == stop
                     checked[above] += 1
         assert min(checked) >= 2
+
+
+class TestIterateParity:
+    """The loop's two iterate buffers take turns, so odd and even move counts
+    end in different buffers. Each cap, on both sides of a block boundary,
+    gives the reference's bits, and a fit stopped on its last move returns
+    the iterate that move starts from."""
+
+    @EACH_PENALTY
+    @pytest.mark.parametrize("cap", [1, 2, _STOP_BLOCK - 1, _STOP_BLOCK, _STOP_BLOCK + 1,
+                                     LearnerConfig().max_iter - 1])
+    def test_each_move_count_ends_in_the_reference_iterate(self, penalty, strength, cap):
+        X, y = stop_test_pool()
+        config = LearnerConfig(penalty=penalty, strength=strength, max_iter=cap, grad_tol=0.0)
+        path = []
+        capped = assert_fits_reference(X, y, config, path)
+        assert capped.n_iter == cap
+        assert np.array_equal(np.append(capped.weights, capped.bias), path[cap])
+        # only the test on the last move, the cap-th, passes
+        stopped = assert_fits_reference(
+            X, y, replace(config, grad_tol=grad_tol_stopping_at(X, y, config, cap - 1)))
+        assert stopped.n_iter == cap - 1
+        assert np.array_equal(np.append(stopped.weights, stopped.bias), path[cap - 1])
+        kept = capped.weights.copy()
+        again = fit_logistic(X, y, config)
+        assert not np.shares_memory(capped.weights, again.weights)
+        assert not np.shares_memory(capped.weights, stopped.weights)
+        again.weights[:] = np.nan
+        assert np.array_equal(capped.weights, kept)

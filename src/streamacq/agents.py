@@ -20,6 +20,7 @@ and a roster is positional, in the order its strategy lists its agents.
 from __future__ import annotations
 
 import math
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +62,12 @@ def local_sparsity(window: SlidingWindow, k: int | None = None) -> int:
     return int(np.count_nonzero(far < to_new))
 
 
-class Agent:
-    """Stream-agent interface; subclasses override what they need."""
+class Agent(ABC):
+    """Stream-agent interface: a subclass defines ``propose``."""
 
+    @abstractmethod
     def propose(self, ctx: AcquisitionContext) -> float:
-        raise NotImplementedError
+        """The agent's vote in [0, 1] for acquiring ``ctx``'s sample."""
 
     def reinforce(self, signed_reward: float) -> None:
         """Feedback after an acquisition this agent voted for."""

@@ -241,21 +241,19 @@ class StreamRunner:
         return self._accuracy
 
     def step(self, features: np.ndarray, label, evaluate: bool = False) -> StepRecord:
-        """Advance one stream sample; ``label`` is the oracle answer if asked.
+        """Advance one stream sample; ``label``, equal to 0 or 1, is the oracle
+        answer, read only if the step acquires.
 
         The row and the label are checked once, here, before anything moves:
         a rejected one leaves the runner as it was, whether or not budget is
-        left.  A label is None (no answer) or equal to 0 or 1.  A None label
-        on a step that acquires raises ``RuntimeError`` after ``t``, the
-        window and the rng have moved, and before the pool, the model or the
-        budget do; the runner must not be reused after it.
+        left.
         """
         v = as_feature_vector(features)
         if v.size != self.model.weights.size:
             raise ValueError(f"expected a feature vector of {self.model.weights.size} "
                              f"values, got {v.size}")
-        if label is not None and label not in (0, 1):
-            raise ValueError(f"label must be 0, 1 or None, got {label!r}")
+        if label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {label!r}")
         self.t += 1
         reward, acquired, flipped = 0.0, False, False
         if self.budget_used < self.split.budget:
@@ -269,8 +267,6 @@ class StreamRunner:
             acquired = decision.acquired
 
             if acquired:
-                if label is None:
-                    raise RuntimeError(f"oracle returned no label at step {self.t}")
                 truth = int(label)
                 informative = predicted != truth
                 reward = (self.config.informative_reward if informative

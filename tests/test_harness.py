@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from streamacq.agents import (
     Agent,
@@ -565,25 +566,15 @@ class TestStreamRunner:
             assert len(record.weights) == 4
             assert sum(record.weights) == pytest.approx(1.0, abs=1e-9)
 
-    def test_missing_oracle_label_raises(self, split):
-        config = small_config("rs", solver=SolverConfig(p_min=0.0))
-        runner = StreamRunner(config, 10, split)
-        runner.agents[0].rate = 1.0
-        model, pooled = runner.model, len(runner.pool)
-        with pytest.raises(RuntimeError, match="no label"):
-            runner.step(split.stream_features[0], None)
-        assert runner.budget_used == 0
-        assert len(runner.pool) == pooled
-        assert runner.model is model
-
     @pytest.mark.parametrize("budget_left", [True, False], ids=["budget-left", "budget-spent"])
     @pytest.mark.parametrize("strategy", ["rs", "ensemble2"], ids=["no-window", "window"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "short", "label-0.7", "label-2",
-                                     "label-nan"])
+                                     "label-nan", "label-None"])
     def test_rejected_row_leaves_the_runner_as_it_was(self, split, strategy, budget_left, bad):
-        """A bad row or label fails before the step counter, the rng, the
-        weights, the pool or the window move, whether or not budget is left;
-        with every label bought, a bad label would otherwise be pooled."""
+        """A bad row or label, None included, fails before the step counter,
+        the rng, the weights, the pool or the window move, whether or not
+        budget is left; with every label bought, a bad label would otherwise
+        be pooled."""
         runner = StreamRunner(small_config(strategy, budget_fraction=1.0), 15, split)
         for i in range(5):
             runner.step(split.stream_features[i], int(split.stream_labels[i]))
@@ -593,6 +584,8 @@ class TestStreamRunner:
         label = int(split.stream_labels[5])
         if bad == "short":
             row = row[:-1]
+        elif bad == "label-None":
+            label = None
         elif bad.startswith("label"):
             label = float(bad.removeprefix("label-"))
         else:
@@ -608,7 +601,7 @@ class TestStreamRunner:
 
         before = state()
         message = {"short": "expected", "nan": "non-finite", "inf": "non-finite"}
-        with pytest.raises(ValueError, match=message.get(bad, "label must be 0, 1 or None")):
+        with pytest.raises(ValueError, match=message.get(bad, "label must be 0 or 1")):
             runner.step(row, label)
         assert state() == before
 
@@ -695,6 +688,116 @@ class TestStreamRunner:
         runner = StreamRunner(small_config("rs"), 11, split)
         assert 0.0 <= runner.test_accuracy() <= 1.0
         assert len(runner.pool) == split.initial_labels.shape[0]
+
+
+def runner_state(runner) -> dict:
+    """Everything a step can move, each part comparable with ``==`` but the
+    model, which a refit replaces and nothing edits in place."""
+    window, solver = runner.window, runner.ensemble
+    return {
+        "t": runner.t,
+        "rng": runner.rng.bit_generator.state,
+        "pool": (runner.pool.features.tobytes(), runner.pool.labels.tobytes()),
+        "budget": (runner.budget_used, runner.acquired_positive),
+        "model": runner.model,
+        "weights": solver.weights,
+        "chart": (solver.ewma, solver.obs_mean, solver.obs_m2, solver.limit_width,
+                  solver.steps, solver.flips),
+        "thresholds": [getattr(agent, "threshold", None) for agent in runner.agents],
+        "window": None if window is None else
+        (len(window), *[a.tobytes() for a in (*window.farthest(), *window.nearest())]),
+    }
+
+
+def moved(before: dict, after: dict) -> set:
+    return {key for key in before
+            if (after[key] is not before[key] if key == "model" else after[key] != before[key])}
+
+
+_ROWS = st.integers(0, 10**6)  # an index into the stream, taken modulo its length
+
+
+class StreamRunnerMachine(RuleBasedStateMachine):
+    """Arbitrary sequences of good and bad steps on a runner over a short split
+    (``n`` 21-80, ``p`` 2-5, any strategy, ``budget_fraction`` up to 1.0).
+
+    A good step takes a stream row and a label of 0 or 1; a bad one takes a
+    short row, a row with a NaN or an infinity, or a label of None, 2, -1,
+    0.5 or "1". Every step runs with ``evaluate`` drawn. A rejected step moves
+    nothing, a step after the budget is spent moves only ``t``, and the model
+    changes exactly on an acquiring step."""
+
+    @initialize(strategy=st.sampled_from(STRATEGIES), n=st.integers(21, 80),
+                p=st.integers(2, 5), seed=st.integers(0, 2**32 - 1),
+                budget_fraction=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)))
+    def build(self, strategy, n, p, seed, budget_fraction):
+        config = ExperimentConfig(strategy=strategy, generator=GeneratorConfig(n=n, p=p),
+                                  budget_fraction=budget_fraction)
+        split = scenario_split(generate(replace(config.generator, seed=seed)), seed,
+                               budget_fraction)
+        self.runner = StreamRunner(config, seed, split)
+        self.initial_rows = len(self.runner.pool)
+
+    def row(self, index):
+        rows = self.runner.split.stream_features
+        return rows[index % rows.shape[0]].copy()
+
+    def rejected(self, row, label, evaluate, message):
+        before = runner_state(self.runner)
+        with pytest.raises(ValueError, match=message):
+            self.runner.step(row, label, evaluate=evaluate)
+        assert moved(before, runner_state(self.runner)) == set()
+
+    @rule(index=_ROWS, label=st.sampled_from([0, 1]), evaluate=st.booleans())
+    def good_step(self, index, label, evaluate):
+        runner = self.runner
+        spent = runner.budget_used == runner.split.budget
+        before = runner_state(runner)
+        record = runner.step(self.row(index), label, evaluate=evaluate)
+        changed = moved(before, runner_state(runner))
+        event("budget spent" if spent else "acquired" if record.action else "passed")
+        assert record.t == runner.t == before["t"] + 1
+        assert record.budget_used == runner.budget_used
+        assert (record.accuracy is not None) == evaluate
+        if spent:
+            assert changed == {"t"}
+            assert (record.action, record.reward, record.flipped) == (0, 0.0, False)
+        assert ("model" in changed) == ("pool" in changed) == bool(record.action)
+        if record.action:
+            assert runner.pool.labels[-1] == label
+            assert runner.budget_used == before["budget"][0] + 1
+
+    @rule(index=_ROWS, label=st.sampled_from([0, 1]), evaluate=st.booleans(),
+          bad=st.sampled_from(["short", "nan", "inf"]))
+    def bad_row(self, index, label, evaluate, bad):
+        row = self.row(index)
+        if bad == "short":
+            row = row[:-1]
+        else:
+            row[index % row.size] = np.nan if bad == "nan" else np.inf
+        self.rejected(row, label, evaluate, "expected" if bad == "short" else "non-finite")
+
+    @rule(index=_ROWS, label=st.sampled_from([None, 2, -1, 0.5, "1"]), evaluate=st.booleans())
+    def bad_label(self, index, label, evaluate):
+        self.rejected(self.row(index), label, evaluate, "label must be 0 or 1")
+
+    @invariant()
+    def budget_and_pool_agree(self):
+        runner = self.runner
+        assert runner.budget_used <= runner.split.budget
+        assert len(runner.pool) == self.initial_rows + runner.budget_used
+        assert runner.acquired_positive <= runner.budget_used
+
+    @invariant()
+    def standardized_weights_are_a_distribution(self):
+        weights = self.runner.ensemble.standardized
+        assert all(math.isfinite(w) and w > 0.0 for w in weights)
+        assert math.fsum(weights) == pytest.approx(1.0, rel=0, abs=8 * 2.0**-52)
+
+
+TestStreamRunnerMachine = StreamRunnerMachine.TestCase
+TestStreamRunnerMachine.settings = settings(max_examples=100, stateful_step_count=30,
+                                            deadline=None)
 
 
 class TestReplication:

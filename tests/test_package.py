@@ -1,6 +1,7 @@
 """Tests for the package's export surface."""
 
 import ast
+import builtins
 import importlib
 import inspect
 import os
@@ -78,6 +79,34 @@ def test_every_parameter_is_used(source):
                    if param not in read and param != "self"
                    and (function, param) not in AGENT_INTERFACE_PARAMETERS]
     assert unread == []
+
+
+# argparse turns this one into a usage error before any command runs
+USAGE_ERRORS = {"argparse.ArgumentTypeError"}
+
+
+def test_every_raised_exception_is_one_the_cli_reports():
+    """Each exception class that ``src/streamacq`` raises by name is one that
+    ``cli.main`` reports as ``error: ...``, both read from the source, so the
+    reported list and the raised classes cannot drift apart."""
+    cli = ast.parse((SOURCES[0].parent / "cli.py").read_text(encoding="utf-8"))
+    main = next(node for node in cli.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    (handler,) = [node for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
+    reported = tuple(getattr(builtins, name.id) for name in handler.type.elts)
+    unreported = []
+    for source in SOURCES:
+        module = importlib.import_module(
+            "streamacq" if source.stem == "__init__" else f"streamacq.{source.stem}")
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            name = ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+            raised = getattr(module, name, getattr(builtins, name, None))
+            if name not in USAGE_ERRORS and not (isinstance(raised, type)
+                                                 and issubclass(raised, reported)):
+                unreported.append(f"{source.name}:{node.lineno} {name}")
+    assert unreported == []
 
 
 def run_child(script, *args):

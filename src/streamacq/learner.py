@@ -17,11 +17,19 @@ row that holds an iterate; the residual buffer ends in two 1s that meet
 those rows, so its product with the copy holding ``theta`` is ``theta``
 minus the step-scaled gradient, bias included. A move is then three numpy
 calls on buffers allocated once per fit: ``forward.dot(theta)``, ``tanh`` and
-that product, written into the other copy's last row; the copies swap after
-each move. L2 takes ``step * strength * theta`` off the new iterate's
-weights. L1 takes the proximal step: the new iterate's weights are
-soft-thresholded by ``step * strength``. The move the stop test reads is the
-difference of the last two iterates, so under L1 it sees the threshold.
+that product, written into the other copy's last row. One pass of the loop
+makes two moves, there and back, on bound methods with positional ``out``
+arguments, so the copies keep their roles; a block with an odd number of
+moves makes its last one alone and swaps them once. ``forward`` is
+column-major, which BLAS multiplies by ``theta`` faster on wider pools; the
+copies stay row-major, so their column sums keep their bits. L2 takes
+``step * strength * theta`` off the new iterate's weights. L1 takes the
+proximal step: the new iterate's weights are soft-thresholded by
+``step * strength``. The move the stop test reads is the difference of the
+last two iterates, so under L1 it sees the threshold.
+
+Inputs are read into C order first, so a pool gives the same bits in any
+memory layout: a sum such as the Lipschitz bound's reduces in memory order.
 
 The gradient-norm stop is tested once per block of ``_STOP_BLOCK`` moves,
 and at ``max_iter``, on the block's last move alone: when its norm is under
@@ -189,6 +197,7 @@ def _validated_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y)
     if X.ndim != 2:
         raise ValueError(f"expected a 2-d design matrix, got shape {X.shape}")
+    X = np.ascontiguousarray(X)  # sums reduce in memory order
     if X.shape[0] == 0:
         raise ValueError("cannot fit on an empty pool")
     if y.shape != (X.shape[0],):
@@ -255,7 +264,8 @@ def fit_logistic(X, y, config: LearnerConfig = LearnerConfig()) -> LogisticModel
         lipschitz += config.strength
     step = 0.1 / (1.0 + lipschitz)
     half_signs = 0.5 - y
-    forward = np.empty((n, p + 1))
+    # column-major, which BLAS multiplies by theta faster on the wider pools
+    forward = np.empty((n, p + 1), order="F")
     np.multiply(X, half_signs[:, None], out=forward[:, :p])
     forward[:, p] = half_signs
     # the negated step-scaled rows, their column sum, and an iterate; the two
@@ -268,26 +278,42 @@ def fit_logistic(X, y, config: LearnerConfig = LearnerConfig()) -> LogisticModel
     theta, after = design[n + 1], other[n + 1]
     # tanh(z / 2) of each row, then the 1s that meet the column sum and the iterate
     resid = np.ones(n + 2)
-    z, scratch = resid[:n], np.empty(p)
-    l2, l1 = config.penalty == "l2", config.penalty == "l1"
-    tanh = np.tanh  # a local name: the loop calls it 500 times per fit
+    z, scratch, move = resid[:n], np.empty(p), np.empty(p + 1)
+    fdot, rdot, tanh = forward.dot, resid.dot, np.tanh
     shrink = step * config.strength
+    penalized, l1 = config.penalty != "none", config.penalty == "l1"
+
+    def penalize(new, old):  # the penalty's share of the move from `old` to `new`
+        if l1:
+            _soft_threshold(new[:p], shrink, scratch)
+        else:
+            np.multiply(old[:p], shrink, out=scratch)
+            new[:p] -= scratch
+
     tol = step * config.grad_tol
     done = 0
     while done < config.max_iter:
         count = min(_STOP_BLOCK, config.max_iter - done)
-        for _ in range(count):
-            forward.dot(theta, out=z)
-            tanh(z, out=z)
-            resid.dot(design, out=after)  # theta minus the step-scaled gradient
-            if l2:
-                np.multiply(theta[:p], shrink, out=scratch)
-                after[:p] -= scratch
-            elif l1:
-                _soft_threshold(after[:p], shrink, scratch)
+        for _ in range(count >> 1):  # two moves: theta to after, and back
+            fdot(theta, z)
+            tanh(z, z)
+            rdot(design, after)  # theta minus the step-scaled gradient
+            if penalized:
+                penalize(after, theta)
+            fdot(after, z)
+            tanh(z, z)
+            rdot(other, theta)
+            if penalized:
+                penalize(theta, after)
+        if count & 1:  # an odd block's last move, alone; then the copies swap
+            fdot(theta, z)
+            tanh(z, z)
+            rdot(design, after)
+            if penalized:
+                penalize(after, theta)
             design, other, theta, after = other, design, after, theta
         done += count
-        move = after - theta  # the block's last move, from `after` to `theta`
+        np.subtract(after, theta, out=move)  # the block's last move, from `after` to `theta`
         if math.sqrt(move.dot(move)) < tol:
             theta, done = after, done - 1  # end where that move starts
             break

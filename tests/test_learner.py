@@ -407,7 +407,9 @@ def augmented_reference_fit(X, y, config, path=None, move_norms=None):
     while moved < config.max_iter:
         if path is not None:
             path.append(theta.copy())
-        after = np.append(np.tanh(F @ theta), [1.0, 1.0]) @ np.vstack([-B, theta])
+        # in the fit's column-major layout, which BLAS groups the product by
+        after = (np.append(np.tanh(np.asfortranarray(F) @ theta), [1.0, 1.0])
+                 @ np.vstack([-B, theta]))
         if config.penalty == "l2":
             after[:p] = after[:p] - (step * config.strength) * theta[:p]
         elif config.penalty == "l1":
@@ -535,6 +537,28 @@ class TestFitMatchesAllocatingReference:
         fit_logistic(X[::-1].copy(), 1 - y)
         np.testing.assert_array_equal(first.weights, kept)
 
+    @settings(max_examples=60, deadline=None)
+    @given(pools())
+    def test_the_input_layout_leaves_every_bit(self, pool):
+        """A pool in C order, in Fortran order and as a strided view fits to
+        the same bits, and its loss and gradient have the same bits."""
+        X, y, config = pool
+        wide = np.zeros((X.shape[0], 2 * X.shape[1]))
+        wide[:, ::2] = X
+        w = np.linspace(-1.0, 1.0, X.shape[1])
+        model = fit_logistic(X, y, config)
+        loss = loss_value(w, 0.5, X, y, config)
+        gw, gb = loss_gradient(w, 0.5, X, y, config)
+        for copy in (np.asfortranarray(X), wide[:, ::2]):
+            other = fit_logistic(copy, y, config)
+            assert np.array_equal(other.weights, model.weights)
+            assert (other.bias, other.grad_norm, other.n_iter) == (
+                model.bias, model.grad_norm, model.n_iter)
+            assert loss_value(w, 0.5, copy, y, config) == loss
+            other_gw, other_gb = loss_gradient(w, 0.5, copy, y, config)
+            assert np.array_equal(other_gw, gw)
+            assert other_gb == gb
+
 
 def grad_tol_stopping_at(X, y, config, iteration):
     """A ``grad_tol`` under which a stop test after every move would stop at
@@ -550,12 +574,15 @@ def grad_tol_stopping_at(X, y, config, iteration):
 
 @settings(max_examples=40, deadline=None)
 @given(pools(), st.integers(1, LearnerConfig().max_iter), st.floats(1e-6, 1.0))
+# the first move's norm is under `step * grad_tol` after rounding, while the
+# gradient norm at the zero start equals `grad_tol`
+@example((np.full((4, 1), 2.0), np.array([0, 1, 1, 1]), LearnerConfig()), 1, 1.0)
 def test_a_stopped_fit_ends_within_a_block_of_the_per_move_stop(pool, cap, share):
     """The move norm never grows along the descent, so a fit tested once per
     block stops on the first tested move from the one a test after every move
-    would stop on, fewer than ``_STOP_BLOCK`` moves later, and its gradient
-    norm is under ``grad_tol``. The tolerance is ``share`` of the first move's
-    norm over the step."""
+    would stop on, fewer than ``_STOP_BLOCK`` moves later, and the move it
+    stops on is under ``step * grad_tol``. The tolerance is ``share`` of the
+    first move's norm over the step."""
     X, y, config = pool
     if np.unique(y).size == 1:
         return
@@ -570,7 +597,7 @@ def test_a_stopped_fit_ends_within_a_block_of_the_per_move_stop(pool, cap, share
         assert model.n_iter == cap
     else:
         assert first <= model.n_iter < first + _STOP_BLOCK
-        assert model.grad_norm < config.grad_tol
+        assert norms[model.n_iter] < step * config.grad_tol
 
 
 def stop_test_pool():

@@ -20,7 +20,7 @@ import tempfile
 from pathlib import Path
 
 from streamacq.harness import ExperimentConfig, export_results, run_experiment
-from test_golden_outputs import SCENARIO, TOY
+from shared_runs import SCENARIO, TOY
 
 WORKLOADS = {"toy": (TOY, "ensemble2"), "scenario": (SCENARIO, "ensemble6")}
 SINGLE_AGENTS = ("rs", "ral1", "us", "ld1")

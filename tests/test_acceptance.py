@@ -3,13 +3,22 @@
 Each test prints one ``[PASS]``/``[FAIL]`` line (run with ``pytest -s`` to see
 them as they happen) and then asserts, so a red line always names its
 criterion and the measured numbers.
+
+The seeded runs and the theory grid come from ``shared_runs``, which makes
+each once per session for these criteria and the golden digests alike.
+Criteria 1 and 2 print the paired comparison of the two arms beside their
+margins; the assertions read the margins alone.
 """
 
+import csv
+import io
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from shared_runs import SCENARIO, TOY, default_theory, paired, run
 
 from streamacq.agents import CertaintyThresholdAgent, local_sparsity
 from streamacq.core import SlidingWindow
@@ -17,12 +26,7 @@ from streamacq.datagen import GeneratorConfig
 from streamacq.ensemble import SolverConfig, WeightedEnsemble
 from streamacq.harness import ExperimentConfig, export_results, run_experiment
 from streamacq.learner import LearnerConfig, loss_gradient, loss_value
-from streamacq.theory import (
-    TheoryParams,
-    expected_ld_acquisition,
-    mc_ld_acquisition,
-    solve_m2,
-)
+from streamacq.theory import TheoryParams, expected_ld_acquisition, solve_m2
 
 N_SEEDS = 10
 
@@ -43,37 +47,35 @@ class StubGenerator:
         return self.value
 
 
-def replicate(strategy: str, generator: GeneratorConfig):
-    config = ExperimentConfig(strategy=strategy, generator=generator)
-    return [run_experiment(config, seed) for seed in range(N_SEEDS)]
+def replicate(generator: GeneratorConfig, strategies):
+    """Seeds 0-9 of each strategy on ``generator`` from the shared runs, and
+    the seconds those runs took."""
+    timed = {name: [run(name, generator, seed) for seed in range(N_SEEDS)]
+             for name in strategies}
+    runs = {name: [t.metrics for t in group] for name, group in timed.items()}
+    return runs, sum(t.seconds for group in timed.values() for t in group)
 
 
 @pytest.fixture(scope="session")
 def toy_runs():
     """Ten seeded runs of the two-expert ensemble and its exploitation agent
     on the small two-feature problem (budget 48 of 480)."""
-    generator = GeneratorConfig(n=500, p=2, positive_share=0.10,
-                                flip_share=0.0, noise_share=0.0)
-    started = time.perf_counter()
-    runs = {name: replicate(name, generator) for name in ("ensemble2", "ral1")}
-    return runs, time.perf_counter() - started
+    return replicate(TOY, ("ensemble2", "ral1"))
 
 
 @pytest.fixture(scope="session")
 def scenario_runs():
     """Ten seeded runs of the six-expert ensemble and the random baseline on
     the fifteen-feature problem with 30% noise features (budget 98 of 980)."""
-    generator = GeneratorConfig(n=1000, p=15, positive_share=0.10,
-                                flip_share=0.0, noise_share=0.30)
-    started = time.perf_counter()
-    runs = {name: replicate(name, generator) for name in ("ensemble6", "rs")}
-    return runs, time.perf_counter() - started
+    return replicate(SCENARIO, ("ensemble6", "rs"))
 
 
 def test_criterion_1_toy_ensemble_beats_exploitation_alone(toy_runs):
     runs, elapsed = toy_runs
     ens_mean = float(np.mean([r.final_accuracy for r in runs["ensemble2"]]))
     ral_mean = float(np.mean([r.final_accuracy for r in runs["ral1"]]))
+    evidence = paired([r.final_accuracy for r in runs["ensemble2"]],
+                      [r.final_accuracy for r in runs["ral1"]])
     margin_ok = ens_mean - ral_mean >= 0.03
     band_ok = 0.80 <= ens_mean <= 0.95
     time_ok = elapsed <= 120.0
@@ -81,7 +83,7 @@ def test_criterion_1_toy_ensemble_beats_exploitation_alone(toy_runs):
     report(1, ok,
            f"ensemble2 mean {ens_mean:.4f} vs ral1 {ral_mean:.4f} "
            f"(margin {ens_mean - ral_mean:+.4f}, need >= +0.03: "
-           f"{'ok' if margin_ok else 'FAIL'}); "
+           f"{'ok' if margin_ok else 'FAIL'}; {evidence}); "
            f"band [0.80, 0.95]: {'ok' if band_ok else 'FAIL'}; "
            f"runtime {elapsed:.1f}s <= 120s: {'ok' if time_ok else 'FAIL'}")
     assert ok, "two-expert ensemble did not clear the exploitation agent by 3 points"
@@ -92,6 +94,8 @@ def test_criterion_2_scenario_ensemble_beats_random_and_initial(scenario_runs):
     ens_mean = float(np.mean([r.final_accuracy for r in runs["ensemble6"]]))
     rs_mean = float(np.mean([r.final_accuracy for r in runs["rs"]]))
     init_mean = float(np.mean([r.initial_accuracy for r in runs["ensemble6"]]))
+    evidence = paired([r.final_accuracy for r in runs["ensemble6"]],
+                      [r.final_accuracy for r in runs["rs"]])
     rs_ok = ens_mean - rs_mean >= 0.08
     init_ok = ens_mean - init_mean >= 0.10
     time_ok = elapsed <= 600.0
@@ -99,7 +103,7 @@ def test_criterion_2_scenario_ensemble_beats_random_and_initial(scenario_runs):
     report(2, ok,
            f"ensemble6 mean {ens_mean:.4f} vs rs {rs_mean:.4f} "
            f"(margin {ens_mean - rs_mean:+.4f}, need >= +0.08: "
-           f"{'ok' if rs_ok else 'FAIL'}); vs initial {init_mean:.4f} "
+           f"{'ok' if rs_ok else 'FAIL'}; {evidence}); vs initial {init_mean:.4f} "
            f"(gain {ens_mean - init_mean:+.4f}, need >= +0.10: "
            f"{'ok' if init_ok else 'FAIL'}); "
            f"runtime {elapsed:.1f}s <= 600s: {'ok' if time_ok else 'FAIL'}")
@@ -107,31 +111,29 @@ def test_criterion_2_scenario_ensemble_beats_random_and_initial(scenario_runs):
 
 
 def test_criterion_3_closed_form_acquisition_rate():
+    """Reads the grid of the default ``verify-theory`` run, which the golden
+    digest pins too; only the separation constant is computed here."""
+    theory = default_theory()
     started = time.perf_counter()
-    base = TheoryParams(draws=10_000, seed=17)
-    grid = np.linspace(0.0, 30.0, 8)
-    worst_gap = -np.inf
-    agree = True
-    closed_values = []
-    for dist_sq in grid:
-        params = TheoryParams(draws=10_000, seed=17,
-                              center_dist_sq=float(dist_sq))
-        closed = expected_ld_acquisition(params)
-        estimate = mc_ld_acquisition(params)
-        gap = abs(closed - estimate.mean) - (3.0 * estimate.se + 0.05)
-        worst_gap = max(worst_gap, gap)
-        agree &= gap <= 0.0
-        closed_values.append(closed)
+    rows = list(csv.DictReader(io.StringIO(theory.csv.decode())))
+    grid_ok = ([float(row["center_dist_sq"]) for row in rows]
+               == np.linspace(0.0, 30.0, 8).tolist())
+    closed_values = [float(row["closed_form"]) for row in rows]
+    worst_gap = max((abs(closed - float(row["mc_mean"]))
+                     - (3.0 * float(row["mc_se"]) + 0.05)
+                     for closed, row in zip(closed_values, rows)), default=np.inf)
+    agree = worst_gap <= 0.0
     monotone = bool(np.all(np.diff(closed_values) >= -1e-3))
+    base = TheoryParams(draws=10_000, seed=17)
     m1, m2 = solve_m2(base)
-    at_m2 = expected_ld_acquisition(
-        TheoryParams(draws=10_000, seed=17, center_dist_sq=m2))
+    at_m2 = expected_ld_acquisition(replace(base, center_dist_sq=m2))
     separation_ok = np.isfinite(m2) and at_m2 >= 0.9
-    elapsed = time.perf_counter() - started
+    elapsed = theory.seconds + time.perf_counter() - started
     time_ok = elapsed <= 60.0
-    ok = agree and monotone and separation_ok and time_ok
+    ok = grid_ok and agree and monotone and separation_ok and time_ok
     report(3, ok,
-           f"closed form vs MC on 8-point grid, worst slack {-worst_gap:+.4f} "
+           f"closed form vs MC on 8-point grid {'ok' if grid_ok else 'FAIL'}, "
+           f"worst slack {-worst_gap:+.4f} "
            f"(>= 0 means within 3se+0.05: {'ok' if agree else 'FAIL'}); "
            f"monotone: {'ok' if monotone else 'FAIL'}; "
            f"m2={m2:.4f} expectation {at_m2:.4f} >= 0.9: "

@@ -22,20 +22,19 @@ built one window per draw; the default run's printed separation constants,
 recorded from the bisection that preceded the closed-form root, are pinned
 next to them. A
 change that moves any exported number, even in its last bit, fails here.
+
+The stream runs and the default grid come from ``shared_runs``, so the runs
+the acceptance criteria also read are made once per session.
 """
 
 import hashlib
 from pathlib import Path
 
 import pytest
+from shared_runs import SCENARIO, TOY, default_theory, run
 
 from streamacq.cli import main
-from streamacq.datagen import GeneratorConfig
-from streamacq.harness import ExperimentConfig, export_results, run_experiment
-
-TOY = GeneratorConfig(n=500, p=2, positive_share=0.10, flip_share=0.0, noise_share=0.0)
-SCENARIO = GeneratorConfig(n=1000, p=15, positive_share=0.10, flip_share=0.0,
-                           noise_share=0.30)
+from streamacq.harness import export_results
 
 GOLDEN = {
     ("ensemble2", TOY, 0): (
@@ -156,9 +155,7 @@ LATER_SEEDS = [key for key in GOLDEN if key[2] != 0]
 
 
 def export_digests(tmp_path, strategy, generator, seed, **settings):
-    config = ExperimentConfig(strategy=strategy, generator=generator, budget_fraction=0.10,
-                              **settings)
-    paths = export_results(run_experiment(config, seed), str(tmp_path))
+    paths = export_results(run(strategy, generator, seed, **settings).metrics, str(tmp_path))
     return tuple(hashlib.sha256(Path(paths[name]).read_bytes()).hexdigest()
                  for name in ("metrics", "trajectory"))
 
@@ -194,9 +191,9 @@ def test_theory_grid_csv_matches_the_recorded_digest(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == THEORY_GRID
 
 
-def test_default_theory_grid_csv_matches_the_recorded_digest(tmp_path, capsys):
-    out = tmp_path / "grid.csv"
-    assert main(["verify-theory", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_THEORY_GRID
+def test_default_theory_grid_csv_matches_the_recorded_digest():
+    theory = default_theory()
+    assert theory.exit_code == 0
+    assert hashlib.sha256(theory.csv).hexdigest() == DEFAULT_THEORY_GRID
     # the CSV holds the grid only; the separation constants are printed
-    assert DEFAULT_THEORY_M2_LINE in capsys.readouterr().out.splitlines()
+    assert DEFAULT_THEORY_M2_LINE in theory.stdout.splitlines()

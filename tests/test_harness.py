@@ -13,6 +13,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from shared_runs import run
 
 from streamacq.agents import (
     Agent,
@@ -474,14 +475,16 @@ class TestStreamRunner:
         metrics = StreamRunner(small_config("ensemble2"), 2, split).run()
         assert sum(r.action for r in metrics.records) == metrics.acquired
 
-    def test_cumulative_reward_is_record_sum(self, split):
-        metrics = StreamRunner(small_config("ensemble2"), 3, split).run()
-        assert metrics.cumulative_reward == pytest.approx(
-            sum(r.reward for r in metrics.records))
+    @pytest.fixture(scope="class")
+    def seed_three(self, split):
+        return StreamRunner(small_config("ensemble2"), 3, split).run()
 
-    def test_pass_steps_earn_nothing(self, split):
-        metrics = StreamRunner(small_config("ensemble2"), 3, split).run()
-        for record in metrics.records:
+    def test_cumulative_reward_is_record_sum(self, seed_three):
+        assert seed_three.cumulative_reward == pytest.approx(
+            sum(r.reward for r in seed_three.records))
+
+    def test_pass_steps_earn_nothing(self, seed_three):
+        for record in seed_three.records:
             if record.action == 0:
                 assert record.reward == 0.0
 
@@ -552,8 +555,7 @@ class TestStreamRunner:
     def test_random_baseline_acquisition_band(self):
         """With a 10% budget the random baseline lands near 48 of 480 draws."""
         for seed in (0, 1, 2):
-            metrics = run_experiment(small_config("rs"), seed)
-            assert 28 <= metrics.acquired <= 68
+            assert 28 <= run("rs", SMALL_GEN, seed).metrics.acquired <= 68
 
     def test_positive_fraction_counts_acquired_positives(self, split):
         metrics = StreamRunner(small_config("rs"), 8, split).run()
@@ -801,6 +803,10 @@ TestStreamRunnerMachine.settings = settings(max_examples=100, stateful_step_coun
 
 
 class TestReplication:
+    @pytest.fixture(scope="class")
+    def summary(self):
+        return run_replications(small_config("rs"), (0, 1))
+
     def test_requires_two_seeds(self):
         with pytest.raises(ValueError, match="two seeds"):
             run_replications(small_config("rs"), [0])
@@ -819,10 +825,8 @@ class TestReplication:
         configs = strategy_configs(small_config("rs"), ["us", "rs"])
         assert [c.strategy for c in configs] == ["us", "rs"]
 
-    def test_summary_means_match_individual_runs(self):
-        config = small_config("rs")
-        summary = run_replications(config, (0, 1))
-        singles = [run_experiment(config, s) for s in (0, 1)]
+    def test_summary_means_match_individual_runs(self, summary):
+        singles = [run("rs", SMALL_GEN, s).metrics for s in (0, 1)]
         accs = [r.final_accuracy for r in singles]
         assert summary.final_accuracy[0] == pytest.approx(np.mean(accs))
         assert summary.final_accuracy[1] == pytest.approx(
@@ -832,9 +836,7 @@ class TestReplication:
         assert summary.seeds == (0, 1)
         assert len(summary.runs) == 2
 
-    def test_summary_table_layout(self):
-        config = small_config("rs")
-        summary = run_replications(config, (0, 1))
+    def test_summary_table_layout(self, summary):
         text = summary_table([summary])
         lines = text.strip().split("\n")
         assert lines[0] == ("strategy,n_seeds,final_accuracy_mean,"
